@@ -21,10 +21,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from .errors import NumericsError
-from .fanprofile import FanContext, fan_profile, integrate_smooth, slope_time_integral
+from .fanprofile import (
+    FanContext,
+    bisect_increasing,
+    fan_profile,
+    slope_time_integral,
+    source_time_integral,
+)
 from .flux import Flux, power_law_flux
 from .source import SourceProfile
 from .waves import (
@@ -37,18 +41,10 @@ from .waves import (
     packet_profile,
 )
 
-_FIXED_POINT_TOL = 1e-13
-_MAX_ALTERNATING_ITER = 200
-
 
 def packet_width(n: int) -> float:
     """Half-width 1 / (n log^2(n+1)) of the n-th support interval."""
     return 1.0 / (n * math.log(n + 1.0) ** 2)
-
-
-def packet_center(n: int) -> float:
-    """Center 4 * sum_{k<n} width_k + 2 * width_n; supports stay disjoint."""
-    return 4.0 * sum(packet_width(k) for k in range(1, n)) + 2.0 * packet_width(n)
 
 
 def packet_amplitude(n: int, p: float) -> float:
@@ -83,12 +79,20 @@ def power_law_family(p: float, source: SourceProfile, N: int, M: float = None) -
 
 @dataclass(frozen=True)
 class ShockCell:
+    """Cell n on [A, B]: state a left of the initial jump at tau, b right of it.
+
+    ``t0`` is the family's meeting time: the inner fan edges and the shock
+    meet at time t0, where both plateaus vanish and the cell becomes two
+    fans separated by the surviving shock.
+    """
+
     index: int
     A: float
     B: float
     a: float
     b: float
     tau: float
+    t0: float
 
 
 @dataclass(frozen=True)
@@ -114,19 +118,9 @@ def state_functional(F: Flux, S: SourceProfile, t0: float, a: float) -> float:
     if F.power is not None:
         q = F.power
         return abs(a) ** (q + 1.0) * q / (q + 1.0) * S.effective_time(q, t0)
-    total = 0.0
-    for left, value, right in S._pieces():
-        if t0 <= left:
-            break
-        hi = min(t0, right)
-        b_left = S.cumulative_source(left)
-
-        def integrand(theta, _b=b_left, _s=value, _l=left):
-            e = np.exp(_b + _s * (theta - _l))
-            return a * F.df(a * e) - F.f(a * e) / e
-
-        total += integrate_smooth(integrand, left, hi, 1e-14 * max(1.0, abs(a)))
-    return total
+    return source_time_integral(
+        S, lambda e: a * F.df(a * e) - F.f(a * e) / e, t0, 1e-14 * max(1.0, abs(a))
+    )
 
 
 def edge_travel_plus(F: Flux, S: SourceProfile, t0: float, a: float) -> float:
@@ -139,27 +133,9 @@ def edge_travel_minus(F: Flux, S: SourceProfile, t0: float, b: float) -> float:
     return -slope_time_integral(F, S, b, t0)
 
 
-def _bisect_increasing(fun, lo: float, hi: float, target: float) -> float:
-    """Root of the increasing ``fun(x) = target`` by bisection to bracket collapse."""
-    flo = fun(lo) - target
-    fhi = fun(hi) - target
-    if flo > 0.0 or fhi < 0.0:
-        raise NumericsError(f"target {target} not bracketed on [{lo}, {hi}]")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if fun(mid) - target < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def _match_negative_state(F, S, t0, level: float, b_floor: float) -> float:
     """The b in [b_floor, 0] with G(b) = level; G decreases on the negatives."""
-    return -_bisect_increasing(
-        lambda m: state_functional(F, S, t0, -m), 0.0, -b_floor, level
-    )
+    return -bisect_increasing(lambda m: state_functional(F, S, t0, -m), 0.0, -b_floor, level)
 
 
 def default_state_caps(F: Flux, S: SourceProfile, t0: float):
@@ -185,11 +161,16 @@ def solve_cell_states(
 ) -> Tuple[float, float]:
     """States (a, b) with G(a) = G(b) and edge travels summing to B - A.
 
-    Runs the alternating iteration (match the state functional, then restore
-    the width constraint); for symmetric fluxes that iteration oscillates on
-    a neutral 2-cycle, so on non-convergence the equivalent reduced scalar
-    equation, monotone in a, is solved by bisection.  Final residuals of both
-    identities are pushed below 1e-10.
+    G is :func:`state_functional`.  Since G decreases on the negatives, each
+    a > 0 has one match(a) <= 0 with G(match(a)) = G(a), which leaves the
+    single equation F_plus(a) + F_minus(match(a)) = B - A.  Its left side
+    increases in a, so it is solved by bisection on [0, a_bar], where a_bar
+    alone covers the width.  The alternating iteration (match G, then
+    restore the width) is not used: it sits on a neutral 2-cycle for
+    symmetric fluxes and did not converge for asymmetric ones, so it never
+    produced an answer this equation did not give.  Raises ValueError when
+    the width exceeds what the anchor states of :func:`default_state_caps`
+    allow, and NumericsError unless both residuals end below 1e-10.
     """
     if B <= A:
         raise ValueError("need A < B")
@@ -202,60 +183,27 @@ def solve_cell_states(
             f"cell width {width} exceeds the admissible bound {min(fp_a0, fm_b0)}"
         )
 
-    a_bar = _bisect_increasing(lambda a: edge_travel_plus(F, S, t0, a), 0.0, a0, width)
-    b_bar = -_bisect_increasing(
-        lambda m: edge_travel_minus(F, S, t0, -m), 0.0, -b0, width
+    a_bar = bisect_increasing(lambda a: edge_travel_plus(F, S, t0, a), 0.0, a0, width)
+    b_bar = -bisect_increasing(lambda m: edge_travel_minus(F, S, t0, -m), 0.0, -b0, width)
+
+    def match(a: float) -> float:
+        return _match_negative_state(F, S, t0, state_functional(F, S, t0, a), b_bar)
+
+    a = bisect_increasing(
+        lambda x: edge_travel_plus(F, S, t0, x) + edge_travel_minus(F, S, t0, match(x)),
+        0.0,
+        a_bar,
+        width,
     )
+    b = match(a)
 
-    def next_pair(a_k: float):
-        b_next = _match_negative_state(F, S, t0, state_functional(F, S, t0, a_k), b_bar)
-        rest = width - edge_travel_minus(F, S, t0, b_next)
-        rest = min(max(rest, 0.0), width)
-        a_next = _bisect_increasing(
-            lambda a: edge_travel_plus(F, S, t0, a), 0.0, a_bar, rest
-        )
-        return a_next, b_next
-
-    # paper-style alternating iteration with convergence/cycle detection
-    if state_functional(F, S, t0, a_bar) <= state_functional(F, S, t0, b_bar):
-        a_k, b_k = a_bar, 0.0
-    else:
-        b_k = b_bar
-        a_k = _bisect_increasing(
-            lambda a: edge_travel_plus(F, S, t0, a),
-            0.0,
-            a_bar,
-            width - edge_travel_minus(F, S, t0, b_bar),
-        )
-    a_prev = math.inf
-    converged = False
-    for _ in range(_MAX_ALTERNATING_ITER):
-        a_next, b_next = next_pair(a_k)
-        if abs(a_next - a_k) < _FIXED_POINT_TOL:
-            a_k, b_k = a_next, b_next
-            converged = True
-            break
-        if abs(a_next - a_prev) < _FIXED_POINT_TOL:
-            break  # neutral 2-cycle: fall back to the reduced equation
-        a_prev, a_k, b_k = a_k, a_next, b_next
-    if not converged:
-        # reduced equation: a -> F_plus(a) + F_minus(match(a)) is increasing
-        def reduced(a: float) -> float:
-            b = _match_negative_state(F, S, t0, state_functional(F, S, t0, a), b_bar)
-            return edge_travel_plus(F, S, t0, a) + edge_travel_minus(F, S, t0, b)
-
-        a_k = _bisect_increasing(reduced, 0.0, a_bar, width)
-        b_k = _match_negative_state(F, S, t0, state_functional(F, S, t0, a_k), b_bar)
-
-    g_gap = abs(state_functional(F, S, t0, a_k) - state_functional(F, S, t0, b_k))
-    w_gap = abs(
-        edge_travel_plus(F, S, t0, a_k) + edge_travel_minus(F, S, t0, b_k) - width
-    )
+    g_gap = abs(state_functional(F, S, t0, a) - state_functional(F, S, t0, b))
+    w_gap = abs(edge_travel_plus(F, S, t0, a) + edge_travel_minus(F, S, t0, b) - width)
     if g_gap > 1e-10 or w_gap > 1e-10:
         raise NumericsError(
             f"cell state solve did not converge (residuals {g_gap:.2e}, {w_gap:.2e})"
         )
-    return a_k, b_k
+    return a, b
 
 
 def initial_shock_position(
@@ -306,7 +254,7 @@ def shock_cell_family(
         tau = initial_shock_position(F, S, t0, A, B, a, b)
         if a - b < c0 ** (-1.0 / q) * (B - A) ** (1.0 / q) * (1.0 - 1e-9):
             raise NumericsError(f"degeneracy lower bound violated at cell {n}")
-        cells.append(ShockCell(index=n, A=A, B=B, a=a, b=b, tau=tau))
+        cells.append(ShockCell(index=n, A=A, B=B, a=a, b=b, tau=tau, t0=t0))
     return ShockCellFamily(flux=F, source=S, t0=t0, n0=n0, N=N, cells=tuple(cells))
 
 
@@ -317,7 +265,7 @@ def _shock_position(cell: ShockCell, F: Flux, S: SourceProfile, t: float, ode_st
     def pre(tt: float) -> float:
         return tau + flux_difference_drift(F, S, a, b, tt) / (a - b)
 
-    t0 = _cell_meeting_time(cell, F, S)
+    t0 = cell.t0
     if t <= t0:
         return pre(t)
     ctx = FanContext(flux=F, source=S)
@@ -346,39 +294,18 @@ def _shock_position(cell: ShockCell, F: Flux, S: SourceProfile, t: float, ode_st
     return z
 
 
-def _cell_meeting_time(cell: ShockCell, F: Flux, S: SourceProfile) -> float:
-    """Time at which the two inner fan edges meet (the family's t0 by design)."""
-    # The construction guarantees meeting at the family t0; recover it from
-    # the cell data so profiles do not need the family object.
-    # Edge positions: A + travel_plus(a, t) and B - travel_minus(b, t).
-    def gap(tt: float) -> float:
-        return (cell.B - edge_travel_minus(F, S, tt, cell.b)) - (
-            cell.A + edge_travel_plus(F, S, tt, cell.a)
-        )
-
-    lo, hi = 0.0, 1.0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            return math.inf
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def cell_profile(
     cell: ShockCell, F: Flux, S: SourceProfile, t: float, ode_steps: int = 256
 ) -> PiecewiseProfile:
-    """Region structure of the cell solution at time t."""
+    """Region structure of the cell solution at time t.
+
+    Before ``cell.t0``: fan / plateau a / plateau b / fan, with the shock
+    between the plateaus.  From ``cell.t0`` on: two fans and the shock.
+    """
     if t <= 0.0:
         raise ValueError(f"cell profile needs t > 0, got {t}")
     ctx = FanContext(flux=F, source=S)
-    t_meet = _cell_meeting_time(cell, F, S)
-    if t < t_meet:
+    if t < cell.t0:
         zeta_minus = cell.A + edge_travel_plus(F, S, t, cell.a)
         zeta_plus = cell.B - edge_travel_minus(F, S, t, cell.b)
         zeta_0 = cell.tau + flux_difference_drift(F, S, cell.a, cell.b, t) / (

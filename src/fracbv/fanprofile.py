@@ -9,6 +9,11 @@ where B is the cumulative source.  Rarefaction regions of exact solutions
 evaluate as V(x - center, t) * exp(B(t)).  For power-law fluxes the profile
 has the closed form sign(x) |x|^(1/p) * G^(-1/p) with G the effective time;
 for general convex fluxes it is found by monotone bisection.
+
+The module also holds the two numerical primitives the scalar layers share:
+:func:`bisect_increasing`, the one bracketed root finder for increasing
+scalar functions, and :func:`source_time_integral`, the one quadrature of a
+function of exp(B(theta)) over [0, t], one Simpson run per source piece.
 """
 
 from __future__ import annotations
@@ -83,18 +88,47 @@ def slope_time_integral_numeric(
     Kept separate from :func:`slope_time_integral` so closed forms can be
     cross-checked against an independent numerical route.
     """
+    return source_time_integral(source, lambda e: flux.df(v * e), t, tol * max(1.0, abs(v)))
+
+
+def source_time_integral(source: SourceProfile, g, t: float, tol: float) -> float:
+    """integral over [0, t] of g(exp(B(theta))) dtheta, B the cumulative source.
+
+    B is linear on each constancy piece of alpha, so the integrand is smooth
+    there: one :func:`integrate_smooth` run per piece, each to ``tol``.
+    ``g`` must accept numpy arrays.
+    """
     total = 0.0
-    for left, value, right in source._pieces():
+    rights = (*source.breakpoints[1:], math.inf)
+    for left, value, right in zip(source.breakpoints, source.values, rights):
         if t <= left:
             break
-        hi = min(t, right)
         b_left = source.cumulative_source(left)
-
-        def integrand(theta, _b=b_left, _a=value, _l=left):
-            return flux.df(v * np.exp(_b + _a * (theta - _l)))
-
-        total += integrate_smooth(integrand, left, hi, tol * max(1.0, abs(v)))
+        total += integrate_smooth(
+            lambda theta: g(np.exp(b_left + value * (theta - left))), left, min(t, right), tol
+        )
     return total
+
+
+def bisect_increasing(fun, lo: float, hi: float, target: float, xtol: float = 0.0) -> float:
+    """Root of the increasing ``fun(x) = target`` on [lo, hi] by bisection.
+
+    Halves the bracket until it is no wider than ``xtol`` or until its
+    midpoint rounds onto an end (bracket collapse, the only stop when
+    ``xtol`` is 0), and returns the midpoint.  Raises NumericsError when
+    the target is not bracketed.
+    """
+    if fun(lo) - target > 0.0 or fun(hi) - target < 0.0:
+        raise NumericsError(f"target {target} not bracketed on [{lo}, {hi}]")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if fun(mid) - target < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def fan_profile(ctx: FanContext, x: float, t: float) -> float:
@@ -123,23 +157,9 @@ def fan_profile_rootfind(ctx: FanContext, x: float, t: float) -> float:
     if x == 0.0:
         return 0.0
     bound = ctx.flux.M * math.exp(ctx.source.sup_norm * t)
-    lo, hi = -bound, bound
-    flo = slope_time_integral(ctx.flux, ctx.source, lo, t) - x
-    fhi = slope_time_integral(ctx.flux, ctx.source, hi, t) - x
-    if flo > 0.0 or fhi < 0.0:
-        raise NumericsError(
-            f"fan profile root escapes the flux interval for x={x}, t={t}"
-        )
-    while hi - lo > ctx.root_tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = slope_time_integral(ctx.flux, ctx.source, mid, t) - x
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    v = 0.5 * (lo + hi)
+    v = bisect_increasing(
+        lambda w: slope_time_integral(ctx.flux, ctx.source, w, t), -bound, bound, x, ctx.root_tol
+    )
     _check_range(ctx, v, t)
     return v
 

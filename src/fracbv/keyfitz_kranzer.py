@@ -273,20 +273,3 @@ def jump_sum_lower_bound(setup: KKSetup, t: float, N_i: int) -> float:
     expo = setup.p * (1.0 + setup.delta)
     return float(t / 2.0 * np.sum((i**expo - 1.0) * i ** (-expo)))
 
-
-def jump_segments(setup: KKSetup, i: int, t: float, limit: int = 16):
-    """A sample of the jump segments along the top edges of band-i strips.
-
-    Yields (y, x_lo, x_hi): across each returned horizontal segment the
-    time-t direction field jumps between the base and rotated directions.
-    """
-    m_int = setup.strip_count_int(i)
-    base = 2.0 ** (-i)
-    count = 0
-    for j in range(1, m_int):
-        y = base + j * base / m_int
-        for l in range(1, 2**i):
-            yield y, l * base, (l + t) * base
-            count += 1
-            if count >= limit:
-                return

@@ -14,7 +14,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .fanprofile import FanContext, fan_profile, integrate_smooth, slope_time_integral
+from .fanprofile import FanContext, fan_profile, slope_time_integral, source_time_integral
 from .flux import Flux
 from .source import SourceProfile
 
@@ -135,19 +135,7 @@ def flux_difference_drift(F: Flux, S: SourceProfile, w_plus: float, w_minus: flo
         p = F.power
         diff = (abs(w_plus) ** (p + 1.0) - abs(w_minus) ** (p + 1.0)) / (p + 1.0)
         return diff * S.effective_time(p, t)
-    total = 0.0
-    for left, value, right in S._pieces():
-        if t <= left:
-            break
-        hi = min(t, right)
-        b_left = S.cumulative_source(left)
-
-        def integrand(theta, _b=b_left, _a=value, _l=left):
-            e = np.exp(_b + _a * (theta - _l))
-            return (F.f(w_plus * e) - F.f(w_minus * e)) / e
-
-        total += integrate_smooth(integrand, left, hi, 1e-13)
-    return total
+    return source_time_integral(S, lambda e: (F.f(w_plus * e) - F.f(w_minus * e)) / e, t, 1e-13)
 
 
 def riemann_shock(

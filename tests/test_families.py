@@ -192,6 +192,29 @@ class TestCellSolution:
             assert left > right
 
 
+class TestCellMeetingTime:
+    """Each cell's inner fan edges meet at the family's t0, stored on the cell."""
+
+    SRC = SourceProfile.piecewise([0.0, 0.4], [-0.3, 0.2])
+
+    @pytest.fixture(scope="class")
+    def sourced_family(self):
+        return shock_cell_family(Q3, self.SRC, 1.0, 10)
+
+    def test_fan_edges_meet_at_t0(self, sourced_family):
+        assert sourced_family.cells
+        for c in sourced_family.cells:
+            assert c.t0 == sourced_family.t0
+            left_edge = c.A + edge_travel_plus(Q3, self.SRC, c.t0, c.a)
+            right_edge = c.B - edge_travel_minus(Q3, self.SRC, c.t0, c.b)
+            assert abs(left_edge - right_edge) <= 1e-10
+
+    def test_structure_switches_at_t0(self, sourced_family):
+        for c in sourced_family.cells:
+            assert len(cell_profile(c, Q3, self.SRC, c.t0 * (1.0 - 1e-9)).regions) == 4
+            assert len(cell_profile(c, Q3, self.SRC, c.t0 * (1.0 + 1e-9), ode_steps=4).regions) == 2
+
+
 class TestFamilies:
     def test_power_law_widths_and_amplitudes(self):
         fam = power_law_family(2.0, ZERO, 5)

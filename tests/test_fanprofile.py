@@ -16,6 +16,7 @@ from fracbv import (
     slope_time_integral_numeric,
     user_flux,
 )
+from fracbv.fanprofile import bisect_increasing, source_time_integral
 
 ZERO = SourceProfile.zero()
 
@@ -123,3 +124,22 @@ def test_range_escape_raises():
     F = user_flux(lambda u: np.cosh(u) - 1.0, np.sinh, M=1.0)
     with pytest.raises(NumericsError):
         fan_profile_rootfind(FanContext(flux=F, source=ZERO), 1e6, 1.0)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.9, 2.5])  # first piece, last piece, past the last breakpoint
+def test_source_time_integral_matches_effective_time(t):
+    src = SourceProfile.piecewise([0.0, 0.5, 1.2], [0.4, -1.0, 0.3])
+    for p in (1.0, 2.0, 3.5):
+        value = source_time_integral(src, lambda e, p=p: e**p, t, 1e-14)
+        assert value == pytest.approx(src.effective_time(p, t), rel=1e-12)
+
+
+def test_bisect_increasing():
+    root = bisect_increasing(lambda x: x**3, 0.0, 2.0, 2.0)
+    assert abs(root - 2.0 ** (1.0 / 3.0)) <= 2.0 * np.spacing(root)
+    coarse = bisect_increasing(lambda x: x**3, 0.0, 2.0, 2.0, xtol=1e-3)
+    assert abs(coarse - 2.0 ** (1.0 / 3.0)) <= 1e-3
+    with pytest.raises(NumericsError):
+        bisect_increasing(lambda x: x**3, 0.0, 1.0, 2.0)  # target above the bracket
+    with pytest.raises(NumericsError):
+        bisect_increasing(lambda x: x**3, 1.0, 2.0, 0.5)  # target below the bracket
