@@ -56,6 +56,17 @@ def parse_alpha(spec: str) -> SourceProfile:
     raise ConfigError(f"bad --alpha value {spec!r}")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float options: rejects nan and inf (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _write_text(out: Optional[str], text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -75,7 +86,7 @@ def _csv_text(header, rows) -> str:
 
 def _json_text(payload: dict) -> str:
     payload = {"schema": SCHEMA, **payload}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit_profile(cfg: RunConfig, sampled) -> None:
@@ -191,8 +202,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
             )
 
         def exact(xs, t):
-            profile = packet_profile(flux, source, packet, t)
-            return np.array([profile(float(x)) for x in xs])
+            return packet_profile(flux, source, packet, t).evaluate(xs)
 
     else:  # family
         family = _build_family({**o, "kind": "powerlaw"})
@@ -210,8 +220,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
             return out
 
         def exact(xs, t):
-            profile = family_profile(family, t)
-            return np.array([profile(float(x)) for x in xs])
+            return family_profile(family, t).evaluate(xs)
 
     run = godunov.MeshRun(
         domain=domain, cells=o["cells"], cfl=o["cfl"], t_end=o["t"], snapshots=(o["t"],)
@@ -336,92 +345,92 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("packet", parents=[common], help="single antisymmetric packet profile")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
-    sp.add_argument("--dx", type=float, required=True)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--dx", type=_finite_float, required=True)
+    sp.add_argument("--delta", type=_finite_float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--samples", type=int, default=64, help="samples per fan region")
-    sp.add_argument("--center", type=float, default=0.0)
+    sp.add_argument("--center", type=_finite_float, default=0.0)
 
     sp = sub.add_parser("riemann", parents=[common], help="single shock position and states")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
-    sp.add_argument("--wl", type=float, required=True)
-    sp.add_argument("--wr", type=float, required=True)
-    sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--wl", type=_finite_float, required=True)
+    sp.add_argument("--wr", type=_finite_float, required=True)
+    sp.add_argument("--x0", type=_finite_float, default=0.0)
+    sp.add_argument("--t", type=_finite_float, required=True)
 
     sp = sub.add_parser("family", parents=[common], help="truncated counterexample family profile")
     sp.add_argument("--kind", choices=("powerlaw", "assp"), default="powerlaw")
-    sp.add_argument("--p", "--q", dest="p", type=float, required=True)
+    sp.add_argument("--p", "--q", dest="p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--t0", type=float, default=1.0)
+    sp.add_argument("--t", type=_finite_float, required=True)
+    sp.add_argument("--t0", type=_finite_float, default=1.0)
     sp.add_argument("--samples", type=int, default=64)
 
     sp = sub.add_parser("assp", parents=[common], help="two-state cell table (JSON)")
-    sp.add_argument("--q", "--p", dest="p", type=float, required=True)
+    sp.add_argument("--q", "--p", dest="p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
-    sp.add_argument("--t0", type=float, default=1.0)
+    sp.add_argument("--t0", type=_finite_float, default=1.0)
     sp.add_argument("--N", type=int, required=True)
 
     sp = sub.add_parser("variation", parents=[common], help="fractional variation of a CSV profile")
-    sp.add_argument("--s", type=float, required=True)
+    sp.add_argument("--s", type=_finite_float, required=True)
     sp.add_argument("--input", required=True)
 
     sp = sub.add_parser("diverge", parents=[common], help="per-packet lower bounds and partial sums")
     sp.add_argument("--kind", choices=("powerlaw", "assp"), default="powerlaw", dest="kind")
-    sp.add_argument("--p", "--q", dest="p", type=float, required=True)
+    sp.add_argument("--p", "--q", dest="p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
-    sp.add_argument("--s", type=float, required=True)
+    sp.add_argument("--s", type=_finite_float, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--t0", type=float, default=1.0)
+    sp.add_argument("--t", type=_finite_float, default=1.0)
+    sp.add_argument("--t0", type=_finite_float, default=1.0)
 
     sp = sub.add_parser("oracle", parents=[common], help="finite-volume run with error table")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
     sp.add_argument("--init", choices=("riemann", "packet", "family"), required=True)
     sp.add_argument("--cells", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--cfl", type=float, default=0.45)
-    sp.add_argument("--wl", type=float, default=1.0)
-    sp.add_argument("--wr", type=float, default=-1.0)
-    sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--dx", type=float, default=0.1)
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--center", type=float, default=0.0)
+    sp.add_argument("--t", type=_finite_float, required=True)
+    sp.add_argument("--cfl", type=_finite_float, default=0.45)
+    sp.add_argument("--wl", type=_finite_float, default=1.0)
+    sp.add_argument("--wr", type=_finite_float, default=-1.0)
+    sp.add_argument("--x0", type=_finite_float, default=0.0)
+    sp.add_argument("--dx", type=_finite_float, default=0.1)
+    sp.add_argument("--delta", type=_finite_float, default=0.5)
+    sp.add_argument("--center", type=_finite_float, default=0.0)
     sp.add_argument("--N", type=int, default=4)
-    sp.add_argument("--t0", type=float, default=1.0)
+    sp.add_argument("--t0", type=_finite_float, default=1.0)
 
     sp = sub.add_parser("triangular", parents=[common], help="transport divergence diagnostics")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
+    sp.add_argument("--T", type=_finite_float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--sprime", type=float, nargs="+", required=True)
+    sp.add_argument("--sprime", type=_finite_float, nargs="+", required=True)
     sp.add_argument("--dt-log2", dest="dt_log2", type=int, default=10, help="RK4 step = T / 2^k")
 
     sp = sub.add_parser("kk", parents=[common], help="planar direction-oscillation diagnostics")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
+    sp.add_argument("--delta", type=_finite_float, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--res", type=int, required=True)
     sp.add_argument("--imax", type=int, default=None)
     sp.add_argument("--Ni", type=int, default=1000)
     sp.add_argument("--grid-out", dest="grid_out", default=None)
 
     sp = sub.add_parser("bound", parents=[common], help="analytic variation upper bound")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--M", type=float, default=1.0)
+    sp.add_argument("--t", type=_finite_float, required=True)
+    sp.add_argument("--a", type=_finite_float, required=True)
+    sp.add_argument("--b", type=_finite_float, required=True)
+    sp.add_argument("--T", type=_finite_float, required=True)
+    sp.add_argument("--M", type=_finite_float, default=1.0)
 
     return parser
 
@@ -437,7 +446,7 @@ def dispatch(config: RunConfig) -> int:
     except ConfigError as exc:
         sys.stderr.write(_json_text({"error": str(exc), "kind": "config"}))
         return 2
-    except (NumericsError, ValueError, OSError) as exc:
+    except (NumericsError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(_json_text({"error": str(exc), "kind": "numerical"}))
         return 3
 

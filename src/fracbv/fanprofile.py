@@ -150,6 +150,22 @@ def fan_profile(ctx: FanContext, x: float, t: float) -> float:
     return fan_profile_rootfind(ctx, x, t)
 
 
+def fan_values(ctx: FanContext, offsets: np.ndarray, t: float) -> np.ndarray:
+    """Vectorized fan profile over an array of offsets from the center.
+
+    For power-law fluxes the closed form runs as one array power, which may
+    differ from the scalar :func:`fan_profile` in the last bit; other
+    fluxes call :func:`fan_profile` point by point.  Values are not
+    range-checked.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    if ctx.flux.power is not None:
+        p = ctx.flux.power
+        g = ctx.source.effective_time(p, t)
+        return np.sign(offsets) * np.abs(offsets) ** (1.0 / p) * g ** (-1.0 / p)
+    return np.array([fan_profile(ctx, float(z), t) for z in offsets])
+
+
 def fan_profile_rootfind(ctx: FanContext, x: float, t: float) -> float:
     """Monotone bisection for the fan profile (any convex flux)."""
     if t <= 0.0:

@@ -35,6 +35,8 @@ class SourceProfile:
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or not self.breakpoints:
             raise ValueError("breakpoints and values must be equal-length, non-empty")
+        if not all(math.isfinite(v) for v in (*self.breakpoints, *self.values)):
+            raise ValueError("breakpoints and values must be finite")
         if self.breakpoints[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
         if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fanprofile import FanContext, fan_profile
+from .fanprofile import FanContext, fan_profile, fan_values
 from .flux import Flux
 from .source import SourceProfile
 from .waves import PiecewiseProfile, ConstantRegion, FanRegion, speed_bound
@@ -160,16 +160,6 @@ def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFu
     return SampledFunction(xs[keep], vs[keep])
 
 
-def fan_values(ctx: FanContext, offsets: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized fan profile over an array of offsets from the center."""
-    offsets = np.asarray(offsets, dtype=float)
-    if ctx.flux.power is not None:
-        p = ctx.flux.power
-        g = ctx.source.effective_time(p, t)
-        return np.sign(offsets) * np.abs(offsets) ** (1.0 / p) * g ** (-1.0 / p)
-    return np.array([fan_profile(ctx, float(z), t) for z in offsets])
-
-
 def smoothing_upper_bound(
     F: Flux, S: SourceProfile, t: float, a: float, b: float, T: float
 ) -> float:
@@ -253,7 +243,9 @@ def load_profile_csv(path) -> SampledFunction:
     vs: List[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty profile file")
         if [h.strip() for h in header[:2]] != ["x", "u"]:
             raise ValueError(f"expected 'x,u' header, got {header}")
         for row in reader:

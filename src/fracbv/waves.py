@@ -14,7 +14,13 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .fanprofile import FanContext, fan_profile, slope_time_integral, source_time_integral
+from .fanprofile import (
+    FanContext,
+    fan_profile,
+    fan_values,
+    slope_time_integral,
+    source_time_integral,
+)
 from .flux import Flux
 from .source import SourceProfile
 
@@ -70,6 +76,33 @@ class PiecewiseProfile:
         lefts = [r.left for r in self.regions]
         idx = min(max(np.searchsorted(lefts, x, side="right") - 1, 0), len(self.regions) - 1)
         return self.region_value(self.regions[idx], x)
+
+    def evaluate(self, xs) -> np.ndarray:
+        """Values at every point of ``xs``; zero outside the covered span.
+
+        Picks each point's region as :meth:`__call__` does, with one
+        ``searchsorted`` over all points, and evaluates all fan points
+        through :func:`fan_values`.  For power-law fluxes that array power
+        may differ from the scalar fan profile in the last bit.
+        """
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        lo, hi = self.span
+        inside = (xs >= lo) & (xs <= hi)
+        pts = xs[inside]
+        idx = np.searchsorted([r.left for r in self.regions], pts, side="right") - 1
+        idx = np.clip(idx, 0, len(self.regions) - 1)
+        scale = math.exp(self.ctx.source.cumulative_source(self.time))
+        is_fan = np.array([isinstance(r, FanRegion) for r in self.regions])
+        # constant regions take w * scale; fan regions are overwritten below
+        level = np.array([0.0 if f else r.w * scale for r, f in zip(self.regions, is_fan)])
+        centers = np.array([r.center if f else 0.0 for r, f in zip(self.regions, is_fan)])
+        values = level[idx]
+        fan = is_fan[idx]
+        offsets = pts[fan] - centers[idx[fan]]
+        values[fan] = fan_values(self.ctx, offsets, self.time) * scale
+        out[inside] = values
+        return out
 
     def side_values(self, x: float):
         """(left limit, right limit) at x; equal except at shock points.

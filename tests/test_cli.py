@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from fracbv.cli import main
+from fracbv.cli import RunConfig, dispatch, main
 
 
 def oracle(capsys, tmp_path, *args):
@@ -39,3 +40,52 @@ def test_threads_option_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["assp", "--q", "3", "--N", "3", "--threads", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--p", "2", "--init", "packet", "--t", "nan", "--cells", "100"],
+        ["oracle", "--p", "2", "--init", "packet", "--t", "1", "--delta", "inf", "--cells", "100"],
+        ["riemann", "--p", "2", "--wl", "nan", "--wr", "0", "--t", "1"],
+        ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "4", "--sprime", "1", "inf"],
+        ["bound", "--p", "x", "--t", "1", "--a", "0", "--b", "1", "--T", "1"],
+    ],
+)
+def test_non_finite_float_option_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_result_is_not_written_as_json(capsys):
+    # past argparse, a NaN that reaches the JSON writer is a numerical error
+    config = RunConfig(
+        command="riemann",
+        options={"p": 2.0, "alpha": "zero", "wl": math.nan, "wr": 0.0, "x0": 0.0, "t": 1.0},
+        out=None,
+        format="csv",
+    )
+    assert dispatch(config) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "numerical"
+
+
+def test_bound_overflow_exits_numerical(capsys):
+    code = main(["bound", "--p", "2", "--alpha", "constant:1000", "--t", "1", "--a", "0", "--b", "1", "--T", "1"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+
+
+def test_variation_of_empty_file_exits_numerical(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["variation", "--s", "0.5", "--input", str(empty)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "empty profile file"
+
+
+def test_non_finite_alpha_is_a_config_error(capsys):
+    assert main(["riemann", "--p", "2", "--alpha", "constant:nan", "--wl", "1", "--wr", "0", "--t", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "config"

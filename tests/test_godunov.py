@@ -7,12 +7,14 @@ from fracbv import (
     MeshRun,
     NumericsError,
     SourceProfile,
+    flux_from_config,
     godunov_solve,
     l1_distance,
     make_packet,
     packet_profile,
     power_law_flux,
 )
+from fracbv.godunov import godunov_flux
 
 ZERO = SourceProfile.zero()
 
@@ -132,3 +134,86 @@ def test_mesh_validation():
         MeshRun(domain=(1, 0), cells=64, cfl=0.5, t_end=1.0)
     with pytest.raises(ValueError):
         MeshRun(domain=(0, 1), cells=64, cfl=0.5, t_end=1.0, snapshots=(2.0,))
+
+
+def two_sided_flux(F, u_left, u_right):
+    """Reference interface flux: f on both clipped one-sided arrays."""
+    return np.maximum(F.f(np.maximum(u_left, 0.0)), F.f(np.minimum(u_right, 0.0)))
+
+
+def reference_solve(F, S, u0, run):
+    """Reference Godunov loop: speed over all cells, two-sided flux, B(t)
+    evaluated twice per step and the cells copied into the padded array."""
+    u = np.asarray(u0, dtype=float).copy()
+    dx = run.dx
+    events = sorted(set(list(run.snapshots) + [run.t_end]))
+    out = []
+    t = 0.0
+    if events and events[0] == 0.0:
+        out.append((0.0, u.copy()))
+        events = events[1:]
+    padded = np.empty(run.cells + 2)
+    for target in events:
+        while t < target:
+            speed = float(np.max(np.abs(F.df(u))))
+            dt = run.cfl * dx / speed if speed > 0.0 else target - t
+            dt = min(dt, target - t)
+            padded[0] = 0.0
+            padded[-1] = 0.0
+            padded[1:-1] = u
+            flux = two_sided_flux(F, padded[:-1], padded[1:])
+            u -= dt / dx * (flux[1:] - flux[:-1])
+            u *= math.exp(S.cumulative_source(t + dt) - S.cumulative_source(t))
+            t += dt
+        out.append((target, u.copy()))
+    return out
+
+
+def table_flux():
+    us = np.linspace(-1.0, 1.0, 9)
+    return flux_from_config({"kind": "table", "u": list(us), "f": list(0.5 * us**2 + 0.1 * us**4)})
+
+
+@pytest.mark.parametrize(
+    "F",
+    [power_law_flux(p, M=1.0) for p in (1.0, 1.5, 2.37, 3.0)] + [table_flux()],
+    ids=["p1", "p1.5", "p2.37", "p3", "table"],
+)
+def test_godunov_flux_equals_two_sided_formula(F):
+    rng = np.random.default_rng(7)
+    states = rng.uniform(-1.0, 1.0, size=4001)
+    states[rng.integers(0, states.size, size=400)] = 0.0
+    states[rng.integers(0, states.size, size=400)] = -0.0
+    u_left, u_right = states[:-1], states[1:]
+    assert np.array_equal(godunov_flux(F, u_left, u_right), two_sided_flux(F, u_left, u_right))
+
+
+def assert_same_snapshots(got, want):
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, u), (_, v) in zip(got, want):
+        assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.37])
+def test_solve_matches_reference_loop_packet_with_source(p):
+    src = SourceProfile.piecewise([0.0, 0.15, 0.4], [0.8, -0.6, 0.3])
+    F = power_law_flux(p, M=0.5)
+    run = MeshRun(domain=(-0.2, 0.2), cells=400, cfl=0.45, t_end=0.6, snapshots=(0.0, 0.1, 0.3, 0.6))
+    u0 = step_cell_averages(run, [(-0.1, 0.0, 0.5), (0.0, 0.1, -0.5)])
+    assert_same_snapshots(godunov_solve(F, src, u0, run), reference_solve(F, src, u0, run))
+
+
+def test_solve_matches_reference_loop_riemann():
+    F = power_law_flux(2.0, M=1.0)
+    run = MeshRun(domain=(-2.0, 2.0), cells=500, cfl=0.45, t_end=0.5, snapshots=(0.25,))
+    u0 = np.where(run.centers() < 0.1, 1.0, -0.5)
+    assert_same_snapshots(godunov_solve(F, ZERO, u0, run), reference_solve(F, ZERO, u0, run))
+
+
+@pytest.mark.parametrize(
+    "domain, t_end",
+    [((-1.0, math.nan), 1.0), ((-math.inf, 1.0), 1.0), ((0.0, 1.0), math.nan), ((0.0, 1.0), math.inf)],
+)
+def test_mesh_rejects_non_finite(domain, t_end):
+    with pytest.raises(ValueError, match="finite"):
+        MeshRun(domain=domain, cells=64, cfl=0.5, t_end=t_end)

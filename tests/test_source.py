@@ -137,3 +137,9 @@ def test_config_round_trip():
     for cfg in ({}, {"alpha": "nope"}, {"alpha": "constant"}, {"alpha": "zero", "x": 1}):
         with pytest.raises(ConfigError):
             source_from_config(cfg)
+
+
+@pytest.mark.parametrize("breakpoints, values", [([0.0], [math.nan]), ([0.0, math.inf], [1.0, 0.0]), ([0.0, 1.0], [0.0, -math.inf])])
+def test_non_finite_profile_rejected(breakpoints, values):
+    with pytest.raises(ValueError, match="finite"):
+        SourceProfile.piecewise(breakpoints, values)

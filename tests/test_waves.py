@@ -201,3 +201,65 @@ def test_profile_contiguity_validation():
             time=1.0,
             regions=(ConstantRegion(0.0, 1.0, 0.1), ConstantRegion(1.5, 2.0, 0.2)),
         )
+
+
+def evaluation_points(profile, rng, n_random=400):
+    """Random points over and around the span, every region end, and points
+    outside the span."""
+    lo, hi = profile.span
+    pad = 0.1 * (hi - lo)
+    ends = [r.left for r in profile.regions] + [r.right for r in profile.regions]
+    outside = [lo - pad, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), hi + pad]
+    return np.concatenate((rng.uniform(lo - pad, hi + pad, size=n_random), ends, outside))
+
+
+def assert_evaluate_matches_call(profile, xs, rtol):
+    got = profile.evaluate(xs)
+    want = np.array([profile(float(x)) for x in xs])
+    assert got.shape == xs.shape
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+    lo, hi = profile.span
+    assert np.all(got[(xs < lo) | (xs > hi)] == 0.0)
+
+
+class TestProfileEvaluate:
+    SRC = SourceProfile.piecewise([0.0, 0.3], [-0.4, 0.5])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.37])
+    @pytest.mark.parametrize("when", [0.5, 3.0])
+    def test_packet_before_and_after_interaction(self, p, when):
+        F = power_law_flux(p, M=0.5)
+        P = make_packet(F, self.SRC, 0.3, 0.1, 0.5)
+        t = when * P.t_n
+        profile = packet_profile(F, self.SRC, P, t)
+        assert len(profile.regions) == (4 if t < P.t_n else 2)
+        xs = evaluation_points(profile, np.random.default_rng(11))
+        assert_evaluate_matches_call(profile, xs, 1e-14)
+
+    def test_six_packet_family(self):
+        from fracbv import family_profile, power_law_family
+
+        family = power_law_family(2.0, self.SRC, 6)
+        t = 0.5 * (family.packets[0].t_n + family.packets[-1].t_n)
+        profile = family_profile(family, t)
+        xs = evaluation_points(profile, np.random.default_rng(12), n_random=2000)
+        assert_evaluate_matches_call(profile, xs, 1e-14)
+
+    def test_general_flux_is_exact(self):
+        from fracbv import ConstantRegion, FanRegion, PiecewiseProfile, user_flux
+
+        F = user_flux(lambda u: np.cosh(u) - 1.0, np.sinh, M=2.0)
+        ctx = FanContext(flux=F, source=self.SRC)
+        profile = PiecewiseProfile(
+            ctx=ctx,
+            time=1.0,
+            regions=(
+                FanRegion(-1.0, -0.4, center=-1.0),
+                ConstantRegion(-0.4, 0.0, w=0.3),
+                ConstantRegion(0.0, 0.4, w=-0.3),
+                FanRegion(0.4, 1.0, center=1.0),
+            ),
+        )
+        xs = evaluation_points(profile, np.random.default_rng(13), n_random=12)
+        got = profile.evaluate(xs)
+        assert np.array_equal(got, np.array([profile(float(x)) for x in xs]))
