@@ -9,16 +9,13 @@ from .flux import (
     convexity_defect,
     degeneracy_constant,
     flux_from_config,
-    legendre_transform,
     power_law_flux,
     user_flux,
 )
-from .source import SourceProfile, source_from_config
+from .source import SourceProfile, parse_alpha
 from .fanprofile import (
     FanContext,
-    fan_holder_gap,
     fan_profile,
-    fan_profile_residual,
     fan_profile_rootfind,
     slope_time_integral,
     slope_time_integral_numeric,
@@ -32,8 +29,6 @@ from .waves import (
     flux_difference_drift,
     make_packet,
     packet_profile,
-    packet_solution,
-    planar_lift,
     riemann_shock,
     speed_bound,
 )
@@ -42,7 +37,6 @@ from .families import (
     ShockCell,
     ShockCellFamily,
     cell_profile,
-    cell_solution,
     edge_travel_minus,
     edge_travel_plus,
     family_profile,
@@ -61,7 +55,6 @@ from .variation import (
     p_variation,
     p_variation_reference,
     sample_profile,
-    save_profile_csv,
     smoothing_upper_bound,
 )
 from .godunov import MeshRun, godunov_solve, l1_distance

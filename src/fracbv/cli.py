@@ -7,8 +7,6 @@ files.  Exit codes: 0 success, 2 configuration errors, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -25,7 +23,7 @@ from .families import (
     shock_cell_family,
 )
 from .flux import Decay, power_law_flux
-from .source import SourceProfile
+from .source import parse_alpha
 from .waves import make_packet, packet_profile, riemann_shock, speed_bound
 
 SCHEMA = 1
@@ -39,23 +37,6 @@ class RunConfig:
     format: str
 
 
-def parse_alpha(spec: str) -> SourceProfile:
-    """Parse 'zero' | 'constant:<a>' | 'pw:<t1>:<v1>,<t2>:<v2>,...'."""
-    try:
-        if spec == "zero":
-            return SourceProfile.zero()
-        if spec.startswith("constant:"):
-            return SourceProfile.constant(float(spec.split(":", 1)[1]))
-        if spec.startswith("pw:"):
-            pairs = [item.split(":") for item in spec[3:].split(",")]
-            ts = [float(t) for t, _ in pairs]
-            vs = [float(v) for _, v in pairs]
-            return SourceProfile.piecewise(ts, vs)
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad --alpha value {spec!r}: {exc}") from exc
-    raise ConfigError(f"bad --alpha value {spec!r}")
-
-
 def _finite_float(text: str) -> float:
     """argparse type for float options: rejects nan and inf (exit 2)."""
     try:
@@ -67,6 +48,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _order(text: str) -> float:
+    """argparse type for a fractional order s, which must lie in (0, 1]."""
+    value = _finite_float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"order must lie in (0, 1], got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _write_text(out: Optional[str], text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -75,13 +75,15 @@ def _write_text(out: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+def _csv_text(header, columns) -> str:
+    """CSV text, one column per sequence; every cell is the repr of its value.
+
+    Columns are converted with ``tolist()``, so numpy floats print as the
+    shortest repr that round-trips and integers print plainly.
+    """
+    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(payload: dict) -> str:
@@ -91,13 +93,9 @@ def _json_text(payload: dict) -> str:
 
 def _emit_profile(cfg: RunConfig, sampled) -> None:
     if cfg.format == "csv":
-        rows = [(float(x), float(u)) for x, u in zip(sampled.xs, sampled.vs)]
-        _write_text(cfg.out, _csv_text(["x", "u"], rows))
+        _write_text(cfg.out, _csv_text(["x", "u"], [sampled.xs, sampled.vs]))
     else:
-        _write_text(
-            cfg.out,
-            _json_text({"x": [float(v) for v in sampled.xs], "u": [float(v) for v in sampled.vs]}),
-        )
+        _write_text(cfg.out, _json_text({"x": sampled.xs.tolist(), "u": sampled.vs.tolist()}))
 
 
 def _cmd_packet(cfg: RunConfig) -> int:
@@ -168,7 +166,7 @@ def _cmd_diverge(cfg: RunConfig) -> int:
     o = cfg.options
     family = _build_family(o)
     rows = variation.family_variation_lower_bounds(family, o["t"], o["s"], o["N"])
-    _write_text(cfg.out, _csv_text(["n", "bound", "cumulative"], [(n, float(b), float(c)) for n, b, c in rows]))
+    _write_text(cfg.out, _csv_text(["n", "bound", "cumulative"], zip(*rows)))
     return 0
 
 
@@ -241,20 +239,20 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         reach = 0.0
     snaps = godunov.godunov_solve(flux, source, initial(centers), run)
     window = (centers >= domain[0] + reach) & (centers <= domain[1] - reach)
-    rows = []
-    errors = []
-    for t_snap, u in snaps:
-        for x, v in zip(centers, u):
-            rows.append((float(t_snap), float(x), float(v)))
-        err = float(np.sum(np.abs(u - exact(centers, t_snap))[window]) * run.dx)
-        errors.append(
-            {
-                "t": t_snap,
-                "l1_error": err,
-                "window": [float(domain[0] + reach), float(domain[1] - reach)],
-            }
-        )
-    _write_text(cfg.out, _csv_text(["t", "x", "u"], rows))
+    errors = [
+        {
+            "t": t_snap,
+            "l1_error": godunov.l1_distance(u[window], exact(centers, t_snap)[window], run.dx),
+            "window": [float(domain[0] + reach), float(domain[1] - reach)],
+        }
+        for t_snap, u in snaps
+    ]
+    columns = [
+        np.repeat([t_snap for t_snap, _ in snaps], run.cells),
+        np.tile(centers, len(snaps)),
+        np.concatenate([u for _, u in snaps]),
+    ]
+    _write_text(cfg.out, _csv_text(["t", "x", "u"], columns))
     if cfg.out is not None:
         sys.stdout.write(_json_text({"errors": errors}))
     return 0
@@ -298,13 +296,15 @@ def _cmd_kk(cfg: RunConfig) -> int:
             np.max(np.sqrt(np.sum((u0 - b_vec) ** 2, axis=-1)))
         )
         if o["grid_out"]:
-            rows = []
-            for iy, y in enumerate(centers):
-                for ix, x in enumerate(centers):
-                    rows.append(
-                        (float(x), float(y), float(eta[iy, ix]), float(omega[iy, ix, 0]), float(omega[iy, ix, 1]))
-                    )
-            _write_text(o["grid_out"], _csv_text(["x", "y", "eta", "wx", "wy"], rows))
+            # rows run over x within each y, as eta and omega are indexed [iy, ix]
+            columns = [
+                np.tile(centers, centers.size),
+                np.repeat(centers, centers.size),
+                eta.ravel(),
+                omega[..., 0].ravel(),
+                omega[..., 1].ravel(),
+            ]
+            _write_text(o["grid_out"], _csv_text(["x", "y", "eta", "wx", "wy"], columns))
     except ValueError as exc:
         payload["grid"] = f"unresolved: {exc}"
     _write_text(cfg.out, _json_text(payload))
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("powerlaw", "assp"), default="powerlaw")
     sp.add_argument("--p", "--q", dest="p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_positive_int, required=True)
     sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--t0", type=_finite_float, default=1.0)
     sp.add_argument("--samples", type=int, default=64)
@@ -374,18 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", "--p", dest="p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
     sp.add_argument("--t0", type=_finite_float, default=1.0)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_positive_int, required=True)
 
     sp = sub.add_parser("variation", parents=[common], help="fractional variation of a CSV profile")
-    sp.add_argument("--s", type=_finite_float, required=True)
+    sp.add_argument("--s", type=_order, required=True)
     sp.add_argument("--input", required=True)
 
     sp = sub.add_parser("diverge", parents=[common], help="per-packet lower bounds and partial sums")
     sp.add_argument("--kind", choices=("powerlaw", "assp"), default="powerlaw", dest="kind")
     sp.add_argument("--p", "--q", dest="p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
-    sp.add_argument("--s", type=_finite_float, required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--s", type=_order, required=True)
+    sp.add_argument("--N", type=_positive_int, required=True)
     sp.add_argument("--t", type=_finite_float, default=1.0)
     sp.add_argument("--t0", type=_finite_float, default=1.0)
 
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dx", type=_finite_float, default=0.1)
     sp.add_argument("--delta", type=_finite_float, default=0.5)
     sp.add_argument("--center", type=_finite_float, default=0.0)
-    sp.add_argument("--N", type=int, default=4)
+    sp.add_argument("--N", type=_positive_int, default=4)
     sp.add_argument("--t0", type=_finite_float, default=1.0)
 
     sp = sub.add_parser("triangular", parents=[common], help="transport divergence diagnostics")
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=_finite_float, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--t", type=_finite_float, required=True)
-    sp.add_argument("--res", type=int, required=True)
+    sp.add_argument("--res", type=_positive_int, required=True)
     sp.add_argument("--imax", type=int, default=None)
     sp.add_argument("--Ni", type=int, default=1000)
     sp.add_argument("--grid-out", dest="grid_out", default=None)

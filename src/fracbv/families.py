@@ -60,13 +60,11 @@ class PowerLawFamily:
     packets: Tuple[Packet, ...]
 
 
-def power_law_family(p: float, source: SourceProfile, N: int, M: float = None) -> PowerLawFamily:
+def power_law_family(p: float, source: SourceProfile, N: int) -> PowerLawFamily:
     """First N packets of the power-law counterexample family."""
     if N < 0:
         raise ValueError("truncation must be non-negative")
-    if M is None:
-        M = packet_amplitude(1, p)  # amplitudes decrease in n
-    flux = power_law_flux(p, M=M)
+    flux = power_law_flux(p, M=packet_amplitude(1, p))  # amplitudes decrease in n
     packets = []
     prefix = 0.0  # running sum of widths, so centers cost O(N) overall
     for n in range(1, N + 1):
@@ -325,15 +323,6 @@ def cell_profile(
             FanRegion(zeta_m, cell.B, center=cell.B),
         )
     return PiecewiseProfile(ctx=ctx, time=t, regions=regions)
-
-
-def cell_solution(
-    cell: ShockCell, F: Flux, S: SourceProfile, x: float, t: float
-) -> float:
-    """Pointwise cell solution value; zero outside [A, B]."""
-    if x < cell.A or x > cell.B:
-        return 0.0
-    return cell_profile(cell, F, S, t)(x)
 
 
 def family_profile(family, t: float) -> PiecewiseProfile:

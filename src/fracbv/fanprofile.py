@@ -28,13 +28,14 @@ from .flux import Flux
 from .source import SourceProfile
 
 _MAX_SIMPSON_NODES = 1 << 16
+# bracket width at which the general-flux fan bisection stops
+_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FanContext:
     flux: Flux
     source: SourceProfile
-    root_tol: float = 1e-12
 
 
 def integrate_smooth(g, a: float, b: float, tol: float) -> float:
@@ -174,32 +175,10 @@ def fan_profile_rootfind(ctx: FanContext, x: float, t: float) -> float:
         return 0.0
     bound = ctx.flux.M * math.exp(ctx.source.sup_norm * t)
     v = bisect_increasing(
-        lambda w: slope_time_integral(ctx.flux, ctx.source, w, t), -bound, bound, x, ctx.root_tol
+        lambda w: slope_time_integral(ctx.flux, ctx.source, w, t), -bound, bound, x, _ROOT_TOL
     )
     _check_range(ctx, v, t)
     return v
-
-
-def fan_profile_residual(ctx: FanContext, x: float, t: float, value=None) -> float:
-    """Residual x - integral of f'(V exp(B)) via independent quadrature."""
-    v = fan_profile(ctx, x, t) if value is None else value
-    return x - slope_time_integral_numeric(ctx.flux, ctx.source, v, t)
-
-
-def fan_holder_gap(ctx: FanContext, z1: float, z2: float, t: float):
-    """Two sides of the Hoelder estimate for the fan profile.
-
-    Returns (lhs, rhs) with lhs = |V(z1,t) - V(z2,t)| and
-    rhs = (|z1 - z2| / (c0 * effective_time(p, t)))^(1/p); the flux must
-    carry degeneracy metadata (p, c0).  Contract: lhs <= rhs + root_tol.
-    """
-    deg = ctx.flux.degeneracy
-    if deg is None:
-        raise ValueError("flux carries no degeneracy metadata (p, c0)")
-    lhs = abs(fan_profile(ctx, z1, t) - fan_profile(ctx, z2, t))
-    g = ctx.source.effective_time(deg.p, t)
-    rhs = (abs(z1 - z2) / (deg.c0 * g)) ** (1.0 / deg.p)
-    return lhs, rhs
 
 
 def _check_range(ctx: FanContext, v: float, t: float) -> None:

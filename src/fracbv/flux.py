@@ -23,8 +23,6 @@ from .errors import ConfigError
 # Pairs closer than this are excluded from degeneracy ratio scans (0/0 guard).
 _PAIR_GAP = 1e-12
 
-_GOLDEN_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Degeneracy:
@@ -74,9 +72,9 @@ def power_law_flux(p: float, M: float = 1.0, decay: Optional[Decay] = None) -> F
     (the ratio |f'(u)-f'(v)|/|u-v|^p is minimised at v = -u).
     """
     if p < 1.0:
-        raise ValueError(f"power-law exponent must satisfy p >= 1, got {p}")
+        raise ConfigError(f"power-law exponent must satisfy p >= 1, got {p}")
     if M <= 0.0:
-        raise ValueError("working bound M must be positive")
+        raise ConfigError("working bound M must be positive")
 
     def f(u):
         return np.abs(u) ** (p + 1.0) / (p + 1.0)
@@ -155,37 +153,6 @@ def degeneracy_constant(F: Flux, p: float, grid_count: int) -> float:
         if m < best:
             best = m
     return best
-
-
-def legendre_transform(F: Flux, slope: float) -> float:
-    """Legendre transform f*(slope) = max_{|u| <= M} (slope*u - f(u)).
-
-    Golden-section maximization; the objective is concave because f is
-    convex.  Slopes outside [f'(-M), f'(M)] are rejected.
-    """
-    lo, hi = float(F.df(-F.M)), float(F.df(F.M))
-    tol_edge = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if slope < lo - tol_edge or slope > hi + tol_edge:
-        raise ValueError(f"slope {slope} outside attainable range [{lo}, {hi}]")
-
-    def objective(u):
-        return slope * u - float(F.f(u))
-
-    a, b = -F.M, F.M
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > _GOLDEN_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    return max(fc, fd, objective(0.5 * (a + b)))
 
 
 def flux_from_config(cfg: dict) -> Flux:

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 from .flux import Flux
 from .source import SourceProfile
 
@@ -37,15 +37,15 @@ class MeshRun:
 
     def __post_init__(self):
         if self.cells < 8:
-            raise ValueError("need at least 8 cells")
+            raise ConfigError("need at least 8 cells")
         if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must lie in (0, 1)")
+            raise ConfigError("cfl must lie in (0, 1)")
         if not all(math.isfinite(v) for v in (*self.domain, self.t_end)):
-            raise ValueError("domain and t_end must be finite")
+            raise ConfigError("domain and t_end must be finite")
         if self.domain[1] <= self.domain[0]:
-            raise ValueError("empty domain")
+            raise ConfigError("empty domain")
         if any(s < 0.0 or s > self.t_end for s in self.snapshots):
-            raise ValueError("snapshots must lie in [0, t_end]")
+            raise ConfigError("snapshots must lie in [0, t_end]")
 
     @property
     def dx(self) -> float:

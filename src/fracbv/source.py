@@ -170,29 +170,22 @@ def _exp_linear_integral(p: float, b0: float, slope: float, span: float) -> floa
     return scale * math.expm1(p * slope * span) / (p * slope)
 
 
-def source_from_config(cfg: dict) -> SourceProfile:
-    """Build a source from a config mapping.
+def parse_alpha(spec: str) -> SourceProfile:
+    """Source from its string spec, the form the CLI's ``--alpha`` takes.
 
-    Supported forms::
-
-        {"alpha": "zero"}
-        {"alpha": "constant", "a": <real>}
-        {"alpha": "pw", "t": [...], "v": [...]}
+    'zero' | 'constant:<a>' | 'pw:<t1>:<v1>,<t2>:<v2>,...', the pw pairs
+    being (breakpoint, value).  Raises ConfigError on a malformed spec.
     """
-    if not isinstance(cfg, dict) or "alpha" not in cfg:
-        raise ConfigError("source config must be a mapping with an 'alpha' key")
-    kind = cfg["alpha"]
-    known = {"zero": {"alpha"}, "constant": {"alpha", "a"}, "pw": {"alpha", "t", "v"}}
-    if kind not in known:
-        raise ConfigError(f"unknown source kind {kind!r}")
-    extra = set(cfg) - known[kind]
-    if extra:
-        raise ConfigError(f"unknown source config keys: {sorted(extra)}")
     try:
-        if kind == "zero":
+        if spec == "zero":
             return SourceProfile.zero()
-        if kind == "constant":
-            return SourceProfile.constant(float(cfg["a"]))
-        return SourceProfile.piecewise(cfg["t"], cfg["v"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad source config: {exc}") from exc
+        if spec.startswith("constant:"):
+            return SourceProfile.constant(float(spec.split(":", 1)[1]))
+        if spec.startswith("pw:"):
+            pairs = [item.split(":") for item in spec[3:].split(",")]
+            ts = [float(t) for t, _ in pairs]
+            vs = [float(v) for _, v in pairs]
+            return SourceProfile.piecewise(ts, vs)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"bad --alpha value {spec!r}: {exc}") from exc
+    raise ConfigError(f"bad --alpha value {spec!r}")

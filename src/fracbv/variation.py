@@ -9,10 +9,10 @@ fractional variation of order s in (0, 1] is the p-variation with p = 1/s.
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class VariationReport:
     p: float
     value: float
     subdivision: Tuple[int, ...]
-    per_packet: Optional[Tuple[Tuple[int, float], ...]] = None
 
 
 def _candidate_indices(vs: np.ndarray) -> np.ndarray:
@@ -121,10 +120,14 @@ def p_variation_reference(f: SampledFunction, p: float) -> float:
     return float(best[-1])
 
 
-def fractional_variation(f: SampledFunction, s: float) -> float:
-    """Variation of fractional order s in (0, 1]: p-variation with p = 1/s."""
+def _check_order(s: float) -> None:
     if not 0.0 < s <= 1.0:
         raise ValueError(f"order must lie in (0, 1], got {s}")
+
+
+def fractional_variation(f: SampledFunction, s: float) -> float:
+    """Variation of fractional order s in (0, 1]: p-variation with p = 1/s."""
+    _check_order(s)
     return p_variation(f, 1.0 / s).value
 
 
@@ -196,6 +199,7 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
 
     if t <= 0.0:
         raise ValueError(f"need t > 0, got {t}")
+    _check_order(s)
     rows: List[Tuple[int, float, float]] = []
     cum = 0.0
     scale = math.exp(family.source.cumulative_source(t))
@@ -230,25 +234,23 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     raise TypeError(f"unsupported family type {type(family).__name__}")
 
 
-def save_profile_csv(path, f: SampledFunction) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u"])
-        for x, u in zip(f.xs, f.vs):
-            writer.writerow([repr(float(x)), repr(float(u))])
-
-
 def load_profile_csv(path) -> SampledFunction:
-    xs: List[float] = []
-    vs: List[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty profile file")
-        if [h.strip() for h in header[:2]] != ["x", "u"]:
-            raise ValueError(f"expected 'x,u' header, got {header}")
-        for row in reader:
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    return SampledFunction(np.asarray(xs), np.asarray(vs))
+    """Read an ``x,u`` profile CSV, as ``fracbv family`` writes it.
+
+    Raises ValueError for a file without a header or samples, a wrong
+    header, or rows that are not two numbers each.
+    """
+    with open(path) as fh:
+        header = fh.readline()
+    if not header:
+        raise ValueError("empty profile file")
+    if [h.strip() for h in header.split(",")[:2]] != ["x", "u"]:
+        raise ValueError(f"expected 'x,u' header, got {header.strip()!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a header-only file is reported below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError("profile file has no samples")
+    if data.shape[1] != 2:
+        raise ValueError(f"expected 2 columns, got {data.shape[1]}")
+    return SampledFunction(data[:, 0], data[:, 1])

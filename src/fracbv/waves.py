@@ -186,26 +186,19 @@ def riemann_shock(
     return x0 + drift, w_minus * scale, w_plus * scale
 
 
-def fan_edge_offset(F: Flux, S: SourceProfile, level: float, t: float) -> float:
-    """Offset from the fan center to the point where the fan reaches ``level``.
-
-    Solves V(offset, t) = level; equals the slope time integral at the level.
-    """
-    return slope_time_integral(F, S, level, t)
-
-
 def fan_edges(F: Flux, S: SourceProfile, packet: Packet, t: float):
     """Positions (zeta_L, zeta_R) of the packet's inner fan edges at time t.
 
     zeta_L is where the left fan reaches +delta, zeta_R where the right fan
-    reaches -delta.  After the interaction time the edges have crossed; the
-    raw solutions of the defining equations are still returned.
+    reaches -delta.  A fan reaches level w at the offset from its center
+    given by the slope time integral at w.  After the interaction time the
+    edges have crossed; the raw solutions are still returned.
     """
     if t <= 0.0:
         raise ValueError(f"fan edges need t > 0, got {t}")
     x_l, x_r = packet.support
-    zeta_l = x_l + fan_edge_offset(F, S, packet.delta, t)
-    zeta_r = x_r + fan_edge_offset(F, S, -packet.delta, t)
+    zeta_l = x_l + slope_time_integral(F, S, packet.delta, t)
+    zeta_r = x_r + slope_time_integral(F, S, -packet.delta, t)
     return zeta_l, zeta_r
 
 
@@ -234,23 +227,6 @@ def packet_profile(F: Flux, S: SourceProfile, P: Packet, t: float) -> PiecewiseP
             FanRegion(P.x_n, x_r, center=x_r),
         )
     return PiecewiseProfile(ctx=ctx, time=t, regions=regions)
-
-
-def packet_solution(F: Flux, S: SourceProfile, P: Packet, x: float, t: float) -> float:
-    """Pointwise value of the packet solution; zero outside the support."""
-    x_l, x_r = P.support
-    if x < x_l or x > x_r:
-        return 0.0
-    return packet_profile(F, S, P, t)(x)
-
-
-def planar_lift(u_eval, xi, U_bar: float, X, t: float) -> float:
-    """Planar multi-D solution U(X, t) = U_bar + u(xi . X, t) for unit xi."""
-    xi = np.asarray(xi, dtype=float)
-    norm = float(np.sqrt(np.dot(xi, xi)))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"direction must be a unit vector, |xi| = {norm}")
-    return U_bar + u_eval(float(np.dot(xi, np.asarray(X, dtype=float))), t)
 
 
 def speed_bound(F: Flux, S: SourceProfile, T: float) -> float:

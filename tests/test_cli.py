@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -89,3 +90,69 @@ def test_variation_of_empty_file_exits_numerical(capsys, tmp_path):
 def test_non_finite_alpha_is_a_config_error(capsys):
     assert main(["riemann", "--p", "2", "--alpha", "constant:nan", "--wl", "1", "--wr", "0", "--t", "1"]) == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--p", "2", "--N", "0", "--t", "1"],
+        ["family", "--p", "2", "--N", "-3", "--t", "1"],
+        ["family", "--p", "2", "--N", "2.5", "--t", "1"],
+        ["assp", "--q", "3", "--N", "0"],
+        ["diverge", "--p", "2", "--s", "0.5", "--N", "0"],
+        ["oracle", "--p", "2", "--init", "family", "--N", "0", "--t", "1", "--cells", "100"],
+        ["kk", "--p", "2", "--delta", "0.1", "--n", "1", "--t", "0.5", "--res", "0"],
+    ],
+)
+def test_non_positive_count_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diverge", "--p", "2", "--s", "0", "--N", "3"],
+        ["diverge", "--p", "2", "--s", "1.5", "--N", "3"],
+        ["variation", "--s", "0", "--input", "profile.csv"],
+    ],
+)
+def test_order_outside_unit_interval_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "order must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["riemann", "--p", "0.5", "--wl", "1", "--wr", "0", "--t", "1"],
+        ["oracle", "--p", "2", "--init", "packet", "--t", "0.1", "--cells", "4"],
+        ["bound", "--p", "2", "--t", "1", "--a", "0", "--b", "1", "--T", "1", "--M", "0"],
+    ],
+)
+def test_validation_errors_exit_config(argv, capsys):
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "config"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,u\n",
+        "x,u\n0.0,1.0\n0.5\n1.0,2.0\n",
+        "x,u\n0.0,1.0\n0.5,1.0,3.0\n",
+        "x,u\n0.0,abc\n",
+        "a,b\n0.0,1.0\n",
+    ],
+)
+def test_malformed_profile_csv_exits_numerical(text, capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak either
+        assert main(["variation", "--s", "0.5", "--input", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "numerical"

@@ -6,7 +6,6 @@ import pytest
 from fracbv import (
     SourceProfile,
     cell_profile,
-    cell_solution,
     edge_travel_minus,
     edge_travel_plus,
     family_profile,
@@ -155,8 +154,9 @@ class TestCellSolution:
     def test_zero_outside(self, family):
         c = family.cells[0]
         for t in (0.3, 2.0):
-            assert cell_solution(c, Q3, ZERO, c.A - 1e-9, t) == 0.0
-            assert cell_solution(c, Q3, ZERO, c.B + 1e-9, t) == 0.0
+            prof = cell_profile(c, Q3, ZERO, t)
+            assert prof(c.A - 1e-9) == 0.0
+            assert prof(c.B + 1e-9) == 0.0
 
     def test_plateau_values_flank_the_shock(self, family):
         c = family.cells[0]
@@ -168,7 +168,7 @@ class TestCellSolution:
 
     def test_fan_vanishes_at_left_edge_large_time(self, family):
         c = family.cells[0]
-        val = cell_solution(c, Q3, ZERO, c.A + 1e-9, 4.0)
+        val = cell_profile(c, Q3, ZERO, 4.0)(c.A + 1e-9)
         assert 0.0 < val < 1e-2
 
     def test_shock_stays_inside_cell(self, family):

@@ -7,9 +7,7 @@ from fracbv import (
     FanContext,
     NumericsError,
     SourceProfile,
-    fan_holder_gap,
     fan_profile,
-    fan_profile_residual,
     fan_profile_rootfind,
     power_law_flux,
     slope_time_integral,
@@ -57,7 +55,8 @@ def test_residual_small():
         t = rng.uniform(0.05, 2.0)
         w = rng.uniform(-1.9, 1.9)
         x = slope_time_integral(ctx.flux, src, w, t)
-        assert abs(fan_profile_residual(ctx, x, t)) < 1e-10 * (1.0 + abs(x))
+        v = fan_profile(ctx, x, t)
+        assert abs(x - slope_time_integral_numeric(ctx.flux, src, v, t)) < 1e-10 * (1.0 + abs(x))
 
 
 def test_monotone_in_position():
@@ -72,29 +71,20 @@ def test_monotone_in_position():
         assert fan_profile(ctx, x1, t) < fan_profile(ctx, x2, t)
 
 
-def test_holder_gap_examples():
-    ctx = make_ctx(2.0)
-    lhs, rhs = fan_holder_gap(ctx, 1.0, 1.0, 1.0)
-    assert lhs == 0.0 and rhs == 0.0
-    lhs, rhs = fan_holder_gap(ctx, 1.0, 0.0, 1.0)
-    assert lhs == pytest.approx(1.0, abs=1e-14)
-    assert rhs == pytest.approx(math.sqrt(2.0), abs=1e-14)
-    ctx1 = make_ctx(1.0)
-    lhs, rhs = fan_holder_gap(ctx1, 2.0, 1.0, 4.0)
-    assert lhs == pytest.approx(0.25, abs=1e-14)  # equality case for p = 1
-    assert rhs == pytest.approx(0.25, abs=1e-14)
-
-
 def test_holder_bound_random_triples():
+    # |V(z1) - V(z2)| <= (|z1 - z2| / (c0 G_p(t)))^(1/p), G_p the effective time
     rng = np.random.default_rng(23)
     for p, source in ((2.0, ZERO), (3.0, SourceProfile.constant(-0.5))):
         ctx = FanContext(flux=power_law_flux(p, M=2.0), source=source)
+        c0 = ctx.flux.degeneracy.c0
         for _ in range(2500):
             t = rng.uniform(0.05, 2.0)
-            zmax = (0.9 * ctx.flux.M) ** p * source.effective_time(p, t)
+            g = source.effective_time(p, t)
+            zmax = (0.9 * ctx.flux.M) ** p * g
             z1, z2 = rng.uniform(-zmax, zmax, size=2)
-            lhs, rhs = fan_holder_gap(ctx, z1, z2, t)
-            assert lhs <= rhs + ctx.root_tol
+            lhs = abs(fan_profile(ctx, z1, t) - fan_profile(ctx, z2, t))
+            rhs = (abs(z1 - z2) / (c0 * g)) ** (1.0 / p)
+            assert lhs <= rhs + 1e-12
 
 
 def test_user_flux_path_and_residual():
@@ -105,7 +95,7 @@ def test_user_flux_path_and_residual():
     x = slope_time_integral_numeric(F, ctx.source, 0.9, t)
     v = fan_profile(ctx, x, t)
     assert v == pytest.approx(0.9, abs=1e-9)
-    assert abs(fan_profile_residual(ctx, x, t, value=v)) < 1e-9
+    assert abs(x - slope_time_integral_numeric(F, ctx.source, v, t)) < 1e-9
 
 
 def test_time_domain_errors():

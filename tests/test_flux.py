@@ -9,20 +9,9 @@ from fracbv import (
     convexity_defect,
     degeneracy_constant,
     flux_from_config,
-    legendre_transform,
     power_law_flux,
     user_flux,
 )
-
-
-def legendre_grid_max(F, slope, n=200001):
-    """Independent brute-force Legendre transform on a dense grid."""
-    us = np.linspace(-F.M, F.M, n)
-    return float(np.max(slope * us - F.f(us)))
-
-
-def legendre_power_law_closed(p, slope):
-    return abs(slope) ** ((p + 1.0) / p) * p / (p + 1.0)
 
 
 class TestPowerLawValues:
@@ -100,37 +89,6 @@ class TestDegeneracyConstant:
             degeneracy_constant(F, 0.9, 100)
         with pytest.raises(ValueError):
             degeneracy_constant(F, 2.0, 1)
-
-
-class TestLegendre:
-    @pytest.mark.parametrize(
-        "p,slope,expected",
-        [(1.0, 0.0, 0.0), (1.0, 1.0, 0.5), (2.0, 1.0, 2.0 / 3.0)],
-    )
-    def test_examples(self, p, slope, expected):
-        F = power_law_flux(p, M=2.0)
-        assert legendre_transform(F, slope) == pytest.approx(expected, abs=1e-10)
-
-    def test_matches_brute_force_and_closed_form(self):
-        rng = np.random.default_rng(3)
-        for p in (1.0, 2.0, 3.0):
-            F = power_law_flux(p, M=1.5)
-            for slope in rng.uniform(-F.df(1.5), F.df(1.5), size=8):
-                val = legendre_transform(F, slope)
-                assert val == pytest.approx(legendre_grid_max(F, slope), abs=1e-9)
-                assert val == pytest.approx(
-                    legendre_power_law_closed(p, slope), abs=1e-10
-                )
-
-    def test_nonnegative_with_zero_at_origin(self):
-        F = power_law_flux(2.0, M=1.0)
-        assert legendre_transform(F, 0.0) >= -1e-12
-        assert abs(legendre_transform(F, 0.0)) < 1e-12
-
-    def test_slope_out_of_range(self):
-        F = power_law_flux(2.0, M=1.0)
-        with pytest.raises(ValueError):
-            legendre_transform(F, 1.5)
 
 
 class TestConfig:

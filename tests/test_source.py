@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracbv import ConfigError, SourceProfile, source_from_config
+from fracbv import ConfigError, SourceProfile, parse_alpha
 
 ZERO = SourceProfile.zero()
 CONST_M1 = SourceProfile.constant(-1.0)
@@ -130,13 +130,17 @@ def test_validation_errors():
 
 
 def test_config_round_trip():
-    assert source_from_config({"alpha": "zero"}).is_zero
-    assert source_from_config({"alpha": "constant", "a": -1}).values == (-1.0,)
-    src = source_from_config({"alpha": "pw", "t": [0, 1], "v": [1, 0]})
-    assert src.cumulative_source(3.0) == 1.0
-    for cfg in ({}, {"alpha": "nope"}, {"alpha": "constant"}, {"alpha": "zero", "x": 1}):
+    # a source survives its --alpha spec exactly
+    assert parse_alpha("zero") == ZERO
+    assert parse_alpha("constant:-1") == CONST_M1
+    assert parse_alpha("pw:0:1,1:0") == PW
+    assert parse_alpha("pw:0:1,1:0").cumulative_source(3.0) == 1.0
+    src = SourceProfile.piecewise([0.0, 0.1, 2.0 / 3.0], [-0.3, 1e-17, math.pi])
+    spec = "pw:" + ",".join(f"{b!r}:{v!r}" for b, v in zip(src.breakpoints, src.values))
+    assert parse_alpha(spec) == src  # every float survives the spec exactly
+    for bad in ("", "nope", "constant", "constant:x", "pw:0", "pw:0:1,1", "pw:1:0", "pw:0:1,0:2"):
         with pytest.raises(ConfigError):
-            source_from_config(cfg)
+            parse_alpha(bad)
 
 
 @pytest.mark.parametrize("breakpoints, values", [([0.0], [math.nan]), ([0.0, math.inf], [1.0, 0.0]), ([0.0, 1.0], [0.0, -math.inf])])

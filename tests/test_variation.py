@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fracbv import (
     SampledFunction,
     SourceProfile,
+    family_profile,
     family_variation_lower_bounds,
     fractional_variation,
     load_profile_csv,
@@ -16,13 +17,14 @@ from fracbv import (
     p_variation,
     p_variation_reference,
     packet_profile,
+    parse_alpha,
     power_law_family,
     power_law_flux,
     sample_profile,
-    save_profile_csv,
     shock_cell_family,
     smoothing_upper_bound,
 )
+from fracbv.cli import main
 from fracbv.flux import Decay
 
 ZERO = SourceProfile.zero()
@@ -162,14 +164,16 @@ class TestSampling:
         assert jumps.max() == pytest.approx(1.0, rel=1e-12)  # 2 delta at the center
 
     def test_round_trip_csv(self, tmp_path):
-        F = power_law_flux(2.0, M=0.5)
-        P = make_packet(F, ZERO, 0.0, 0.1, 0.5)
-        f = sample_profile(packet_profile(F, ZERO, P, 0.3), fan_points=8)
+        # the CLI writes the profile, the library reads it back bit for bit
         path = tmp_path / "profile.csv"
-        save_profile_csv(path, f)
-        g = load_profile_csv(path)
-        assert np.array_equal(f.xs, g.xs)
-        assert np.array_equal(f.vs, g.vs)
+        for alpha, t in (("zero", 0.3), ("pw:0:-0.3,0.5:0.2", 2.0)):
+            argv = ["family", "--p", "2", "--alpha", alpha, "--N", "7", "--t", repr(t), "--samples", "8"]
+            assert main([*argv, "--out", str(path)]) == 0
+            family = power_law_family(2.0, parse_alpha(alpha), 7)
+            f = sample_profile(family_profile(family, t), fan_points=8)
+            g = load_profile_csv(path)
+            assert np.array_equal(f.xs, g.xs)
+            assert np.array_equal(f.vs, g.vs)
 
 
 class TestFamilyBounds:
@@ -189,6 +193,12 @@ class TestFamilyBounds:
         assert rows[0][1] == pytest.approx((2 * math.sqrt(dx1 / 1.0)) ** 2, rel=1e-12)
         delta2 = (2 * math.log(3.0) ** 3) ** -0.5
         assert rows[1][1] == pytest.approx((2 * delta2) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, 1.5])
+    def test_order_validation(self, s):
+        fam = power_law_family(2.0, ZERO, 3)
+        with pytest.raises(ValueError, match="order"):
+            family_variation_lower_bounds(fam, 1.0, s, 3)
 
     def test_cumulative_is_running_sum(self):
         fam = power_law_family(2.0, ZERO, 50)

@@ -10,8 +10,6 @@ from fracbv import (
     fan_profile,
     make_packet,
     packet_profile,
-    packet_solution,
-    planar_lift,
     power_law_flux,
     riemann_shock,
     speed_bound,
@@ -94,12 +92,12 @@ class TestPacket:
         assert self.P.t_n == pytest.approx(0.4, rel=1e-15)
 
     def test_plateau_value(self):
-        assert packet_solution(self.F, ZERO, self.P, -0.05, 0.1) == pytest.approx(0.5)
+        assert packet_profile(self.F, ZERO, self.P, 0.1)(-0.05) == pytest.approx(0.5)
 
     def test_zero_outside_support(self):
         for x in (-0.11, 0.11, 5.0):
-            assert packet_solution(self.F, ZERO, self.P, x, 0.1) == 0.0
-            assert packet_solution(self.F, ZERO, self.P, x, 2.0) == 0.0
+            for t in (0.1, 2.0):
+                assert packet_profile(self.F, ZERO, self.P, t)(x) == 0.0
 
     def test_post_interaction_center_limits(self):
         t = 0.8  # = 2 t_n
@@ -161,27 +159,6 @@ class TestPacket:
         F = user_flux(lambda u: np.cosh(u) - 1, np.sinh, M=1.0)
         with pytest.raises(ValueError):
             make_packet(F, ZERO, 0.0, 0.1, 0.5)
-
-
-class TestPlanarLift:
-    def test_constant_lift(self):
-        assert planar_lift(lambda x, t: 0.0, (1.0, 0.0), 3.0, (4.0, 5.0), 1.0) == 3.0
-
-    def test_coordinate_direction(self):
-        u = lambda x, t: x * t
-        val = planar_lift(u, (1.0, 0.0), 0.5, (2.0, 9.0), 3.0)
-        assert val == pytest.approx(0.5 + 6.0)
-
-    def test_oblique_direction(self):
-        F = power_law_flux(2.0, M=0.5)
-        P = make_packet(F, ZERO, 0.0, 0.1, 0.5)
-        u = lambda x, t: packet_solution(F, ZERO, P, x, t)
-        val = planar_lift(u, (0.6, 0.8), 1.0, (5.0, 0.0), 0.1)
-        assert val == pytest.approx(1.0 + u(3.0, 0.1))
-
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValueError):
-            planar_lift(lambda x, t: 0.0, (1.0, 1.0), 0.0, (0.0, 0.0), 1.0)
 
 
 def test_speed_bound_power_law():
