@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 from .fanprofile import (
     FanContext,
     bisect_increasing,
@@ -154,46 +154,66 @@ def default_state_caps(F: Flux, S: SourceProfile, t0: float):
     return a0, b0
 
 
+def _anchors(F: Flux, S: SourceProfile, t0: float):
+    """(a0, b0, widest admissible cell width) from :func:`default_state_caps`."""
+    a0, b0 = default_state_caps(F, S, t0)
+    return a0, b0, min(edge_travel_plus(F, S, t0, a0), edge_travel_minus(F, S, t0, b0))
+
+
 def solve_cell_states(
     F: Flux, S: SourceProfile, t0: float, A: float, B: float
 ) -> Tuple[float, float]:
     """States (a, b) with G(a) = G(b) and edge travels summing to B - A.
 
-    G is :func:`state_functional`.  Since G decreases on the negatives, each
+    G is :func:`state_functional`.  For a power-law flux G is even and the
+    edge travels are a^q G_q(t0) and |b|^q G_q(t0), so the states are
+    a = -b = ((B - A) / (2 G_q(t0)))^(1/q) in closed form, G_q the
+    effective time.  Otherwise, since G decreases on the negatives, each
     a > 0 has one match(a) <= 0 with G(match(a)) = G(a), which leaves the
     single equation F_plus(a) + F_minus(match(a)) = B - A.  Its left side
-    increases in a, so it is solved by bisection on [0, a_bar], where a_bar
-    alone covers the width.  The alternating iteration (match G, then
-    restore the width) is not used: it sits on a neutral 2-cycle for
-    symmetric fluxes and did not converge for asymmetric ones, so it never
-    produced an answer this equation did not give.  Raises ValueError when
+    increases in a, so it is solved by a bracketed root search on
+    [0, a_bar], where a_bar alone covers the width.  Raises ValueError when
     the width exceeds what the anchor states of :func:`default_state_caps`
     allow, and NumericsError unless both residuals end below 1e-10.
     """
     if B <= A:
         raise ValueError("need A < B")
-    width = B - A
-    a0, b0 = default_state_caps(F, S, t0)
-    fp_a0 = edge_travel_plus(F, S, t0, a0)
-    fm_b0 = edge_travel_minus(F, S, t0, b0)
-    if width > min(fp_a0, fm_b0) * (1.0 + 1e-12):
-        raise ValueError(
-            f"cell width {width} exceeds the admissible bound {min(fp_a0, fm_b0)}"
+    return _solve_states(F, S, t0, B - A, _anchors(F, S, t0))
+
+
+def _solve_states(
+    F: Flux, S: SourceProfile, t0: float, width: float, anchors
+) -> Tuple[float, float]:
+    """:func:`solve_cell_states` for a cell width, given :func:`_anchors`."""
+    a0, b0, bound = anchors
+    if width > bound * (1.0 + 1e-12):
+        raise ValueError(f"cell width {width} exceeds the admissible bound {bound}")
+
+    if F.power is not None:
+        q = F.power
+        x = width / (2.0 * S.effective_time(q, t0))
+        a = x ** (1.0 / q)
+        a_q = a**q
+        if a_q == 0.0:
+            raise NumericsError(f"cell width {width} underflows the cell states")
+        # x ** (1/q) inherits the rounding of 1/q times |log x|, several ulp
+        # for thin cells; one Newton step on a^q = x takes that out
+        a += a * (x / a_q - 1.0) / q
+        b = -a
+    else:
+        a_bar = bisect_increasing(lambda a: edge_travel_plus(F, S, t0, a), 0.0, a0, width)
+        b_bar = -bisect_increasing(lambda m: edge_travel_minus(F, S, t0, -m), 0.0, -b0, width)
+
+        def match(a: float) -> float:
+            return _match_negative_state(F, S, t0, state_functional(F, S, t0, a), b_bar)
+
+        a = bisect_increasing(
+            lambda x: edge_travel_plus(F, S, t0, x) + edge_travel_minus(F, S, t0, match(x)),
+            0.0,
+            a_bar,
+            width,
         )
-
-    a_bar = bisect_increasing(lambda a: edge_travel_plus(F, S, t0, a), 0.0, a0, width)
-    b_bar = -bisect_increasing(lambda m: edge_travel_minus(F, S, t0, -m), 0.0, -b0, width)
-
-    def match(a: float) -> float:
-        return _match_negative_state(F, S, t0, state_functional(F, S, t0, a), b_bar)
-
-    a = bisect_increasing(
-        lambda x: edge_travel_plus(F, S, t0, x) + edge_travel_minus(F, S, t0, match(x)),
-        0.0,
-        a_bar,
-        width,
-    )
-    b = match(a)
+        b = match(a)
 
     g_gap = abs(state_functional(F, S, t0, a) - state_functional(F, S, t0, b))
     w_gap = abs(edge_travel_plus(F, S, t0, a) + edge_travel_minus(F, S, t0, b) - width)
@@ -226,15 +246,15 @@ def shock_cell_family(
     Verifies the degeneracy lower bound a - b >= c0^(-1/q) (B - A)^(1/q)
     with c0 = C * effective_time(q, t0) for every generated cell.
     """
+    if not t0 > 0.0:
+        raise ConfigError(f"shock-cell families need t0 > 0, got {t0}")
     if F.decay is None:
         raise ValueError("shock-cell families need flux decay metadata (q, C, r)")
-    a0, b0 = default_state_caps(F, S, t0)
-    cap = min(
-        edge_travel_plus(F, S, t0, a0), edge_travel_minus(F, S, t0, b0)
-    )
+    anchors = _anchors(F, S, t0)
+    widest = anchors[2]
     n0 = None
     for n in range(n_start, N + 1):
-        if 2.0 * packet_width(n) <= cap:
+        if 2.0 * packet_width(n) <= widest:
             n0 = n
             break
     if n0 is None:
@@ -248,7 +268,7 @@ def shock_cell_family(
         center = 4.0 * prefix + 2.0 * width
         prefix += width
         A, B = center - width, center + width
-        a, b = solve_cell_states(F, S, t0, A, B)
+        a, b = _solve_states(F, S, t0, B - A, anchors)
         tau = initial_shock_position(F, S, t0, A, B, a, b)
         if a - b < c0 ** (-1.0 / q) * (B - A) ** (1.0 / q) * (1.0 - 1e-9):
             raise NumericsError(f"degeneracy lower bound violated at cell {n}")
@@ -328,7 +348,7 @@ def cell_profile(
 def family_profile(family, t: float) -> PiecewiseProfile:
     """Disjoint union of the member profiles, zero-filled between supports."""
     if t <= 0.0:
-        raise ValueError(f"family profile needs t > 0, got {t}")
+        raise ConfigError(f"family profile needs t > 0, got {t}")
     ctx = FanContext(flux=family.flux, source=family.source)
     if isinstance(family, PowerLawFamily):
         members = [

@@ -8,7 +8,7 @@ profile V(x, t) generalizes (f')^{-1}(x/t): it is the unique solution of
 where B is the cumulative source.  Rarefaction regions of exact solutions
 evaluate as V(x - center, t) * exp(B(t)).  For power-law fluxes the profile
 has the closed form sign(x) |x|^(1/p) * G^(-1/p) with G the effective time;
-for general convex fluxes it is found by monotone bisection.
+for general convex fluxes it is found by a bracketed root search.
 
 The module also holds the two numerical primitives the scalar layers share:
 :func:`bisect_increasing`, the one bracketed root finder for increasing
@@ -28,8 +28,12 @@ from .flux import Flux
 from .source import SourceProfile
 
 _MAX_SIMPSON_NODES = 1 << 16
-# bracket width at which the general-flux fan bisection stops
+# bracket width at which the general-flux fan root search stops
 _ROOT_TOL = 1e-12
+# ITP truncation (relative factor and exponent) and spare steps over bisection
+_ITP_K1 = 0.5
+_ITP_K2 = 1.5
+_ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -112,30 +116,68 @@ def source_time_integral(source: SourceProfile, g, t: float, tol: float) -> floa
 
 
 def bisect_increasing(fun, lo: float, hi: float, target: float, xtol: float = 0.0) -> float:
-    """Root of the increasing ``fun(x) = target`` on [lo, hi] by bisection.
+    """Root of the increasing ``fun(x) = target`` on [lo, hi] by ITP.
 
-    Halves the bracket until it is no wider than ``xtol`` or until its
-    midpoint rounds onto an end (bracket collapse, the only stop when
-    ``xtol`` is 0), and returns the midpoint.  Raises NumericsError when
-    the target is not bracketed.
+    ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) moves the regula falsi point towards the midpoint by
+    ``_ITP_K1 * w * (w / w0) ** (_ITP_K2 - 1)`` for a bracket of width w
+    out of the initial w0, then projects it into a radius about the
+    midpoint that halves every step.  No run takes more than ``_ITP_N0``
+    steps beyond bisection's worst case, ``ceil(log2((hi - lo) / xtol))``,
+    and smooth functions take far fewer.
+
+    The two end values of the bracket check are the first interpolation
+    data.  An exact hit, at an end or inside, is returned at once.
+    Otherwise the search stops when the bracket is no wider than ``xtol``
+    (up to rounding, when the step budget is spent) or when its midpoint
+    rounds onto an end (bracket collapse, the only stop when ``xtol`` is
+    0), and returns the midpoint.  Raises NumericsError when the target
+    is not bracketed or an end value is NaN.
     """
-    if fun(lo) - target > 0.0 or fun(hi) - target < 0.0:
+    y_lo = fun(lo) - target
+    y_hi = fun(hi) - target
+    if not y_lo <= 0.0 <= y_hi:
         raise NumericsError(f"target {target} not bracketed on [{lo}, {hi}]")
-    while hi - lo > xtol:
+    if y_lo == 0.0:
+        return lo
+    if y_hi == 0.0:
+        return hi
+    width0 = hi - lo
+    # with xtol = 0 the budget reaches one ulp of the larger end; bisection
+    # then runs on to bracket collapse
+    tol = max(xtol, math.ulp(max(abs(lo), abs(hi))))
+    budget = max(0, math.ceil(math.log2(width0 / tol))) + _ITP_N0
+    radius = tol * 2.0 ** (budget - 1)
+    while hi - lo > xtol and (budget > 0 or xtol == 0.0):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if fun(mid) - target < 0.0:
-            lo = mid
+        width = hi - lo
+        x = lo + width * (y_lo / (y_lo - y_hi))
+        toward_mid = math.copysign(1.0, mid - x)
+        delta = _ITP_K1 * width * (width / width0) ** (_ITP_K2 - 1.0)
+        x = x + toward_mid * delta if delta <= abs(mid - x) else mid
+        reach = max(radius - 0.5 * width, 0.0)
+        if abs(x - mid) > reach:
+            x = mid - toward_mid * reach
+        if not lo < x < hi:
+            x = mid
+        y = fun(x) - target
+        if y == 0.0:
+            return x
+        if y < 0.0:
+            lo, y_lo = x, y
         else:
-            hi = mid
+            hi, y_hi = x, y
+        radius *= 0.5
+        budget -= 1
     return 0.5 * (lo + hi)
 
 
 def fan_profile(ctx: FanContext, x: float, t: float) -> float:
     """Evaluate the fan profile V(x, t); strictly increasing in x, V(0, t) = 0.
 
-    Power-law fluxes use the closed form; others fall back to bisection.
+    Power-law fluxes use the closed form; others fall back to the root search.
     Raises NumericsError when the value escapes the flux working interval.
     """
     if t <= 0.0:
@@ -168,7 +210,7 @@ def fan_values(ctx: FanContext, offsets: np.ndarray, t: float) -> np.ndarray:
 
 
 def fan_profile_rootfind(ctx: FanContext, x: float, t: float) -> float:
-    """Monotone bisection for the fan profile (any convex flux)."""
+    """Bracketed root search for the fan profile (any convex flux)."""
     if t <= 0.0:
         raise ValueError(f"fan profile needs t > 0, got {t}")
     if x == 0.0:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 
 _ORDER_RESOLVABLE = 1e-9
 
@@ -57,7 +57,7 @@ class TriangularSetup:
         if self.p < 1.0:
             raise ValueError(f"need p >= 1, got {self.p}")
         if self.T <= 0.0 or self.N < 1:
-            raise ValueError("need T > 0 and N >= 1")
+            raise ConfigError("need T > 0 and N >= 1")
         n = np.arange(1, self.N + 1, dtype=float)
         edges = np.concatenate(([0.0], np.cumsum(2.0 / (n * np.log(n + 1.0) ** 2))))
         widths = 0.5 * np.diff(edges)

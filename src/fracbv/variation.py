@@ -16,6 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .fanprofile import FanContext, fan_profile, fan_values
 from .flux import Flux
 from .source import SourceProfile
@@ -198,7 +199,7 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     from .families import PowerLawFamily, ShockCellFamily
 
     if t <= 0.0:
-        raise ValueError(f"need t > 0, got {t}")
+        raise ConfigError(f"need t > 0, got {t}")
     _check_order(s)
     rows: List[Tuple[int, float, float]] = []
     cum = 0.0

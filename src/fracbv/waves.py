@@ -14,6 +14,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from .errors import ConfigError
 from .fanprofile import (
     FanContext,
     fan_profile,
@@ -180,7 +181,7 @@ def riemann_shock(
     x0 plus the integrated jump speed; the states carry the exp(B) factor.
     """
     if w_minus <= w_plus:
-        raise ValueError("shock needs w_minus > w_plus (otherwise it is a fan)")
+        raise ConfigError("shock needs w_minus > w_plus (otherwise it is a fan)")
     drift = flux_difference_drift(F, S, w_plus, w_minus, t) / (w_plus - w_minus)
     scale = math.exp(S.cumulative_source(t))
     return x0 + drift, w_minus * scale, w_plus * scale

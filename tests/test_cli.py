@@ -132,6 +132,13 @@ def test_order_outside_unit_interval_rejected(argv, capsys):
         ["riemann", "--p", "0.5", "--wl", "1", "--wr", "0", "--t", "1"],
         ["oracle", "--p", "2", "--init", "packet", "--t", "0.1", "--cells", "4"],
         ["bound", "--p", "2", "--t", "1", "--a", "0", "--b", "1", "--T", "1", "--M", "0"],
+        ["assp", "--q", "3", "--N", "3", "--t0", "0"],
+        ["assp", "--q", "3", "--N", "3", "--t0", "-1"],
+        ["family", "--p", "2", "--N", "3", "--t", "0"],
+        ["diverge", "--p", "2", "--s", "0.5", "--N", "3", "--t", "0"],
+        ["riemann", "--p", "2", "--wl", "0", "--wr", "1", "--t", "1"],
+        ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "0", "--sprime", "1"],
+        ["triangular", "--p", "2", "--T", "0", "--t", "0", "--N", "3", "--sprime", "1"],
     ],
 )
 def test_validation_errors_exit_config(argv, capsys):

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fracbv import (
     state_functional,
     user_flux,
 )
+from fracbv import ConfigError, NumericsError, families
 from fracbv.families import packet_amplitude, packet_width
 from fracbv.flux import Decay
 
@@ -70,18 +73,37 @@ ASYM = user_flux(
 )
 
 
+PW3 = SourceProfile.piecewise([0.0, 0.3, 0.7], [-0.3, 0.2, -0.5])
+
+
 class TestSolveCellStates:
     def test_symmetric_closed_form(self):
         a, b = solve_cell_states(Q3, ZERO, 1.0, 0.0, 0.02)
-        assert a == pytest.approx(0.01 ** (1.0 / 3.0), abs=1e-8)
-        assert b == pytest.approx(-a, abs=1e-12)
+        assert a == pytest.approx(0.01 ** (1.0 / 3.0), rel=0.0, abs=4 * math.ulp(a))
+        assert b == -a
 
     def test_symmetric_with_source(self):
         src = SourceProfile.constant(-0.5)
         g3 = src.effective_time(3.0, 1.0)
         a, b = solve_cell_states(Q3, src, 1.0, 0.0, 0.02)
-        assert a == pytest.approx((0.02 / (2.0 * g3)) ** (1.0 / 3.0), abs=1e-8)
-        assert b == pytest.approx(-a, abs=1e-12)
+        assert a == pytest.approx((0.02 / (2.0 * g3)) ** (1.0 / 3.0), rel=0.0, abs=4 * math.ulp(a))
+        assert b == -a
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 3.0, 3.7, 4.0])
+    @pytest.mark.parametrize("source", [ZERO, SourceProfile.constant(-0.5), PW3], ids=["zero", "constant", "three-piece"])
+    def test_power_law_closed_form_within_two_ulp(self, q, source):
+        # reference: the exact root of 2 a^q G_q(t0) = width in 50 digits,
+        # from the same float width and G_q(t0)
+        F = power_law_flux(q, M=1.0, decay=Decay(q=q, C=1.0, r=1.0))
+        g = Decimal(source.effective_time(q, 1.0))
+        for n in (3, 4, 10, 100, 1000, 3000, 10**4):
+            width = 2.0 * packet_width(n)
+            a, b = solve_cell_states(F, source, 1.0, 0.0, width)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                root = ((Decimal(width) / (2 * g)).ln() / Decimal(q)).exp()
+                assert abs(Decimal(a) - root) <= 2 * Decimal(math.ulp(a)), (n, a, root)
+            assert b == -a
 
     def test_residuals_below_tolerance(self):
         for src in (ZERO, SourceProfile.constant(-0.5)):
@@ -98,6 +120,8 @@ class TestSolveCellStates:
     def test_degenerate_cell(self):
         a, b = solve_cell_states(Q3, ZERO, 1.0, 0.0, 1e-14)
         assert abs(a) < 1e-4 and abs(b) < 1e-4
+        with pytest.raises(NumericsError):  # the width underflows to zero
+            solve_cell_states(Q3, ZERO, 1.0, 0.0, 5e-324)
 
     def test_width_precondition(self):
         with pytest.raises(ValueError):
@@ -263,6 +287,31 @@ class TestFamilies:
         F = power_law_flux(3.0, M=1.0)
         with pytest.raises(ValueError):
             shock_cell_family(F, ZERO, 1.0, 5)
+
+    @pytest.mark.parametrize("t0", [0.0, -1.0, math.nan])
+    def test_meeting_time_must_be_positive(self, t0):
+        with pytest.raises(ConfigError):
+            shock_cell_family(Q3, ZERO, t0, 5)
+
+    def test_cell_solves_do_bounded_work(self, monkeypatch):
+        # call counts, not timings: the anchors are found once per family,
+        # a power-law cell takes a few functional evaluations and a
+        # general-flux cell a bounded root search
+        counts = Counter()
+        for name in ("default_state_caps", "state_functional"):
+
+            def counted(*args, _real=getattr(families, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(families, name, counted)
+        fam = shock_cell_family(Q3, PW3, 1.0, 20)
+        assert counts["default_state_caps"] == 1
+        assert counts["state_functional"] <= 10 * len(fam.cells)
+        counts.clear()
+        shock_cell_family(ASYM, ZERO, 1.0, 13, n_start=13)
+        assert counts["default_state_caps"] == 1
+        assert counts["state_functional"] <= 500
 
 
 class TestFamilyProfile:

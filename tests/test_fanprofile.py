@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracbv import (
     FanContext,
@@ -14,6 +16,7 @@ from fracbv import (
     slope_time_integral_numeric,
     user_flux,
 )
+from fracbv import fanprofile
 from fracbv.fanprofile import bisect_increasing, source_time_integral
 
 ZERO = SourceProfile.zero()
@@ -124,12 +127,87 @@ def test_source_time_integral_matches_effective_time(t):
         assert value == pytest.approx(src.effective_time(p, t), rel=1e-12)
 
 
-def test_bisect_increasing():
-    root = bisect_increasing(lambda x: x**3, 0.0, 2.0, 2.0)
-    assert abs(root - 2.0 ** (1.0 / 3.0)) <= 2.0 * np.spacing(root)
-    coarse = bisect_increasing(lambda x: x**3, 0.0, 2.0, 2.0, xtol=1e-3)
-    assert abs(coarse - 2.0 ** (1.0 / 3.0)) <= 1e-3
-    with pytest.raises(NumericsError):
-        bisect_increasing(lambda x: x**3, 0.0, 1.0, 2.0)  # target above the bracket
-    with pytest.raises(NumericsError):
-        bisect_increasing(lambda x: x**3, 1.0, 2.0, 0.5)  # target below the bracket
+INCREASING = {
+    "cube": lambda x: x**3,
+    "fifth power": lambda x: x**5 + x,
+    "exp": math.exp,
+    "kinked": lambda x: 0.01 * x if x < 0.3 else 5.0 * x - 1.497,
+    "steep tanh": lambda x: math.tanh(40.0 * x),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(INCREASING)),
+    ends=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2, unique=True),
+    frac=st.floats(0.0, 1.0),
+    xtol=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]),
+)
+@example(name="cube", ends=[0.0, 2.0], frac=2.0 ** (-2.0 / 3.0), xtol=0.0)
+@example(name="cube", ends=[0.0, 2.0], frac=2.0 ** (-2.0 / 3.0), xtol=1e-3)
+@settings(max_examples=300, deadline=None)
+def test_bisect_increasing(name, ends, frac, xtol):
+    fun = INCREASING[name]
+    lo, hi = sorted(ends)
+    target = fun(min(hi, lo + frac * (hi - lo)))
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fun(x)
+
+    root = bisect_increasing(counted, lo, hi, target, xtol)
+    assert lo <= root <= hi
+    if xtol > 0.0:
+        # within xtol of a bracketing pair, in at most ITP's worst case
+        assert fun(max(lo, root - xtol)) <= target <= fun(min(hi, root + xtol))
+        assert len(calls) <= max(0, math.ceil(math.log2((hi - lo) / xtol))) + fanprofile._ITP_N0 + 2
+    else:
+        # bracket collapse: the neighbouring floats bracket the target
+        assert fun(max(lo, math.nextafter(root, -math.inf))) <= target
+        assert target <= fun(min(hi, math.nextafter(root, math.inf)))
+    # the two end values are evaluated once each, in the bracket check
+    assert calls.count(lo) == 1 and calls.count(hi) == 1
+    # an exact hit at an end is returned at once, the lower end first
+    assert bisect_increasing(fun, lo, hi, fun(lo), xtol) == lo
+    assert bisect_increasing(fun, lo, hi, fun(hi), xtol) == (lo if fun(lo) == fun(hi) else hi)
+    with pytest.raises(NumericsError):  # target above the bracket
+        bisect_increasing(fun, lo, hi, fun(hi) + 1.0, xtol)
+    with pytest.raises(NumericsError):  # target below the bracket
+        bisect_increasing(fun, lo, hi, fun(lo) - 1.0, xtol)
+
+
+ASYM = user_flux(
+    lambda u: np.where(u >= 0, u**4 / 4.0 + u**5 / 5.0, u**4 / 4.0),
+    lambda u: np.where(u >= 0, u**3 + u**4, u**3),
+    M=0.9,
+)
+
+
+@pytest.mark.parametrize(
+    "source", [ZERO, SourceProfile.piecewise([0.0, 0.5], [0.4, -0.8])], ids=["zero", "two-piece"]
+)
+def test_rootfind_evaluation_count(source, monkeypatch):
+    # bisection takes 41 halvings plus the 2 bracket checks at every point
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return slope_time_integral(*args)
+
+    monkeypatch.setattr(fanprofile, "slope_time_integral", counted)
+    ctx = FanContext(flux=ASYM, source=source)
+    counts = []
+    for t in (0.3, 1.0, 1.4):
+        bound = ASYM.M * math.exp(source.sup_norm * t)
+        worst = math.ceil(math.log2(2.0 * bound / fanprofile._ROOT_TOL)) + fanprofile._ITP_N0 + 2
+        for x in np.linspace(-0.3, 0.3, 24):
+            calls.clear()
+            try:
+                v = fan_profile_rootfind(ctx, float(x), t)
+            except NumericsError:  # offsets the fan cannot reach at this time
+                pass
+            else:
+                assert slope_time_integral(ASYM, source, v, t) == pytest.approx(x, abs=1e-11)
+            assert len(calls) <= worst
+            counts.append(len(calls))
+    assert np.median(counts) <= 22
