@@ -36,6 +36,10 @@ _ITP_K2 = 1.5
 _ITP_N0 = 1
 
 
+class _Unbracketed(NumericsError):
+    """The target of :func:`bisect_increasing` lies outside its bracket."""
+
+
 @dataclass(frozen=True)
 class FanContext:
     flux: Flux
@@ -136,8 +140,10 @@ def bisect_increasing(fun, lo: float, hi: float, target: float, xtol: float = 0.
     """
     y_lo = fun(lo) - target
     y_hi = fun(hi) - target
+    if math.isnan(y_lo) or math.isnan(y_hi):
+        raise NumericsError(f"NaN at a bracket end of [{lo}, {hi}]")
     if not y_lo <= 0.0 <= y_hi:
-        raise NumericsError(f"target {target} not bracketed on [{lo}, {hi}]")
+        raise _Unbracketed(f"target {target} not bracketed on [{lo}, {hi}]")
     if y_lo == 0.0:
         return lo
     if y_hi == 0.0:
@@ -210,21 +216,34 @@ def fan_values(ctx: FanContext, offsets: np.ndarray, t: float) -> np.ndarray:
 
 
 def fan_profile_rootfind(ctx: FanContext, x: float, t: float) -> float:
-    """Bracketed root search for the fan profile (any convex flux)."""
+    """Bracketed root search for the fan profile (any convex flux).
+
+    The bracket is the flux limit M exp(-min B) that :func:`_check_range`
+    enforces, so an offset the fan cannot reach fails the bracket check,
+    after its two evaluations, with the "escapes the flux interval" error.
+    """
     if t <= 0.0:
         raise ValueError(f"fan profile needs t > 0, got {t}")
     if x == 0.0:
         return 0.0
-    bound = ctx.flux.M * math.exp(ctx.source.sup_norm * t)
-    v = bisect_increasing(
-        lambda w: slope_time_integral(ctx.flux, ctx.source, w, t), -bound, bound, x, _ROOT_TOL
-    )
-    _check_range(ctx, v, t)
-    return v
+    limit = _flux_limit(ctx, t)
+    try:
+        return bisect_increasing(
+            lambda w: slope_time_integral(ctx.flux, ctx.source, w, t), -limit, limit, x, _ROOT_TOL
+        )
+    except _Unbracketed as exc:
+        raise NumericsError(
+            f"fan profile at offset {x} escapes the flux interval (limit {limit})"
+        ) from exc
+
+
+def _flux_limit(ctx: FanContext, t: float) -> float:
+    """Bound M exp(-min of B over [0, t]) on |V|, the fan's flux interval."""
+    return ctx.flux.M * math.exp(-ctx.source.min_cumulative_source(t))
 
 
 def _check_range(ctx: FanContext, v: float, t: float) -> None:
-    limit = ctx.flux.M * math.exp(-ctx.source.min_cumulative_source(t))
+    limit = _flux_limit(ctx, t)
     if abs(v) > limit * (1.0 + 1e-9):
         raise NumericsError(
             f"fan profile value {v} escapes the flux interval (limit {limit})"

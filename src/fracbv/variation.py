@@ -2,9 +2,46 @@
 
 The total p-variation of a sampled function is the supremum of
 sum |v(x_i) - v(x_{i-1})|^p over all subdivisions drawn from the sample
-points.  For p >= 1 optimal subdivisions only use local extrema, so the
-supremum is computed by dynamic programming over the extrema.  The
-fractional variation of order s in (0, 1] is the p-variation with p = 1/s.
+points.  For p >= 1 optimal subdivisions only use local extrema
+v_0, ..., v_{k-1}, so the supremum is the dynamic program
+
+    best[j] = max over i < j of best[i] + |v_j - v_i|^p,
+
+whose last entry is the variation.  The fractional variation of order s in
+(0, 1] is the p-variation with p = 1/s.
+
+Scoring every pair (i, j) is quadratic in k.  :func:`p_variation` scores
+each extremum against the few predecessors that can still win, in two
+passes, and returns bit for bit what the full dynamic program returns.
+
+* The candidate pass keeps a live set of predecessors and scores them with
+  approximate powers (Python ``**`` while the set is small).  For p >= 1
+  the difference |v - v_i|^p - |v - v_j|^p is monotone in v, so once j
+  beats i by more than a margin at both ends of the range of the values
+  still to come (their min and max), i wins no later query and leaves the
+  live set.  For each j the pass records every predecessor whose score
+  comes within the margin of the top score.
+* The exact pass takes the power of every recorded pair in one numpy call,
+  ``np.abs(v[J] - v[I]) ** p``: the ufunc and inputs of the full dynamic
+  program, and numpy gives each element the same power wherever it sits in
+  the array.  Scalar ``**`` goes through libm ``pow``, which disagrees with
+  numpy's vectorised power in the last bit on about 5 % of float64
+  results, so only the exact pass decides.  It then reruns the dynamic
+  program over the recorded pairs, ties broken the same way.
+
+The margin.  A score is a sum of at most k - 1 powers added left to right.
+Each link of that chain adds the rounding of one addition and the error of
+one power, a unit of roundoff or two for libm and numpy alike, so over a
+run every computed score stays within a few units of roundoff per link of
+its real value, relative to the largest quantity compared.  The margin is
+``_MARGIN_PER_LINK * (k + 1)`` times that quantity, 128 units of roundoff
+per link: 32 for each of the four computed scores (approximate and exact,
+on either side) a comparison rests on.  So a predecessor that the
+candidate pass drops or leaves unrecorded also loses in exact arithmetic,
+and every exact tie is recorded.  The bound is relative, so it needs every
+score and power in the normal float range; for data outside it (powers
+that may overflow, or differences whose powers underflow) the full
+dynamic program runs instead.
 """
 
 from __future__ import annotations
@@ -68,18 +105,202 @@ def _candidate_indices(vs: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate((starts[keep], ends[keep])))
 
 
+# Margin of the candidate pass per link of the longest chain, relative to
+# the largest quantity compared: 2^-46 is 128 units of roundoff.
+_MARGIN_PER_LINK = 2.0 ** -46
+# The candidate pass scores live sets of up to this many predecessors with
+# scalar powers and larger ones with numpy, returning below half of it.
+_SCALAR_LIVE = 48
+# A numpy live set refreshes its scores at the ends of the values to come at
+# most every this many extrema.
+_REFRESH_EVERY = 8
+# From this many extrema on, a live set that holds more than a quarter of
+# the predecessors gives way to scoring every predecessor, as the full
+# dynamic program does.
+_FULL_SCAN_AFTER = 1024
+
+
+def _check_exponent(p: float) -> None:
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"variation exponent must be finite and satisfy p >= 1, got {p}")
+
+
 def p_variation(f: SampledFunction, p: float) -> VariationReport:
     """Exact supremum of sum |dv|^p over subdivisions of the sample points.
 
-    Dynamic programming restricted to local extrema (lossless for p >= 1).
-    Ties break toward subdivisions with fewer points, then earliest indices.
+    The dynamic program over local extrema (lossless for p >= 1), pruned to
+    the predecessors that can still win and finished exactly over the pairs
+    that come within the rounding margin of the top score (see the module
+    docstring).  Value and subdivision equal those of the full dynamic
+    program bit for bit.  Ties break toward subdivisions with fewer points,
+    then earliest indices.  Raises ValueError unless p is finite and >= 1.
     """
-    if p < 1.0:
-        raise ValueError(f"variation exponent must satisfy p >= 1, got {p}")
+    _check_exponent(p)
     if len(f) < 2:
         raise ValueError("need at least 2 samples")
     cand = _candidate_indices(f.vs)
-    v = f.vs[cand]
+    best, prev, _ = _best_predecessors(f.vs[cand], p)
+    total = float(best[-1])
+    end = best.index(total)  # earliest attaining index
+    path = [end]
+    while prev[path[-1]] >= 0:
+        path.append(prev[path[-1]])
+    path.reverse()
+    sub = [int(cand[i]) for i in path]
+    if len(sub) == 1:  # constant data: report the trivial 2-point subdivision
+        sub = [int(cand[0]), int(cand[-1])]
+    return VariationReport(p=float(p), value=total, subdivision=tuple(sub))
+
+
+def _best_predecessors(v: np.ndarray, p: float):
+    """(best, prev, scored) of the dynamic program over the extrema ``v``.
+
+    ``best`` and ``prev`` are lists; ``scored`` counts the (j, i) pairs the
+    candidate pass scored, the work the pruning saves.
+    """
+    k = v.size
+    nonzero = np.abs(np.diff(v))
+    nonzero = nonzero[nonzero > 0.0]
+    if (
+        nonzero.size == 0
+        or p * math.log2(float(nonzero.min())) < -960.0
+        or math.log2(k) + p * math.log2(float(v.max()) - float(v.min())) > 1000.0
+    ):
+        best, prev = _full_dynamic_program(v, p)
+        return best, prev, k * (k - 1) // 2
+    pairs_j, pairs_i, starts, scored = _candidate_pairs(v, p)
+    powers = (np.abs(v[np.array(pairs_j)] - v[np.array(pairs_i)]) ** p).tolist()
+    best = [0.0] * k
+    prev = [-1] * k
+    chain = [1] * k
+    for j in range(1, k):
+        lo, hi = starts[j], starts[j + 1]
+        i = pairs_i[lo]
+        top = best[i] + powers[lo]
+        for r in range(lo + 1, hi):
+            cand = pairs_i[r]
+            score = best[cand] + powers[r]
+            if score > top or (score == top and chain[cand] < chain[i]):
+                top, i = score, cand
+        best[j] = top
+        prev[j] = i
+        chain[j] = chain[i] + 1
+    return best, prev, scored
+
+
+def _candidate_pairs(v: np.ndarray, p: float):
+    """Candidate pass: the predecessors that may attain best[j], for every j.
+
+    Returns (pairs_j, pairs_i, starts, scored): the pairs in order of j, then
+    of i, those of j at ``starts[j]:starts[j + 1]``, and the number of pairs
+    scored.  Live predecessors carry their approximate best and their scores
+    at the two ends [lo, hi] of the values still to come.  A live set above
+    ``_SCALAR_LIVE`` moves into the rows (index, value, best, score at lo,
+    score at hi) of one numpy array.  The ends only narrow, and scores kept
+    for a wider range still prune soundly, so the rows are refreshed at most
+    every ``_REFRESH_EVERY`` extrema.
+    """
+    k = v.size
+    vals = v.tolist()
+    lo_after = np.minimum.accumulate(v[::-1])[::-1].tolist() + [vals[-1]]
+    hi_after = np.maximum.accumulate(v[::-1])[::-1].tolist() + [vals[-1]]
+    tol = _MARGIN_PER_LINK * (k + 1)
+    approx = [0.0] * k
+    lo, hi = lo_after[1], hi_after[1]
+    at_lo = [0.0] * k
+    at_hi = [0.0] * k
+    at_lo[0] = abs(lo - vals[0]) ** p
+    at_hi[0] = abs(hi - vals[0]) ** p
+    live = [0]
+    rows = n = None  # numpy live set and its size
+    full = None  # approximate best of every predecessor, once all are scored
+    refreshed = 0
+    pairs_j: List[int] = []
+    pairs_i: List[int] = []
+    starts = [0, 0]
+    scored = 0
+    for j in range(1, k):
+        vj = vals[j]
+        if full is not None:
+            scored += j
+            scores = full[:j] + np.abs(vj - v[:j]) ** p
+            top = float(scores.max())
+            near = np.flatnonzero(scores >= top - tol * top).tolist()
+            pairs_j.extend([j] * len(near))
+            pairs_i.extend(near)
+            full[j] = top
+            starts.append(len(pairs_i))
+            continue
+        narrowed = lo_after[j + 1] != lo or hi_after[j + 1] != hi
+        if rows is None:
+            scored += len(live)
+            scores = [approx[i] + abs(vj - vals[i]) ** p for i in live]
+            top = max(scores)
+            cut = top - tol * top
+            for i, score in zip(live, scores):
+                if score >= cut:
+                    pairs_j.append(j)
+                    pairs_i.append(i)
+            if narrowed:
+                lo, hi = lo_after[j + 1], hi_after[j + 1]
+                for i in live:
+                    at_lo[i] = approx[i] + abs(lo - vals[i]) ** p
+                    at_hi[i] = approx[i] + abs(hi - vals[i]) ** p
+        else:
+            scored += n
+            scores = rows[2, :n] + np.abs(vj - rows[1, :n]) ** p
+            top = float(scores.max())
+            near = rows[0, :n][scores >= top - tol * top].astype(np.int64).tolist()
+            pairs_j.extend([j] * len(near))
+            pairs_i.extend(near)
+            if narrowed and j - refreshed >= _REFRESH_EVERY:
+                lo, hi = lo_after[j + 1], hi_after[j + 1]
+                refreshed = j
+                rows[3, :n] = rows[2, :n] + np.abs(lo - rows[1, :n]) ** p
+                rows[4, :n] = rows[2, :n] + np.abs(hi - rows[1, :n]) ** p
+        approx[j] = top
+        starts.append(len(pairs_i))
+        # j's scores at the ends; it beats i for every later value once it
+        # beats i by the margin at both
+        score_lo = top + abs(lo - vj) ** p
+        score_hi = top + abs(hi - vj) ** p
+        margin = tol * (top + max(score_lo, score_hi))
+        if rows is None:
+            live = [i for i in live if at_lo[i] >= score_lo - margin or at_hi[i] >= score_hi - margin]
+            live.append(j)
+            at_lo[j] = score_lo
+            at_hi[j] = score_hi
+            if len(live) > _SCALAR_LIVE:
+                n = len(live)
+                rows = np.empty((5, k))
+                rows[0, :n] = live
+                rows[1, :n] = [vals[i] for i in live]
+                rows[2, :n] = [approx[i] for i in live]
+                rows[3, :n] = [at_lo[i] for i in live]
+                rows[4, :n] = [at_hi[i] for i in live]
+                refreshed = j
+        else:
+            keep = (rows[3, :n] >= score_lo - margin) | (rows[4, :n] >= score_hi - margin)
+            if not keep.all():
+                m = int(np.count_nonzero(keep))
+                rows[:, :m] = rows[:, :n][:, keep]
+                n = m
+            rows[:, n] = (j, vj, top, score_lo, score_hi)
+            n += 1
+            if j >= _FULL_SCAN_AFTER and 4 * n > j:
+                full = np.array(approx)
+            elif n < _SCALAR_LIVE // 2:
+                live = rows[0, :n].astype(np.int64).tolist()
+                for i, a, b in zip(live, rows[3, :n].tolist(), rows[4, :n].tolist()):
+                    at_lo[i] = a
+                    at_hi[i] = b
+                rows = None
+    return pairs_j, pairs_i, starts, scored
+
+
+def _full_dynamic_program(v: np.ndarray, p: float):
+    """Every predecessor scored with numpy: the reference loop, kept for data
+    whose scores leave the normal float range."""
     k = v.size
     best = np.zeros(k)
     prev = np.full(k, -1, dtype=np.int64)
@@ -94,26 +315,16 @@ def p_variation(f: SampledFunction, p: float) -> VariationReport:
         best[j] = top
         prev[j] = m
         chain[j] = chain[m] + 1
-    total = float(best[-1])
-    end = int(np.argmax(best == total))  # earliest attaining index
-    path = [end]
-    while prev[path[-1]] >= 0:
-        path.append(int(prev[path[-1]]))
-    path.reverse()
-    sub = [int(cand[i]) for i in path]
-    if len(sub) == 1:  # constant data: report the trivial 2-point subdivision
-        sub = [int(cand[0]), int(cand[-1])]
-    return VariationReport(p=float(p), value=total, subdivision=tuple(sub))
+    return best.tolist(), prev.tolist()
 
 
 def p_variation_reference(f: SampledFunction, p: float) -> float:
     """Plain quadratic DP over all sample indices; slow but obviously correct.
 
     Independent of the extrema restriction; used to cross-check
-    :func:`p_variation`.
+    :func:`p_variation`.  Raises ValueError unless p is finite and >= 1.
     """
-    if p < 1.0:
-        raise ValueError(f"variation exponent must satisfy p >= 1, got {p}")
+    _check_exponent(p)
     v = f.vs
     best = np.zeros(v.size)
     for j in range(1, v.size):

@@ -11,6 +11,7 @@ from fracbv import (
     SourceProfile,
     fan_profile,
     fan_profile_rootfind,
+    parse_alpha,
     power_law_flux,
     slope_time_integral,
     slope_time_integral_numeric,
@@ -198,8 +199,8 @@ def test_rootfind_evaluation_count(source, monkeypatch):
     ctx = FanContext(flux=ASYM, source=source)
     counts = []
     for t in (0.3, 1.0, 1.4):
-        bound = ASYM.M * math.exp(source.sup_norm * t)
-        worst = math.ceil(math.log2(2.0 * bound / fanprofile._ROOT_TOL)) + fanprofile._ITP_N0 + 2
+        limit = ASYM.M * math.exp(-source.min_cumulative_source(t))  # the bracket is [-limit, limit]
+        worst = math.ceil(math.log2(2.0 * limit / fanprofile._ROOT_TOL)) + fanprofile._ITP_N0 + 2
         for x in np.linspace(-0.3, 0.3, 24):
             calls.clear()
             try:
@@ -211,3 +212,19 @@ def test_rootfind_evaluation_count(source, monkeypatch):
             assert len(calls) <= worst
             counts.append(len(calls))
     assert np.median(counts) <= 22
+
+
+@pytest.mark.parametrize("alpha", ["zero", "pw:0:0.4,0.5:-0.8"])
+def test_unreachable_offset_fails_at_the_bracket(alpha, monkeypatch):
+    # x = -0.3 lies beyond the fan at t = 0.3 for either source: one error,
+    # from the bracket check, without a root search
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return slope_time_integral(*args)
+
+    monkeypatch.setattr(fanprofile, "slope_time_integral", counted)
+    with pytest.raises(NumericsError, match=r"offset -0.3 escapes the flux interval \(limit 0.9\)"):
+        fan_profile_rootfind(FanContext(flux=ASYM, source=parse_alpha(alpha)), -0.3, 0.3)
+    assert len(calls) <= 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fracbv import (
     SampledFunction,
+    TriangularSetup,
     SourceProfile,
     family_profile,
     family_variation_lower_bounds,
@@ -23,7 +24,9 @@ from fracbv import (
     sample_profile,
     shock_cell_family,
     smoothing_upper_bound,
+    u_values,
 )
+from fracbv import variation
 from fracbv.cli import main
 from fracbv.flux import Decay
 
@@ -105,10 +108,184 @@ class TestPVariation:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             p_variation(sampled([0, 1]), 0.8)
+        for p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                p_variation(sampled([0, 1, 0]), p)
+            with pytest.raises(ValueError, match="finite"):
+                p_variation_reference(sampled([0, 1, 0]), p)
         with pytest.raises(ValueError):
             p_variation(SampledFunction(np.array([0.0]), np.array([1.0])), 2.0)
         with pytest.raises(ValueError):
             SampledFunction(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+
+
+def quadratic_p_variation(vs, p):
+    """The full dynamic program over extrema that ``p_variation`` prunes.
+
+    Kept verbatim as the oracle: every predecessor of every extremum scored
+    in one numpy expression; returns (value, subdivision).
+    """
+    vs = np.asarray(vs, dtype=float)
+    cand = variation._candidate_indices(vs)
+    v = vs[cand]
+    k = v.size
+    best = np.zeros(k)
+    prev = np.full(k, -1, dtype=np.int64)
+    chain = np.ones(k, dtype=np.int64)
+    for j in range(1, k):
+        scores = best[:j] + np.abs(v[j] - v[:j]) ** p
+        m = int(np.argmax(scores))
+        top = scores[m]
+        ties = np.nonzero(scores == top)[0]
+        if ties.size > 1:
+            m = int(ties[np.argmin(chain[ties])])
+        best[j] = top
+        prev[j] = m
+        chain[j] = chain[m] + 1
+    total = float(best[-1])
+    end = int(np.argmax(best == total))  # earliest attaining index
+    path = [end]
+    while prev[path[-1]] >= 0:
+        path.append(int(prev[path[-1]]))
+    path.reverse()
+    sub = [int(cand[i]) for i in path]
+    if len(sub) == 1:  # constant data: report the trivial 2-point subdivision
+        sub = [int(cand[0]), int(cand[-1])]
+    return total, tuple(sub)
+
+
+def assert_matches_quadratic(vs, p):
+    rep = p_variation(sampled(vs), p)
+    assert (rep.value, rep.subdivision) == quadratic_p_variation(vs, p)
+
+
+EXPONENTS = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(min_value=1.0, max_value=6.0))
+# Sequence shapes that stress the pruning: exact ties, plateaus, wandering
+# extrema and ever larger swings that keep old extrema competitive.
+INTEGERS = st.lists(st.integers(-4, 4), min_size=2, max_size=300)
+PLATEAUS = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6)), min_size=2, max_size=120).map(
+    lambda runs: [float(v) for v, n in runs for _ in range(n)]
+)
+WALKS = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=400).map(lambda steps: np.cumsum(steps))
+GROWING = st.lists(st.floats(0.0, 2.0), min_size=2, max_size=300).map(
+    lambda gaps: [(-1.0) ** n * a for n, a in enumerate(np.cumsum(gaps))]
+)
+
+
+@given(vs=st.one_of(INTEGERS, PLATEAUS, WALKS, GROWING), p=EXPONENTS)
+@settings(max_examples=400, deadline=None)
+def test_pruned_dynamic_program_is_bit_identical(vs, p):
+    assert_matches_quadratic(vs, p)
+
+
+def absorbed(p, scale, wiggles):
+    """One swing so large that the later powers sit near half an ulp of the
+    running sum, which they then either move by one ulp or not at all."""
+    big = 2.0 ** (52.0 / p) * scale
+    return [0.0, big] + [big + (-1.0) ** n * w for n, w in enumerate(wiggles)]
+
+
+# Inputs on which the candidate pass, run without its margin, drops a
+# predecessor that ties or wins in exact arithmetic.
+ABSORBED_FAILURES_WITHOUT_MARGIN = [
+    (2.0, [0.0, 120014300.21092299, 120014295.88705358, 120014298.79305166, 120014297.56002456,
+           120014299.72517094, 120014297.25310637, 120014300.20662236, 120014296.7984317,
+           120014300.45821293, 120014295.87018847, 120014298.70319466, 120014297.78789388,
+           120014298.89349747, 120014297.06561624, 120014300.0135254, 120014295.30417694,
+           120014298.99931987, 120014297.80362648, 120014298.78718895, 120014297.18328093,
+           120014298.9969324, 120014295.7580187, 120014300.15349334]),
+    (2.0, [0.0, 109670697.19887395, 109670693.8938712, 109670698.23695646, 109670692.6195351,
+           109670697.0507945, 109670694.24595948, 109670696.67347082, 109670692.98363307,
+           109670696.61735162, 109670693.91100712, 109670695.86810882, 109670694.50787681,
+           109670698.07743901, 109670692.65931042, 109670698.4432305, 109670694.48938282,
+           109670697.33578096, 109670693.64265536, 109670698.10614201, 109670694.06179896]),
+    (1.5, [0.0, 48270357834.131226, 48270357832.06976, 48270357833.28141, 48270357829.68644,
+           48270357834.12494, 48270357829.52141, 48270357834.28792, 48270357830.32526,
+           48270357833.00473]),
+]
+
+
+@pytest.mark.parametrize("p, vs", ABSORBED_FAILURES_WITHOUT_MARGIN)
+def test_rounding_margin_keeps_last_bit_ties(p, vs):
+    assert_matches_quadratic(vs, p)
+
+
+@given(
+    p=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+    scale=st.floats(0.5, 2.0),
+    wiggles=st.lists(st.floats(0.3, 3.0), min_size=2, max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_powers_near_half_an_ulp_of_the_sum(p, scale, wiggles):
+    assert_matches_quadratic(absorbed(p, scale, wiggles), p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numpy_and_full_scan_modes_are_bit_identical(seed, monkeypatch):
+    # tiny thresholds move the candidate pass through its numpy live set and
+    # its full scan on short inputs; the large final swing keeps most
+    # predecessors live, the drift narrows the range of values to come
+    monkeypatch.setattr(variation, "_SCALAR_LIVE", 4)
+    monkeypatch.setattr(variation, "_FULL_SCAN_AFTER", 40)
+    rng = np.random.default_rng(seed)
+    for k in (30, 120, 400):
+        shapes = (
+            absorbed(2.0, rng.uniform(0.5, 2.0), rng.uniform(0.3, 3.0, k)),
+            np.cumsum(rng.standard_normal(k)),
+            np.cumsum(rng.standard_normal(k) + 0.3),
+            np.append(rng.standard_normal(k), [1e3, -1e3]),
+            np.cumsum(rng.integers(-3, 4, k)).astype(float),
+        )
+        for vs in shapes:
+            for p in (1.0, 1.5, 2.0, 3.0, float(rng.uniform(1.0, 5.0))):
+                assert_matches_quadratic(vs, p)
+
+
+def test_extreme_ranges_take_the_full_dynamic_program():
+    # powers that overflow or underflow leave the range the margin covers
+    rng = np.random.default_rng(3)
+    for scale, p in ((1e150, 2.0), (1e-200, 3.0), (1.0, 400.0)):
+        vs = scale * rng.standard_normal(60)
+        assert_matches_quadratic(vs, p)
+        k = variation._candidate_indices(vs).size
+        assert variation._best_predecessors(vs[variation._candidate_indices(vs)], p)[2] == k * (k - 1) // 2
+
+
+def benchmark_sawtooth(p, T, t, N):
+    """The sampled triangular sawtooth of the ``systems`` benchmark workload."""
+    n = np.arange(1, N + 1, dtype=float)
+    edges = np.concatenate(([0.0], np.cumsum(2.0 / (n * np.log(n + 1.0) ** 2))))
+    w = 0.5 * np.diff(edges)
+    r = w * t / (np.log(n + 1.0) / math.log(2.0) * (T + 1.0))
+    local = np.stack(
+        [0 * r, 0.5 * r, r, 0.5 * (r + w), w, 0.5 * (3 * w - r), 2 * w - r, 2 * w - 0.5 * r], axis=1
+    )
+    xs = np.append((edges[:-1, None] + local).ravel(), edges[-1])
+    return u_values(TriangularSetup(p=p, T=T, N=N), xs, t)
+
+
+SAWTOOTH = dict(p=2.3, T=1.3, t=0.8, N=4000)
+SAWTOOTH_ORDERS = (1.0 / 2.3 + 0.15, 1.0)
+
+
+@pytest.fixture(scope="module")
+def sawtooth_values():
+    return benchmark_sawtooth(**SAWTOOTH)
+
+
+@pytest.mark.parametrize("order", SAWTOOTH_ORDERS)
+def test_sawtooth_is_bit_identical(sawtooth_values, order):
+    assert_matches_quadratic(sawtooth_values, 1.0 / order)
+
+
+@pytest.mark.parametrize("order", SAWTOOTH_ORDERS)
+def test_sawtooth_scores_few_predecessors(sawtooth_values, order):
+    # the full dynamic program scores k (k - 1) / 2 pairs, about 32 million;
+    # pruned, each extremum meets at most two live predecessors
+    v = sawtooth_values[variation._candidate_indices(sawtooth_values)]
+    assert v.size > 8000
+    _, _, scored = variation._best_predecessors(v, 1.0 / order)
+    assert scored <= 2 * v.size
 
 
 @given(
