@@ -7,6 +7,7 @@ files.  Exit codes: 0 success, 2 configuration errors, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -56,15 +57,23 @@ def _order(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int, what: str):
+    """argparse type for integer counts of at least ``minimum`` (exit 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_sample_count = _int_at_least(2, "an integer >= 2")
 
 
 def _write_text(out: Optional[str], text: str) -> None:
@@ -350,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dx", type=_finite_float, required=True)
     sp.add_argument("--delta", type=_finite_float, required=True)
     sp.add_argument("--t", type=_finite_float, required=True)
-    sp.add_argument("--samples", type=int, default=64, help="samples per fan region")
+    sp.add_argument("--samples", type=_sample_count, default=64, help="samples per fan region")
     sp.add_argument("--center", type=_finite_float, default=0.0)
 
     sp = sub.add_parser("riemann", parents=[common], help="single shock position and states")
@@ -368,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=_positive_int, required=True)
     sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--t0", type=_finite_float, default=1.0)
-    sp.add_argument("--samples", type=int, default=64)
+    sp.add_argument("--samples", type=_sample_count, default=64)
 
     sp = sub.add_parser("assp", parents=[common], help="two-state cell table (JSON)")
     sp.add_argument("--q", "--p", dest="p", type=_finite_float, required=True)
@@ -451,9 +460,20 @@ def dispatch(config: RunConfig) -> int:
         return 3
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run the command; return its exit code.
+
+    The argument parser is built on the first call and reused by every later
+    call in the process: parsing reads it and never changes it, so each call
+    behaves as in a fresh process.  Rejected arguments raise SystemExit(2)
+    from argparse.
+    """
+    ns = _parser().parse_args(argv)
     options = {k: v for k, v in vars(ns).items() if k not in {"command", "out", "format"}}
     if ns.command == "kk" and options.get("imax") is None:
         options["imax"] = max(options["n"], 4)

@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericsError
 from .fanprofile import (
     FanContext,
     bisect_increasing,
-    fan_profile,
+    fan_at_time,
     slope_time_integral,
     source_time_integral,
 )
@@ -288,23 +288,38 @@ def _shock_position(cell: ShockCell, F: Flux, S: SourceProfile, t: float, ode_st
         return pre(t)
     ctx = FanContext(flux=F, source=S)
 
-    def speed(z: float, tt: float) -> float:
+    def speed_at(tt: float):
+        """Shock speed at time tt as a function of position.
+
+        exp(B(tt)) and the fan's per-time work are shared by both fans and
+        by every stage at time tt.
+        """
         scale = math.exp(S.cumulative_source(tt))
-        ul = fan_profile(ctx, z - cell.A, tt) * scale
-        ur = fan_profile(ctx, z - cell.B, tt) * scale
-        if ul <= ur:
-            raise NumericsError("post-interaction shock lost admissibility")
-        return (F.f(ul) - F.f(ur)) / (ul - ur)
+        fan = fan_at_time(ctx, tt)
+
+        def speed(z: float) -> float:
+            ul = fan(z - cell.A) * scale
+            ur = fan(z - cell.B) * scale
+            if ul <= ur:
+                raise NumericsError("post-interaction shock lost admissibility")
+            return (F.f(ul) - F.f(ur)) / (ul - ur)
+
+        return speed
 
     z = pre(t0)
     steps = max(ode_steps, int(math.ceil((t - t0) / 0.05)))
     h = (t - t0) / steps
     tt = t0
+    speed_start = speed_at(tt)
     for _ in range(steps):
-        k1 = speed(z, tt)
-        k2 = speed(z + 0.5 * h * k1, tt + 0.5 * h)
-        k3 = speed(z + 0.5 * h * k2, tt + 0.5 * h)
-        k4 = speed(z + h * k3, tt + h)
+        # k2 and k3 share the midpoint time, and k4's time tt + h is the
+        # next step's tt
+        k1 = speed_start(z)
+        speed_mid = speed_at(tt + 0.5 * h)
+        k2 = speed_mid(z + 0.5 * h * k1)
+        k3 = speed_mid(z + 0.5 * h * k2)
+        speed_start = speed_at(tt + h)
+        k4 = speed_start(z + h * k3)
         z += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tt += h
     if not cell.A < z < cell.B:

@@ -108,11 +108,9 @@ def source_time_integral(source: SourceProfile, g, t: float, tol: float) -> floa
     ``g`` must accept numpy arrays.
     """
     total = 0.0
-    rights = (*source.breakpoints[1:], math.inf)
-    for left, value, right in zip(source.breakpoints, source.values, rights):
+    for left, value, right, b_left in source.pieces:
         if t <= left:
             break
-        b_left = source.cumulative_source(left)
         total += integrate_smooth(
             lambda theta: g(np.exp(b_left + value * (theta - left))), left, min(t, right), tol
         )
@@ -190,13 +188,34 @@ def fan_profile(ctx: FanContext, x: float, t: float) -> float:
         raise ValueError(f"fan profile needs t > 0, got {t}")
     if x == 0.0:
         return 0.0
-    if ctx.flux.power is not None:
-        p = ctx.flux.power
-        g = ctx.source.effective_time(p, t)
-        v = math.copysign(abs(x) ** (1.0 / p) * g ** (-1.0 / p), x)
-        _check_range(ctx, v, t)
+    return fan_at_time(ctx, t)(x)
+
+
+def fan_at_time(ctx: FanContext, t: float):
+    """The function x -> :func:`fan_profile` (ctx, x, t), bit for bit.
+
+    The work that depends on t alone is done here, once: the effective time
+    G_p(t) and its power G_p(t)^(-1/p) for power-law fluxes, and the flux
+    limit of :func:`_check_range` and of the root search bracket.  So
+    several offsets at one time pay for it once.
+    """
+    if t <= 0.0:
+        raise ValueError(f"fan profile needs t > 0, got {t}")
+    if ctx.flux.power is None:
+        limit = _flux_limit(ctx, t)
+        return lambda x: 0.0 if x == 0.0 else fan_profile_rootfind(ctx, x, t, limit)
+    p = ctx.flux.power
+    g_root = ctx.source.effective_time(p, t) ** (-1.0 / p)
+    limit = _flux_limit(ctx, t)
+
+    def closed_form(x: float) -> float:
+        if x == 0.0:
+            return 0.0
+        v = math.copysign(abs(x) ** (1.0 / p) * g_root, x)
+        _check_range(v, limit)
         return v
-    return fan_profile_rootfind(ctx, x, t)
+
+    return closed_form
 
 
 def fan_values(ctx: FanContext, offsets: np.ndarray, t: float) -> np.ndarray:
@@ -204,29 +223,35 @@ def fan_values(ctx: FanContext, offsets: np.ndarray, t: float) -> np.ndarray:
 
     For power-law fluxes the closed form runs as one array power, which may
     differ from the scalar :func:`fan_profile` in the last bit; other
-    fluxes call :func:`fan_profile` point by point.  Values are not
-    range-checked.
+    fluxes evaluate :func:`fan_at_time` point by point.  Power-law values
+    are not range-checked.
     """
     offsets = np.asarray(offsets, dtype=float)
     if ctx.flux.power is not None:
         p = ctx.flux.power
         g = ctx.source.effective_time(p, t)
         return np.sign(offsets) * np.abs(offsets) ** (1.0 / p) * g ** (-1.0 / p)
-    return np.array([fan_profile(ctx, float(z), t) for z in offsets])
+    fan = fan_at_time(ctx, t)
+    return np.array([fan(float(z)) for z in offsets])
 
 
-def fan_profile_rootfind(ctx: FanContext, x: float, t: float) -> float:
+def fan_profile_rootfind(
+    ctx: FanContext, x: float, t: float, limit: float | None = None
+) -> float:
     """Bracketed root search for the fan profile (any convex flux).
 
     The bracket is the flux limit M exp(-min B) that :func:`_check_range`
     enforces, so an offset the fan cannot reach fails the bracket check,
     after its two evaluations, with the "escapes the flux interval" error.
+    ``limit`` is that flux limit at t when the caller has it already, as
+    :func:`fan_at_time` does; by default it is computed here.
     """
     if t <= 0.0:
         raise ValueError(f"fan profile needs t > 0, got {t}")
     if x == 0.0:
         return 0.0
-    limit = _flux_limit(ctx, t)
+    if limit is None:
+        limit = _flux_limit(ctx, t)
     try:
         return bisect_increasing(
             lambda w: slope_time_integral(ctx.flux, ctx.source, w, t), -limit, limit, x, _ROOT_TOL
@@ -242,8 +267,7 @@ def _flux_limit(ctx: FanContext, t: float) -> float:
     return ctx.flux.M * math.exp(-ctx.source.min_cumulative_source(t))
 
 
-def _check_range(ctx: FanContext, v: float, t: float) -> None:
-    limit = _flux_limit(ctx, t)
+def _check_range(v: float, limit: float) -> None:
     if abs(v) > limit * (1.0 + 1e-9):
         raise NumericsError(
             f"fan profile value {v} escapes the flux interval (limit {limit})"

@@ -22,6 +22,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True, eq=False)
 class KKSetup:
@@ -46,13 +48,13 @@ class KKSetup:
 
     def __post_init__(self):
         if self.p <= 1.0 or self.delta <= 0.0:
-            raise ValueError("need p > 1 and delta > 0")
+            raise ConfigError("need p > 1 and delta > 0")
         if not 1 <= self.n <= self.i_max:
-            raise ValueError("need 1 <= n <= i_max")
+            raise ConfigError("need 1 <= n <= i_max")
         b = np.asarray(self.b, dtype=float)
         b_norm = float(np.hypot(b[0], b[1]))
         if b_norm == 0.0:
-            raise ValueError("b must be nonzero")
+            raise ConfigError("b must be nonzero")
         object.__setattr__(self, "b_norm", b_norm)
         object.__setattr__(self, "beta", b / b_norm)
         if self.epsilon is None:
@@ -64,7 +66,7 @@ class KKSetup:
             gmax = float(np.max(np.abs(np.asarray(self.g(span), dtype=float))))
             object.__setattr__(self, "M", 4.0 * (1.0 + gmax))
         if self.M <= 1.0:
-            raise ValueError("support box M must exceed 1")
+            raise ConfigError("support box M must exceed 1")
 
     def strip_count(self, i: int) -> float:
         """m_i = i^(p(1+delta)); the divergence series uses the real value."""
@@ -266,9 +268,9 @@ def jump_sum_lower_bound(setup: KKSetup, t: float, N_i: int) -> float:
     to 1, so the partial sums grow linearly and the bound is unbounded.
     """
     if not 0.0 < t < 1.0:
-        raise ValueError(f"need t in (0, 1), got {t}")
+        raise ConfigError(f"need t in (0, 1), got {t}")
     if N_i < 0:
-        raise ValueError("need N_i >= 0")
+        raise ConfigError("need N_i >= 0")
     i = np.arange(setup.n, setup.n + N_i + 1, dtype=float)
     expo = setup.p * (1.0 + setup.delta)
     return float(t / 2.0 * np.sum((i**expo - 1.0) * i ** (-expo)))

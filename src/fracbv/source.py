@@ -15,7 +15,8 @@ alpha = 0 and saturates at a finite value when alpha is eventually negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import ConfigError
@@ -26,11 +27,17 @@ class SourceProfile:
     """alpha as a right-continuous step function.
 
     ``breakpoints`` are the left endpoints of the constancy pieces; the first
-    must be 0 and the last piece extends to infinity.
+    must be 0 and the last piece extends to infinity.  ``pieces``, built once
+    from them, holds one row (left, value, right, B(left)) per piece, with
+    right = inf on the last piece and B(left) summed piece by piece from the
+    left; every primitive reads it.
     """
 
     breakpoints: Tuple[float, ...]
     values: Tuple[float, ...]
+    pieces: Tuple[Tuple[float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or not self.breakpoints:
@@ -41,6 +48,13 @@ class SourceProfile:
             raise ValueError("first breakpoint must be 0")
         if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        rights = (*self.breakpoints[1:], math.inf)
+        pieces = []
+        b_left = 0.0
+        for left, value, right in zip(self.breakpoints, self.values, rights):
+            pieces.append((left, value, right, b_left))
+            b_left += value * (right - left)
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     @classmethod
     def zero(cls) -> "SourceProfile":
@@ -64,24 +78,19 @@ class SourceProfile:
 
     def cumulative_source(self, t: float) -> float:
         """B(t): piecewise-linear primitive of alpha, B(0) = 0."""
-        if t < 0.0:
-            raise ValueError(f"time must be non-negative, got {t}")
-        total = 0.0
-        for left, value, right in self._pieces():
-            if t <= left:
-                break
-            total += value * (min(t, right) - left)
-        return total
+        _check_time(t)
+        k = bisect_left(self.breakpoints, t) - 1
+        if k < 0:
+            return 0.0
+        left, value, _, b_left = self.pieces[k]
+        return b_left + value * (t - left)
 
     def min_cumulative_source(self, t: float) -> float:
         """min of B over [0, t]; attained at 0, t, or a breakpoint."""
-        if t < 0.0:
-            raise ValueError(f"time must be non-negative, got {t}")
-        candidates = [0.0, self.cumulative_source(t)]
-        for b in self.breakpoints:
-            if 0.0 < b < t:
-                candidates.append(self.cumulative_source(b))
-        return min(candidates)
+        _check_time(t)
+        inner = bisect_left(self.breakpoints, t)
+        inner_b = (b_left for _, _, _, b_left in self.pieces[1:inner])
+        return min(0.0, self.cumulative_source(t), *inner_b)
 
     def effective_time(self, p: float, t: float) -> float:
         """integral of exp(p B(theta)) over [0, t]; strictly increasing in t.
@@ -91,18 +100,12 @@ class SourceProfile:
         """
         if p < 1.0:
             raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-        if t < 0.0:
-            raise ValueError(f"time must be non-negative, got {t}")
+        _check_time(t)
         if math.isinf(t):
             return self.effective_time_limit(p)
         total = 0.0
-        b_left = 0.0
-        for left, value, right in self._pieces():
-            if t <= left:
-                break
-            span = min(t, right) - left
-            total += _exp_linear_integral(p, b_left, value, span)
-            b_left += value * (right - left) if right < t else 0.0
+        for left, value, right, b_left in self.pieces[: bisect_left(self.breakpoints, t)]:
+            total += _exp_linear_integral(p, b_left, value, min(t, right) - left)
         return total
 
     def effective_time_limit(self, p: float) -> float:
@@ -112,12 +115,10 @@ class SourceProfile:
         """
         if p < 1.0:
             raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-        last_value = self.values[-1]
+        last_left, last_value, _, b_last = self.pieces[-1]
         if last_value >= 0.0:
             return math.inf
-        last_left = self.breakpoints[-1]
         head = self.effective_time(p, last_left) if last_left > 0.0 else 0.0
-        b_last = self.cumulative_source(last_left)
         # integral over [last_left, inf) of exp(p (b_last + a theta')) dtheta'
         return head + math.exp(p * b_last) / (p * abs(last_value))
 
@@ -135,10 +136,8 @@ class SourceProfile:
             return math.inf
         # Locate the piece containing the target, then invert in closed form.
         acc = 0.0
-        b_left = 0.0
-        for left, value, right in self._pieces():
-            width = right - left
-            piece = _exp_linear_integral(p, b_left, value, width)
+        for left, value, right, b_left in self.pieces:
+            piece = _exp_linear_integral(p, b_left, value, right - left)
             if acc + piece >= target or math.isinf(right):
                 remainder = target - acc
                 scale = math.exp(p * b_left)
@@ -148,14 +147,12 @@ class SourceProfile:
                 arg = remainder * p * value / scale
                 return left + math.log1p(arg) / (p * value)
             acc += piece
-            b_left += value * width
         raise AssertionError("unreachable: last piece is unbounded")
 
-    def _pieces(self):
-        """Yield (left, value, right) with right = inf on the last piece."""
-        for i, (left, value) in enumerate(zip(self.breakpoints, self.values)):
-            right = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else math.inf
-            yield left, value, right
+
+def _check_time(t: float) -> None:
+    if not t >= 0.0:
+        raise ValueError(f"time must be non-negative, got {t}")
 
 
 def _exp_linear_integral(p: float, b0: float, slope: float, span: float) -> float:

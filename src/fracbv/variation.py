@@ -57,7 +57,7 @@ from .errors import ConfigError
 from .fanprofile import FanContext, fan_profile, fan_values
 from .flux import Flux
 from .source import SourceProfile
-from .waves import PiecewiseProfile, ConstantRegion, FanRegion, speed_bound
+from .waves import PiecewiseProfile, ConstantRegion, speed_bound
 
 
 @dataclass(frozen=True)
@@ -350,27 +350,51 @@ def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFu
     samples one float-ulp apart, preserving the jump height) and fan regions
     contribute ``fan_points`` uniformly spaced samples.  Fans are monotone,
     so coarse interior sampling loses nothing at the jumps.
+
+    All regions are sampled in one pass: one ``np.linspace`` over the fan
+    regions' ends and one :func:`fan_values` call, scattered into arrays
+    laid out region by region.  The samples are bit for bit those of a
+    ``np.linspace`` and a ``fan_values`` call per region, because each
+    element takes the same operations wherever it sits in the array.  Rows
+    whose step rounds to zero get their own ``np.linspace`` call, since
+    numpy switches the formula of a whole call when any step is zero.
+    Raises ValueError when ``fan_points`` is below 2.
     """
+    if fan_points < 2:
+        raise ValueError(f"need at least 2 samples per fan region, got {fan_points}")
     ctx = profile.ctx
     t = profile.time
     scale = math.exp(ctx.source.cumulative_source(t))
-    xs_parts: List[np.ndarray] = []
-    vs_parts: List[np.ndarray] = []
-    for region in profile.regions:
-        if isinstance(region, ConstantRegion):
-            xs = np.array([region.left, region.right])
-            vs = np.array([region.w * scale, region.w * scale])
-        else:
-            xs = np.linspace(region.left, region.right, max(2, fan_points))
-            vs = fan_values(ctx, xs - region.center, t) * scale
-        # the right endpoint is this region's one-sided limit at the shared
-        # breakpoint; nudge it one ulp left so abscissae stay strictly ordered
-        xs = xs.copy()
-        xs[-1] = np.nextafter(xs[-1], -np.inf)
-        xs_parts.append(xs)
-        vs_parts.append(vs)
-    xs = np.concatenate(xs_parts)
-    vs = np.concatenate(vs_parts)
+    regions = profile.regions
+    const = np.array([isinstance(r, ConstantRegion) for r in regions], dtype=bool)
+    lefts = np.array([r.left for r in regions], dtype=float)
+    rights = np.array([r.right for r in regions], dtype=float)
+    counts = np.where(const, 2, fan_points)
+    ends = np.cumsum(counts) - 1
+    starts = ends - counts + 1
+    xs = np.empty(int(counts.sum()))
+    vs = np.empty(xs.size)
+
+    firsts = starts[const]
+    level = np.array([r.w for r in regions if isinstance(r, ConstantRegion)], dtype=float) * scale
+    xs[firsts], xs[firsts + 1] = lefts[const], rights[const]
+    vs[firsts], vs[firsts + 1] = level, level
+
+    fan = ~const
+    fan_lefts, fan_rights = lefts[fan], rights[fan]
+    grid = np.empty((fan_lefts.size, fan_points))
+    flat = (fan_rights - fan_lefts) / (fan_points - 1) == 0.0
+    for rows in (flat, ~flat):
+        if rows.any():
+            grid[rows] = np.linspace(fan_lefts[rows], fan_rights[rows], fan_points, axis=1)
+    centers = np.array([r.center for r in regions if not isinstance(r, ConstantRegion)], dtype=float)
+    at = (starts[fan][:, None] + np.arange(fan_points)).ravel()
+    xs[at] = grid.ravel()
+    vs[at] = fan_values(ctx, (grid - centers[:, None]).ravel(), t) * scale
+
+    # each region's right endpoint is its one-sided limit at the shared
+    # breakpoint; nudge it one ulp left so abscissae stay strictly ordered
+    xs[ends] = np.nextafter(xs[ends], -np.inf)
     keep = np.concatenate(([True], np.diff(xs) > 0.0))
     return SampledFunction(xs[keep], vs[keep])
 

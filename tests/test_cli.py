@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,9 @@ def test_order_outside_unit_interval_rejected(argv, capsys):
         ["riemann", "--p", "2", "--wl", "0", "--wr", "1", "--t", "1"],
         ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "0", "--sprime", "1"],
         ["triangular", "--p", "2", "--T", "0", "--t", "0", "--N", "3", "--sprime", "1"],
+        ["kk", "--p", "2", "--delta", "0.1", "--n", "0", "--t", "0.5", "--res", "8"],
+        ["kk", "--p", "2", "--delta", "0.1", "--n", "1", "--imax", "0", "--t", "0.5", "--res", "8"],
+        ["kk", "--p", "2", "--delta", "0.1", "--n", "1", "--t", "0.5", "--res", "8", "--Ni", "-1"],
     ],
 )
 def test_validation_errors_exit_config(argv, capsys):
@@ -163,3 +170,47 @@ def test_malformed_profile_csv_exits_numerical(text, capsys, tmp_path):
         warnings.simplefilter("error")  # no numpy warning may leak either
         assert main(["variation", "--s", "0.5", "--input", str(path)]) == 3
     assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+
+
+@pytest.mark.parametrize("samples", ["-4", "0", "1", "2.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--p", "2", "--N", "3", "--t", "1"],
+        ["packet", "--p", "2", "--dx", "0.1", "--delta", "0.5", "--t", "0.05"],
+    ],
+)
+def test_too_few_samples_rejected(argv, samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--samples", samples])
+    assert exc.value.code == 2
+    assert "integer >= 2" in capsys.readouterr().err
+
+
+REJECTED = ["family", "--p", "2", "--N", "3", "--t", "1", "--samples", "1"]
+VALID = ["family", "--p", "2", "--alpha", "pw:0:-0.3,0.5:0.2", "--N", "4", "--t", "2", "--samples", "8"]
+
+
+def run_python(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_process():
+    # main builds the parser once per process; a rejected argv must leave
+    # nothing behind that changes the next call
+    both = run_python(
+        "-c",
+        "import sys\n"
+        "from fracbv.cli import main\n"
+        "try:\n"
+        f"    main({REJECTED!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2\n"
+        f"sys.exit(main({VALID!r}))\n",
+    )
+    rejected = run_python("-m", "fracbv.cli", *REJECTED)
+    valid = run_python("-m", "fracbv.cli", *VALID)
+    assert (rejected.returncode, valid.returncode, both.returncode) == (2, 0, 0)
+    assert both.stderr == rejected.stderr and b"integer >= 2" in both.stderr
+    assert both.stdout == valid.stdout and valid.stdout.startswith(b"x,u\n")

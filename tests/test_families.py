@@ -20,7 +20,9 @@ from fracbv import (
     user_flux,
 )
 from fracbv import ConfigError, NumericsError, families
-from fracbv.families import packet_amplitude, packet_width
+from fracbv.families import ShockCell, packet_amplitude, packet_width
+from fracbv.fanprofile import FanContext, fan_profile_rootfind
+from fracbv.waves import flux_difference_drift
 from fracbv.flux import Decay
 
 ZERO = SourceProfile.zero()
@@ -214,6 +216,64 @@ class TestCellSolution:
             shock_x = c.tau if t < 1.0 else prof.regions[0].right
             left, right = prof.side_values(shock_x)
             assert left > right
+
+
+def per_stage_shock_position(cell, F, S, t, ode_steps=256):
+    """The shock position after t0 as computed before the per-time work was
+    shared: the source and both fans evaluated afresh at every RK4 stage.
+    The oracle for ``cell_profile``, which must match it bit for bit."""
+    ctx = FanContext(flux=F, source=S)
+
+    def fan(x, tt):
+        if x == 0.0:
+            return 0.0
+        if F.power is None:
+            return fan_profile_rootfind(ctx, x, tt)
+        p = F.power
+        g = S.effective_time(p, tt)
+        v = math.copysign(abs(x) ** (1.0 / p) * g ** (-1.0 / p), x)
+        assert abs(v) <= F.M * math.exp(-S.min_cumulative_source(tt)) * (1.0 + 1e-9)
+        return v
+
+    def speed(z, tt):
+        scale = math.exp(S.cumulative_source(tt))
+        ul = fan(z - cell.A, tt) * scale
+        ur = fan(z - cell.B, tt) * scale
+        assert ul > ur
+        return (F.f(ul) - F.f(ur)) / (ul - ur)
+
+    z = cell.tau + flux_difference_drift(F, S, cell.a, cell.b, cell.t0) / (cell.a - cell.b)
+    steps = max(ode_steps, int(math.ceil((t - cell.t0) / 0.05)))
+    h = (t - cell.t0) / steps
+    tt = cell.t0
+    for _ in range(steps):
+        k1 = speed(z, tt)
+        k2 = speed(z + 0.5 * h * k1, tt + 0.5 * h)
+        k3 = speed(z + 0.5 * h * k2, tt + 0.5 * h)
+        k4 = speed(z + h * k3, tt + h)
+        z += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tt += h
+    return z
+
+
+@pytest.mark.parametrize(
+    "F, S, cell, t, ode_steps",
+    [
+        # an asymmetric cell, so the shock moves
+        (Q3, PW3, ShockCell(index=1, A=0.0, B=0.1, a=0.3, b=-0.2, tau=0.05, t0=1.0), 1.6, 256),
+        (Q3, SourceProfile.constant(-0.2), ShockCell(index=1, A=0.0, B=0.1, a=0.25, b=-0.3, tau=0.05, t0=0.8), 3.1, 256),
+        (ASYM, ZERO, None, 1.3, 8),
+    ],
+    ids=["q3-pw3", "q3-constant", "general-flux"],
+)
+def test_shared_per_time_work_keeps_the_shock_position(F, S, cell, t, ode_steps):
+    if cell is None:
+        a, b = solve_cell_states(F, S, 1.0, 0.0, 0.02)
+        cell = ShockCell(1, 0.0, 0.02, a, b, initial_shock_position(F, S, 1.0, 0.0, 0.02, a, b), 1.0)
+    got = cell_profile(cell, F, S, t, ode_steps=ode_steps).regions[0].right
+    want = per_stage_shock_position(cell, F, S, t, ode_steps)
+    assert cell.A < got < cell.B
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestCellMeetingTime:

@@ -147,3 +147,146 @@ def test_config_round_trip():
 def test_non_finite_profile_rejected(breakpoints, values):
     with pytest.raises(ValueError, match="finite"):
         SourceProfile.piecewise(breakpoints, values)
+
+
+# The primitives as they were before the piece table: a generator of
+# (left, value, right) walked from the left on every call.  Oracles for
+# the table, which must give the same floats bit for bit.
+
+
+def _old_pieces(src):
+    for i, (left, value) in enumerate(zip(src.breakpoints, src.values)):
+        right = src.breakpoints[i + 1] if i + 1 < len(src.breakpoints) else math.inf
+        yield left, value, right
+
+
+def _old_exp_linear_integral(p, b0, slope, span):
+    if span <= 0.0:
+        return 0.0
+    scale = math.exp(p * b0)
+    if math.isinf(span):
+        return math.inf if slope >= 0.0 else scale / (p * abs(slope))
+    if slope == 0.0:
+        return scale * span
+    return scale * math.expm1(p * slope * span) / (p * slope)
+
+
+def old_cumulative_source(src, t):
+    total = 0.0
+    for left, value, right in _old_pieces(src):
+        if t <= left:
+            break
+        total += value * (min(t, right) - left)
+    return total
+
+
+def old_min_cumulative_source(src, t):
+    candidates = [0.0, old_cumulative_source(src, t)]
+    for b in src.breakpoints:
+        if 0.0 < b < t:
+            candidates.append(old_cumulative_source(src, b))
+    return min(candidates)
+
+
+def old_effective_time(src, p, t):
+    if math.isinf(t):
+        return old_effective_time_limit(src, p)
+    total = 0.0
+    b_left = 0.0
+    for left, value, right in _old_pieces(src):
+        if t <= left:
+            break
+        span = min(t, right) - left
+        total += _old_exp_linear_integral(p, b_left, value, span)
+        b_left += value * (right - left) if right < t else 0.0
+    return total
+
+
+def old_effective_time_limit(src, p):
+    last_value = src.values[-1]
+    if last_value >= 0.0:
+        return math.inf
+    last_left = src.breakpoints[-1]
+    head = old_effective_time(src, p, last_left) if last_left > 0.0 else 0.0
+    b_last = old_cumulative_source(src, last_left)
+    return head + math.exp(p * b_last) / (p * abs(last_value))
+
+
+def old_effective_time_inverse(src, p, target):
+    if target == 0.0:
+        return 0.0
+    if target >= old_effective_time_limit(src, p):
+        return math.inf
+    acc = 0.0
+    b_left = 0.0
+    for left, value, right in _old_pieces(src):
+        width = right - left
+        piece = _old_exp_linear_integral(p, b_left, value, width)
+        if acc + piece >= target or math.isinf(right):
+            remainder = target - acc
+            scale = math.exp(p * b_left)
+            if value == 0.0:
+                return left + remainder / scale
+            arg = remainder * p * value / scale
+            return left + math.log1p(arg) / (p * value)
+        acc += piece
+        b_left += value * width
+    raise AssertionError("unreachable")
+
+
+def same_float(a, b):
+    """Equal bit for bit (so 0.0 differs from -0.0); NaN matches NaN."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+TABLE_SOURCES = [
+    ZERO,
+    CONST_M1,
+    SourceProfile.constant(0.35),
+    PW,
+    SourceProfile.piecewise([0.0, 0.5, 1.25], [1.0, -2.0, 0.25]),
+    SourceProfile.piecewise([0.0, 0.1, 2.0 / 3.0, 1.7], [-0.3, 1e-17, math.pi, -0.45]),
+    SourceProfile.piecewise([0.0, 0.3, 0.7], [-0.3, 0.2, -0.5]),
+]
+
+
+def table_times(src):
+    """0, each breakpoint and one ulp either side, points inside pieces, inf."""
+    times = {0.0, math.inf, 1e-300, 5.0, 40.0}
+    for b in src.breakpoints:
+        times.update({b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)})
+    for left, right in zip(src.breakpoints, (*src.breakpoints[1:], 3.0)):
+        times.update({left + 0.25 * (right - left), 0.5 * (left + right)})
+    return sorted(t for t in times if t >= 0.0)
+
+
+@pytest.mark.parametrize("src", TABLE_SOURCES, ids=range(len(TABLE_SOURCES)))
+def test_piece_table_matches_generator_primitives(src):
+    for t in table_times(src):
+        assert same_float(src.cumulative_source(t), old_cumulative_source(src, t)), t
+        assert same_float(src.min_cumulative_source(t), old_min_cumulative_source(src, t)), t
+        for p in (1.0, 1.5, 2.0, 3.7):
+            assert same_float(src.effective_time(p, t), old_effective_time(src, p, t)), (p, t)
+    for p in (1.0, 1.5, 2.0, 3.7):
+        limit = old_effective_time_limit(src, p)
+        assert same_float(src.effective_time_limit(p), limit)
+        targets = {old_effective_time(src, p, t) for t in table_times(src)} | {limit}
+        targets |= {math.nextafter(g, d) for g in set(targets) for d in (-math.inf, math.inf)}
+        for g in sorted(g for g in targets if g >= 0.0):
+            assert same_float(src.effective_time_inverse(p, g), old_effective_time_inverse(src, p, g)), (p, g)
+
+
+def test_piece_table_leaves_equality_and_hash_alone():
+    src = SourceProfile.piecewise([0.0, 0.5], [1.0, -2.0])
+    twin = SourceProfile.piecewise([0.0, 0.5], [1.0, -2.0])
+    assert src == twin and hash(src) == hash(twin)
+    assert src != SourceProfile.piecewise([0.0, 0.5], [1.0, -1.0])
+    assert src.pieces == ((0.0, 1.0, 0.5, 0.0), (0.5, -2.0, math.inf, 0.5))
+    assert repr(src) == "SourceProfile(breakpoints=(0.0, 0.5), values=(1.0, -2.0))"
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_time_outside_the_domain_rejected(t):
+    for method in (PW.cumulative_source, PW.min_cumulative_source, lambda t: PW.effective_time(2.0, t)):
+        with pytest.raises(ValueError, match="non-negative"):
+            method(t)

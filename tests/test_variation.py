@@ -28,7 +28,10 @@ from fracbv import (
 )
 from fracbv import variation
 from fracbv.cli import main
-from fracbv.flux import Decay
+from fracbv.families import ShockCell, cell_profile, initial_shock_position, solve_cell_states
+from fracbv.fanprofile import FanContext, fan_values
+from fracbv.flux import Decay, user_flux
+from fracbv.waves import ConstantRegion, FanRegion, PiecewiseProfile
 
 ZERO = SourceProfile.zero()
 
@@ -351,6 +354,89 @@ class TestSampling:
             g = load_profile_csv(path)
             assert np.array_equal(f.xs, g.xs)
             assert np.array_equal(f.vs, g.vs)
+
+
+def per_region_sample_profile(profile, fan_points):
+    """``sample_profile`` as it was before it sampled all regions in one pass:
+    one ``np.linspace`` and one ``fan_values`` call per region.  The oracle
+    for the one-pass sampling, which must match it bit for bit."""
+    ctx = profile.ctx
+    t = profile.time
+    scale = math.exp(ctx.source.cumulative_source(t))
+    xs_parts, vs_parts = [], []
+    for region in profile.regions:
+        if isinstance(region, ConstantRegion):
+            xs = np.array([region.left, region.right])
+            vs = np.array([region.w * scale, region.w * scale])
+        else:
+            xs = np.linspace(region.left, region.right, max(2, fan_points))
+            vs = fan_values(ctx, xs - region.center, t) * scale
+        xs = xs.copy()
+        xs[-1] = np.nextafter(xs[-1], -np.inf)
+        xs_parts.append(xs)
+        vs_parts.append(vs)
+    xs = np.concatenate(xs_parts)
+    vs = np.concatenate(vs_parts)
+    keep = np.concatenate(([True], np.diff(xs) > 0.0))
+    return SampledFunction(xs[keep], vs[keep])
+
+
+ASYM = user_flux(
+    lambda u: np.where(u >= 0, u**4 / 4.0 + u**5 / 5.0, u**4 / 4.0),
+    lambda u: np.where(u >= 0, u**3 + u**4, u**3),
+    M=0.9,
+    decay=Decay(q=3.0, C=2.0, r=0.9),
+)
+
+
+def sampling_profiles():
+    """Profiles of every kind, before and after their waves interact."""
+    pw = parse_alpha("pw:0:-0.3,0.5:0.2")
+    family = power_law_family(2.0, pw, 12)
+    first = family.packets[0].t_n
+    yield "powerlaw-before", family_profile(family, 0.5 * first)
+    yield "powerlaw-after", family_profile(family, 2.0)
+    q3 = power_law_flux(3.0, M=1.0, decay=Decay(q=3.0, C=1.0, r=1.0))
+    cells = shock_cell_family(q3, parse_alpha("constant:-0.2"), 1.0, 6)
+    yield "assp-before", family_profile(cells, 0.6)
+    yield "assp-after", family_profile(cells, 1.7)
+    a, b = solve_cell_states(ASYM, ZERO, 1.0, 0.0, 0.02)
+    tau = initial_shock_position(ASYM, ZERO, 1.0, 0.0, 0.02, a, b)
+    cell = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=tau, t0=1.0)
+    yield "general-flux-before", cell_profile(cell, ASYM, ZERO, 0.5)
+    yield "general-flux-after", cell_profile(cell, ASYM, ZERO, 1.3, ode_steps=8)
+    # a trailing fan of zero width next to fans of nonzero width: numpy's
+    # linspace takes another formula for a whole call once any step is zero
+    ctx = FanContext(flux=power_law_flux(2.0, M=1.0), source=pw)
+    yield "flat-fan", PiecewiseProfile(
+        ctx=ctx,
+        time=1.0,
+        regions=(
+            FanRegion(-0.2, -0.1, center=-0.2),
+            ConstantRegion(-0.1, 0.0, w=0.3),
+            FanRegion(0.0, 0.1, center=0.1),
+            FanRegion(0.1, 0.1, center=0.1),
+        ),
+    )
+
+
+SAMPLING_PROFILES = dict(sampling_profiles())
+
+
+@pytest.mark.parametrize("fan_points", [2, 8, 64])
+@pytest.mark.parametrize("name", list(SAMPLING_PROFILES))
+def test_one_pass_sampling_is_bit_identical(name, fan_points):
+    profile = SAMPLING_PROFILES[name]
+    got = sample_profile(profile, fan_points=fan_points)
+    want = per_region_sample_profile(profile, fan_points)
+    assert got.xs.tobytes() == want.xs.tobytes()
+    assert got.vs.tobytes() == want.vs.tobytes()
+
+
+@pytest.mark.parametrize("fan_points", [1, 0, -4])
+def test_too_few_fan_points_rejected(fan_points):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        sample_profile(SAMPLING_PROFILES["powerlaw-after"], fan_points=fan_points)
 
 
 class TestFamilyBounds:
