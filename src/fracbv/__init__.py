@@ -78,8 +78,6 @@ from .keyfitz_kranzer import (
     bv_grid_norm,
     direction_at,
     direction_at_time,
-    evolve,
-    initial_state,
     jump_sum_lower_bound,
     modulus_at,
 )

@@ -296,22 +296,23 @@ def _cmd_kk(cfg: RunConfig) -> int:
         "M": setup.M,
     }
     try:
-        eta, omega, centers = kk.build_initial_data(setup, o["res"])
+        eta, omega, rows = kk.build_initial_data(setup, o["res"])
         u0 = eta[..., None] * omega
         box = (-2 * setup.M, 2 * setup.M, -2 * setup.M, 2 * setup.M)
         b_vec = np.asarray(setup.b, dtype=float)
-        payload["bv_norm_u0_minus_b"] = kk.bv_grid_norm(u0 - b_vec, box)
+        payload["bv_norm_u0_minus_b"] = kk.bv_grid_norm(u0 - b_vec, rows, box)
         payload["sup_distance"] = float(
             np.max(np.sqrt(np.sum((u0 - b_vec) ** 2, axis=-1)))
         )
         if o["grid_out"]:
-            # rows run over x within each y, as eta and omega are indexed [iy, ix]
+            # rows run over x within each y, as the grid is indexed [iy, ix]
+            centers, _ = kk.grid_axes(setup, o["res"])
             columns = [
                 np.tile(centers, centers.size),
                 np.repeat(centers, centers.size),
-                eta.ravel(),
-                omega[..., 0].ravel(),
-                omega[..., 1].ravel(),
+                eta[rows].ravel(),
+                omega[rows, :, 0].ravel(),
+                omega[rows, :, 1].ravel(),
             ]
             _write_text(o["grid_out"], _csv_text(["x", "y", "eta", "wx", "wy"], columns))
     except ValueError as exc:

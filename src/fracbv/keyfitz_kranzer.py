@@ -208,56 +208,61 @@ def check_resolution(setup: KKSetup, resolution: int) -> None:
         )
 
 
-def build_initial_data(setup: KKSetup, resolution: int, require_resolved: bool = True):
-    """Sampled (modulus, direction) grids on the cell-centered square.
+def build_initial_data(setup: KKSetup, resolution: int):
+    """Sampled (modulus, direction) data on the cell-centered square, by row.
 
-    Returns (eta, omega, centers) with eta of shape (res, res) indexed
-    [iy, ix] and omega of shape (res, res, 2).  Refuses under-resolved grids
-    unless ``require_resolved`` is disabled (aliased samples stay valid
-    pointwise values but grid norms lose meaning).
+    Returns (eta, omega, rows): eta of shape (k, res) and omega of shape
+    (k, res, 2) hold the k distinct grid rows, and ``rows`` (length res)
+    gives the distinct row of each grid row, so the dense grids indexed
+    [iy, ix] are ``eta[rows]`` and ``omega[rows]``.  Both fields depend on
+    y only through the band index and the strip parity, which the band
+    index and the row modulus at x = 0 identify, so grid rows with equal
+    (band, modulus) are equal.  Each distinct row is evaluated by the same
+    elementwise operations as in the dense grid, so the expansion is bit
+    for bit the dense grid.  Raises ValueError when the grid cannot resolve
+    the finest strips and checker cells, where grid norms lose meaning.
     """
-    if require_resolved:
-        check_resolution(setup, resolution)
+    check_resolution(setup, resolution)
     centers, _ = grid_axes(setup, resolution)
-    X, Y = np.meshgrid(centers, centers)
-    eta = modulus_at(setup, X, Y)
-    omega = direction_at(setup, X, Y)
-    return eta, omega, centers
+    keys = np.stack([band_index(setup, centers), modulus_at(setup, 0.0, centers)])
+    _, first, rows = np.unique(keys, axis=1, return_index=True, return_inverse=True)
+    X, Y = np.meshgrid(centers, centers[first])
+    return modulus_at(setup, X, Y), direction_at(setup, X, Y), rows
 
 
-def evolve(setup: KKSetup, t: float, resolution: int, require_resolved: bool = True):
-    """Direction grid at time t on the same cell-centered square."""
-    if require_resolved:
-        check_resolution(setup, resolution)
-    centers, _ = grid_axes(setup, resolution)
-    X, Y = np.meshgrid(centers, centers)
-    return direction_at_time(setup, X, Y, t)
-
-
-def initial_state(setup: KKSetup, resolution: int, require_resolved: bool = True):
-    """Vector initial data u0 = modulus * direction on the grid."""
-    eta, omega, centers = build_initial_data(setup, resolution, require_resolved)
-    return eta[..., None] * omega, centers
-
-
-def bv_grid_norm(grid: np.ndarray, box: Tuple[float, float, float, float]) -> float:
+def bv_grid_norm(
+    grid: np.ndarray, rows: np.ndarray, box: Tuple[float, float, float, float]
+) -> float:
     """Anisotropic discrete BV seminorm of a cell-centered grid function.
 
-    Sums |difference| between adjacent cells times the shared edge length in
+    The grid is given by its distinct rows ``grid`` and the index ``rows``
+    of the distinct row of each grid row, as :func:`build_initial_data`
+    returns it; a dense grid is the case ``rows = arange(ny)``.  Sums
+    |difference| between adjacent cells times the shared edge length in
     both directions; converges to the BV seminorm for data piecewise
     constant on strips as the grid refines.  Vector-valued grids (trailing
     length-2 axis) use the Euclidean norm of the differences.
+
+    The jumps are taken once per distinct row (x) and once per distinct
+    pair of adjacent rows (y), then expanded to the (ny, nx - 1) and
+    (ny - 1, nx) arrays of the dense grid and summed there, so the sums,
+    pairwise summation order included, are bit for bit those of the dense
+    grid.
     """
     grid = np.asarray(grid, dtype=float)
+    rows = np.asarray(rows)
     x_lo, x_hi, y_lo, y_hi = box
     if grid.ndim == 2:
         grid = grid[..., None]
-    ny, nx = grid.shape[:2]
+    ny, nx = rows.size, grid.shape[1]
     dx = (x_hi - x_lo) / nx
     dy = (y_hi - y_lo) / ny
     jumps_x = np.sqrt(np.sum(np.diff(grid, axis=1) ** 2, axis=-1))
-    jumps_y = np.sqrt(np.sum(np.diff(grid, axis=0) ** 2, axis=-1))
-    return float(jumps_x.sum() * dy + jumps_y.sum() * dx)
+    sum_x = np.take(jumps_x, rows, axis=0).sum()
+    pairs, pair_of = np.unique(np.stack([rows[:-1], rows[1:]]), axis=1, return_inverse=True)
+    jumps_y = np.sqrt(np.sum((grid[pairs[1]] - grid[pairs[0]]) ** 2, axis=-1))
+    sum_y = np.take(jumps_y, pair_of, axis=0).sum()
+    return float(sum_x * dy + sum_y * dx)
 
 
 def jump_sum_lower_bound(setup: KKSetup, t: float, N_i: int) -> float:

@@ -393,9 +393,12 @@ def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFu
     vs[at] = fan_values(ctx, (grid - centers[:, None]).ravel(), t) * scale
 
     # each region's right endpoint is its one-sided limit at the shared
-    # breakpoint; nudge it one ulp left so abscissae stay strictly ordered
+    # breakpoint; nudge it one ulp left so abscissae stay strictly ordered.
+    # A region narrower than an ulp then ends below its own left end, so a
+    # point is kept only above every point before it (on ordered points,
+    # the same as a positive difference to its predecessor).
     xs[ends] = np.nextafter(xs[ends], -np.inf)
-    keep = np.concatenate(([True], np.diff(xs) > 0.0))
+    keep = np.concatenate(([True], xs[1:] > np.maximum.accumulate(xs)[:-1]))
     return SampledFunction(xs[keep], vs[keep])
 
 

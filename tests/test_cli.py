@@ -187,6 +187,26 @@ def test_too_few_samples_rejected(argv, samples, capsys):
     assert "integer >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "t, center",
+    [
+        # the fan edges move less than an ulp, so a fan region has zero
+        # width and its nudged right end lies below its left end
+        ("1e-30", "0.3"),
+        # a fan at the origin whose sampling step underflows
+        ("1e-323", "0.1"),
+    ],
+)
+def test_zero_width_fan_region_is_sampled(t, center, capsys):
+    argv = ["packet", "--p", "2", "--dx", "0.1", "--delta", "0.5", "--t", t, "--samples", "8", "--center", center]
+    assert main(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    xs, us = zip(*(map(float, line.split(",")) for line in lines))
+    assert header == "x,u"
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert us == (0.0, 0.5, -0.5, -0.5, 0.0)
+
+
 REJECTED = ["family", "--p", "2", "--N", "3", "--t", "1", "--samples", "1"]
 VALID = ["family", "--p", "2", "--alpha", "pw:0:-0.3,0.5:0.2", "--N", "4", "--t", "2", "--samples", "8"]
 

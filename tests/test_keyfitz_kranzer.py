@@ -1,0 +1,110 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from fracbv import keyfitz_kranzer as kk
+from fracbv.cli import main
+
+
+def dense_grids(setup, res):
+    """The res x res grids, evaluated point by point over the whole square."""
+    centers, _ = kk.grid_axes(setup, res)
+    X, Y = np.meshgrid(centers, centers)
+    return kk.modulus_at(setup, X, Y), kk.direction_at(setup, X, Y)
+
+
+def dense_bv_norm(grid, box):
+    """The grid BV seminorm differenced over the whole dense grid."""
+    x_lo, x_hi, y_lo, y_hi = box
+    if grid.ndim == 2:
+        grid = grid[..., None]
+    ny, nx = grid.shape[:2]
+    jumps_x = np.sqrt(np.sum(np.diff(grid, axis=1) ** 2, axis=-1))
+    jumps_y = np.sqrt(np.sum(np.diff(grid, axis=0) ** 2, axis=-1))
+    return float(jumps_x.sum() * ((y_hi - y_lo) / ny) + jumps_y.sum() * ((x_hi - x_lo) / nx))
+
+
+def resolved_res(setup):
+    """The fewest cells across that pass ``check_resolution``."""
+    finest = min(2.0 ** (-setup.i_max) / setup.strip_count_int(setup.i_max), 2.0 ** (-setup.i_max))
+    return math.ceil(4.0 * setup.M / (finest / 4.0))
+
+
+def random_setups(count, max_res=1200):
+    """Seeded random setups with n in 1..2, i_max in 1..3 and a resolved res."""
+    rng = np.random.default_rng(20240223)
+    setups = []
+    while len(setups) < count:
+        n = int(rng.integers(1, 3))
+        i_max = int(rng.integers(n, 4))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        norm = rng.uniform(1.0, 2.0)
+        setup = kk.KKSetup(
+            p=float(rng.uniform(1.05, 2.0)),
+            delta=float(rng.uniform(0.05, 0.3)),
+            b=(norm * math.cos(angle), norm * math.sin(angle)),
+            n=n,
+            i_max=i_max,
+            M=float(rng.uniform(1.2, 2.0)),
+        )
+        res = resolved_res(setup) + int(rng.integers(0, 60))
+        if res <= max_res:
+            setups.append(pytest.param(setup, res, id=f"n{n}-imax{i_max}-res{res}"))
+    return setups
+
+
+CASES = random_setups(8)
+
+
+def box(setup):
+    return (-2 * setup.M, 2 * setup.M, -2 * setup.M, 2 * setup.M)
+
+
+@pytest.mark.parametrize("setup, res", CASES)
+def test_rows_expand_to_the_dense_grids(setup, res):
+    eta, omega, rows = kk.build_initial_data(setup, res)
+    eta_dense, omega_dense = dense_grids(setup, res)
+    assert np.array_equal(eta[rows], eta_dense)
+    assert np.array_equal(omega[rows], omega_dense)
+    # one row outside the bands, and one per strip parity in each band
+    bands = range(setup.n, setup.i_max + 1)
+    assert eta.shape == (1 + sum(min(2, setup.strip_count_int(i)) for i in bands), res)
+    assert omega.shape == eta.shape + (2,)
+
+
+@pytest.mark.parametrize("setup, res", CASES)
+def test_norms_from_rows_equal_the_dense_norms(setup, res):
+    eta, omega, rows = kk.build_initial_data(setup, res)
+    eta_dense, omega_dense = dense_grids(setup, res)
+    b = np.asarray(setup.b, dtype=float)
+    u0 = eta[..., None] * omega - b
+    u0_dense = eta_dense[..., None] * omega_dense - b
+    assert kk.bv_grid_norm(u0, rows, box(setup)) == dense_bv_norm(u0_dense, box(setup))
+    assert kk.bv_grid_norm(eta, rows, box(setup)) == dense_bv_norm(eta_dense, box(setup))
+    sup = lambda u: float(np.max(np.sqrt(np.sum(u**2, axis=-1))))
+    assert sup(u0) == sup(u0_dense)
+
+
+def test_dense_grid_is_the_identity_row_index():
+    grid = np.random.default_rng(3).normal(size=(37, 29, 2))
+    rows = np.arange(grid.shape[0])
+    area = (-1.0, 2.0, -0.5, 0.25)
+    assert kk.bv_grid_norm(grid, rows, area) == dense_bv_norm(grid, area)
+
+
+def test_unresolved_grid_is_refused(tmp_path):
+    setup = kk.KKSetup(p=2.0, delta=0.1, n=1, i_max=2)
+    res = resolved_res(setup)
+    kk.check_resolution(setup, res)
+    with pytest.raises(ValueError, match="cannot resolve the finest strips"):
+        kk.check_resolution(setup, res - 1)
+    with pytest.raises(ValueError, match="cannot resolve the finest strips"):
+        kk.build_initial_data(setup, res - 1)
+    out = tmp_path / "kk.json"
+    argv = ["kk", "--p", "2", "--delta", "0.1", "--n", "1", "--imax", "2", "--t", "0.5"]
+    assert main([*argv, "--res", str(res - 1), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["grid"].startswith("unresolved: grid of")
+    assert "bv_norm_u0_minus_b" not in payload and "sup_distance" not in payload
