@@ -61,14 +61,10 @@ from .godunov import MeshRun, godunov_solve, l1_distance
 from .triangular import (
     TriangularSetup,
     alternating_initial_data,
-    characteristic_flow,
     continuity_defect,
     flow_positions,
-    pulse_value,
     transport_velocity,
-    transported_value,
     transported_variation_sums,
-    u_value,
     u_values,
     u_variation_lower_bounds,
 )

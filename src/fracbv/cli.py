@@ -272,9 +272,7 @@ def _cmd_triangular(cfg: RunConfig) -> int:
     setup = triangular.TriangularSetup(p=o["p"], T=o["T"], N=o["N"])
     sums = {}
     for s_prime in o["sprime"]:
-        sums[repr(float(s_prime))] = triangular.transported_variation_sums(
-            setup, o["t"], s_prime, o["N"], dt=setup.T / 2 ** o["dt_log2"]
-        )
+        sums[repr(float(s_prime))] = triangular.transported_variation_sums(setup, o["t"], s_prime, o["N"])
     payload = {
         "t": o["t"],
         "divergence_sums": sums,
@@ -421,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--sprime", type=_finite_float, nargs="+", required=True)
-    sp.add_argument("--dt-log2", dest="dt_log2", type=int, default=10, help="RK4 step = T / 2^k")
+    sp.add_argument("--dt-log2", dest="dt_log2", type=int, default=10, help="ignored: the characteristic flow is exact")
 
     sp = sub.add_parser("kk", parents=[common], help="planar direction-oscillation diagnostics")
     sp.add_argument("--p", type=_finite_float, required=True)

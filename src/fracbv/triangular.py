@@ -1,16 +1,28 @@
 """Triangular system: continuous sawtooth solution plus passive transport.
 
-The first component u solves u_t + f(u)_x = 0 for the power-law flux and is
-built from a sequence of continuous sawtooth pulses on contiguous supports;
-each pulse is an explicit four-branch self-similar solution whose center
-jump would only form far beyond the working horizon T.  The second
-component v is advected along the characteristics of c(x, t) = h(f'(u)),
-which is Lipschitz in x because f'(u) is piecewise linear in x.
+The first component u solves u_t + f(u)_x = 0 for the power-law flux,
+f'(u) = u |u|^(p-1), and is built from a sequence of continuous sawtooth
+pulses on contiguous supports; each pulse is an explicit four-branch
+self-similar solution whose center jump would only form far beyond the
+working horizon T.  The second component v is advected along the
+characteristics of c(x, t) = f'(u(x, t)).
 
-Transported values are evaluated advectively: v at a transported point is
-the initial value at the characteristic foot.  The conservative-form
-dilution factor (the inverse stretching of the flow map) is available as an
-optional multiplier, off by default.
+On each branch c is linear in x, and every branch boundary is itself a
+characteristic, so the flow is explicit.  In the local coordinates of pulse
+n, with half-width w, formation time t_n and x0 the position at time t_s:
+
+- left fan m1: X = x0 t / t_s;
+- m2: w - X = (w - x0)(t_n - t)/(t_n - t_s);
+- m3: X - w = (x0 - w)(t_n - t)/(t_n - t_s);
+- right fan m4: 2w - X = (2w - x0) t / t_s;
+- outside the supports: X = x0.
+
+Transported values are evaluated advectively: v at a point is the initial
+value at the characteristic foot.  Traced back to time 0 a fan collapses onto
+a pulse edge, so a point strictly inside a fan has no foot (Bouchut & James,
+Nonlinear Anal. 32 (1998); Poupaud & Rascle, Comm. PDE 22 (1997)) and its
+value is NaN.  The conservative-form dilution factor (the inverse Jacobian of
+the flow map) is available as an optional multiplier, off by default.
 """
 
 from __future__ import annotations
@@ -21,13 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
-
-_ORDER_RESOLVABLE = 1e-9
-
-
-def _identity(z):
-    return z
+from .errors import ConfigError
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,14 +46,11 @@ class TriangularSetup:
     So w_n is the series 1/(n log^2(n+1)) rounded such that the supports tile
     exactly (the edge differences are exact in floating point).  Formation
     time t_n = (log(n+1)/log 2) (T + 1) > T and amplitude (w_n / t_n)^(1/p).
-    ``h`` maps the slope field into the transport velocity and must accept
-    numpy arrays.
     """
 
     p: float
     T: float
     N: int
-    h: Callable = _identity
     widths: np.ndarray = field(init=False, repr=False)
     t_form: np.ndarray = field(init=False, repr=False)
     amplitudes: np.ndarray = field(init=False, repr=False)
@@ -55,7 +58,7 @@ class TriangularSetup:
 
     def __post_init__(self):
         if self.p < 1.0:
-            raise ValueError(f"need p >= 1, got {self.p}")
+            raise ConfigError(f"need p >= 1, got {self.p}")
         if self.T <= 0.0 or self.N < 1:
             raise ConfigError("need T > 0 and N >= 1")
         n = np.arange(1, self.N + 1, dtype=float)
@@ -72,142 +75,95 @@ class TriangularSetup:
     def s(self) -> float:
         return 1.0 / self.p
 
-    def velocity_bound(self) -> float:
-        top = float(self.amplitudes[0]) ** self.p
-        samples = np.asarray(self.h(np.linspace(-top, top, 513)), dtype=float)
-        return float(np.max(np.abs(samples))) + 1.0
-
     def strict_hyperbolicity_gap(self) -> float:
-        """inf f' - sup h(f') over the reachable states (>0 means hyperbolic)."""
-        top = float(self.amplitudes[0]) ** self.p
-        slopes = np.linspace(-top, top, 513)
-        return float(slopes.min() - np.max(np.asarray(self.h(slopes), dtype=float)))
+        """inf f' - sup c over the reachable states (>0 would mean strictly hyperbolic).
+
+        The transport speed c is f'(u) itself, so the two eigenvalues
+        coincide and the gap is -2 sup|f'| = -2 A_1^p by construction.
+        """
+        return -2.0 * float(self.amplitudes[0]) ** self.p
 
 
-def pulse_value(setup: TriangularSetup, n: int, x, t: float):
-    """Pulse n in local coordinates: four branches on (0, 2 w_n), zero outside."""
-    if not 1 <= n <= setup.N:
-        raise ValueError(f"pulse index {n} out of range 1..{setup.N}")
-    if not 0.0 <= t <= setup.T:
-        raise ValueError(f"need 0 <= t <= T={setup.T}, got {t}")
-    x = np.asarray(x, dtype=float)
-    i = n - 1
-    out = _pulse_branches(
-        x.reshape(-1),
-        t,
-        np.full(x.size, setup.widths[i]),
-        np.full(x.size, setup.t_form[i]),
-        setup.s,
-    )
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+def _branches(setup: TriangularSetup, xs: np.ndarray, t: float):
+    """Local coordinate, w, t_n and branch of each position at time t.
 
-
-def _pulse_branches(loc, t, w, tn, s):
-    """Vectorized four-branch sawtooth evaluation at local coordinates loc."""
-    out = np.zeros_like(loc)
+    The branch is 1..4 on m1 (left fan), m2, m3 and m4 (right fan), and 0
+    outside the supports and at the pulse edges.  This is the one partition
+    that u, the flow and its inverse all use.
+    """
+    idx = np.searchsorted(setup.edges, xs, side="right") - 1
+    inside = (idx >= 0) & (idx < setup.N)
+    i = np.where(inside, idx, 0)
+    w, tn = setup.widths[i], setup.t_form[i]
+    loc = xs - setup.edges[i]
     r = (w / tn) * t  # current fan half-extent (amplitude^p * t)
-    m1 = (loc > 0.0) & (loc < np.minimum(r, w))
-    if np.any(m1):
-        out[m1] = (loc[m1] / t) ** s
-    m2 = (loc >= r) & (loc <= w) & (loc > 0.0)
-    if np.any(m2):
-        out[m2] = ((w[m2] - loc[m2]) / (tn[m2] - t)) ** s
-    m3 = (loc > w) & (loc <= 2.0 * w - r)
-    if np.any(m3):
-        out[m3] = -((loc[m3] - w[m3]) / (tn[m3] - t)) ** s
-    m4 = (loc > np.maximum(2.0 * w - r, w)) & (loc < 2.0 * w)
-    if np.any(m4):
-        out[m4] = -((2.0 * w[m4] - loc[m4]) / t) ** s
-    return out
+    branch = np.select(
+        [
+            ~inside,
+            (loc > 0.0) & (loc < np.minimum(r, w)),
+            (loc >= r) & (loc <= w) & (loc > 0.0),
+            (loc > w) & (loc <= 2.0 * w - r),
+            (loc > np.maximum(2.0 * w - r, w)) & (loc < 2.0 * w),
+        ],
+        [0, 1, 2, 3, 4],
+        default=0,
+    )
+    return loc, w, tn, branch
 
 
 def u_values(setup: TriangularSetup, xs, t: float) -> np.ndarray:
     """Sawtooth component at time t, vectorized over positions."""
     if not 0.0 <= t <= setup.T:
-        raise ValueError(f"need 0 <= t <= T={setup.T}, got {t}")
+        raise ConfigError(f"need 0 <= t <= T={setup.T}, got {t}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    loc, w, tn, branch = _branches(setup, xs, t)
+    s = setup.s
     out = np.zeros_like(xs)
-    idx = np.searchsorted(setup.edges, xs, side="right") - 1
-    inside = (idx >= 0) & (idx < setup.N)
-    if np.any(inside):
-        ii = idx[inside]
-        loc = xs[inside] - setup.edges[ii]
-        out[inside] = _pulse_branches(
-            loc, t, setup.widths[ii], setup.t_form[ii], setup.s
-        )
+    m = branch == 1
+    out[m] = (loc[m] / t) ** s
+    m = branch == 2
+    out[m] = ((w[m] - loc[m]) / (tn[m] - t)) ** s
+    m = branch == 3
+    out[m] = -((loc[m] - w[m]) / (tn[m] - t)) ** s
+    m = branch == 4
+    out[m] = -((2.0 * w[m] - loc[m]) / t) ** s
     return out
 
 
-def u_value(setup: TriangularSetup, x: float, t: float) -> float:
-    return float(u_values(setup, [x], t)[0])
-
-
 def transport_velocity(setup: TriangularSetup, x, t: float):
-    """c(x, t) = h(f'(u(x, t))); Lipschitz in x for fixed t in (0, T]."""
+    """c(x, t) = f'(u(x, t)) = u |u|^(p-1); Lipschitz in x for fixed t in (0, T]."""
     u = u_values(setup, x, t)
-    slopes = u * np.abs(u) ** (setup.p - 1.0)
-    c = np.asarray(setup.h(slopes), dtype=float)
+    c = u * np.abs(u) ** (setup.p - 1.0)
     return float(c[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else c
 
 
-def flow_positions(
-    setup: TriangularSetup,
-    x0s,
-    t: float,
-    dt: Optional[float] = None,
-    t_start: float = 0.0,
-    max_refines: int = 3,
-) -> np.ndarray:
-    """RK4 characteristic flow for an array of starting points.
+def _flow_map(setup: TriangularSetup, xs: np.ndarray, t_from: float, t_to: float):
+    """Positions at t_to of the characteristics through xs at t_from, with factor and branch.
 
-    When the inputs are increasing, order preservation is checked at the
-    resolvable spacing and the step is halved on violation (a few retries,
-    then a numerics error).
+    On each branch the map is affine, X - a = (x - a) k, with the anchor a at
+    the pulse edge (m1), its center (m2, m3) or its far edge (m4); k is also
+    the Jacobian dX/dx, and 1 outside the supports.  Either time may be the
+    later one; traced back to t_to = 0 a fan collapses onto its edge (k = 0).
+    """
+    loc, w, tn, branch = _branches(setup, xs, t_from)
+    fan = (branch == 1) | (branch == 4)
+    fan_k = t_to / t_from if t_from > 0.0 else 1.0  # no fan is open at t_from = 0
+    k = np.where(fan, fan_k, (tn - t_to) / (tn - t_from))
+    k[branch == 0] = 1.0
+    anchor = np.select([branch == 1, branch == 4], [0.0, 2.0 * w], w)
+    return xs + (k - 1.0) * (loc - anchor), k, branch
+
+
+def flow_positions(setup: TriangularSetup, x0s, t: float, t_start: float = 0.0) -> np.ndarray:
+    """X(t) solving dX/dt = c(X, t) with X(t_start) = x0, for an array of x0.
+
+    Exact: the branch maps of the module docstring, applied on the branch each
+    x0 occupies at t_start.  The map is increasing and continuous in x0.
     """
     if not 0.0 <= t_start <= t <= setup.T:
-        raise ValueError("need 0 <= t_start <= t <= T")
+        raise ConfigError(f"need 0 <= t_start <= t <= T={setup.T}, got t_start={t_start}, t={t}")
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
-    if dt is None:
-        dt = setup.T / 2**14
-    sorted_input = x0s.size > 1 and bool(np.all(np.diff(x0s) >= 0.0))
-    for _ in range(max_refines + 1):
-        xs = _rk4(setup, x0s, t_start, t, dt)
-        if not sorted_input:
-            return xs
-        resolvable = np.diff(x0s) > _ORDER_RESOLVABLE
-        if np.all(np.diff(xs)[resolvable] > 0.0):
-            return xs
-        dt *= 0.5
-    raise NumericsError("characteristic flow lost order preservation")
-
-
-def _rk4(setup, x0s, t_start, t, dt):
-    span = t - t_start
-    if span == 0.0:
-        return x0s.copy()
-    steps = max(1, int(math.ceil(span / dt)))
-    h = span / steps
-    xs = x0s.copy()
-    tt = t_start
-    for _ in range(steps):
-        k1 = transport_velocity(setup, xs, tt)
-        k2 = transport_velocity(setup, xs + 0.5 * h * k1, tt + 0.5 * h)
-        k3 = transport_velocity(setup, xs + 0.5 * h * k2, tt + 0.5 * h)
-        k4 = transport_velocity(setup, xs + h * k3, min(tt + h, setup.T))
-        xs = xs + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tt += h
-    return xs
-
-
-def characteristic_flow(
-    setup: TriangularSetup,
-    x0: float,
-    t: float,
-    dt: Optional[float] = None,
-    t_start: float = 0.0,
-) -> float:
-    """X(t, x0) solving dX/dt = c(X, t) with X(t_start) = x0."""
-    return float(flow_positions(setup, [x0], t, dt=dt, t_start=t_start)[0])
+    return _flow_map(setup, x0s, t_start, t)[0]
 
 
 def alternating_initial_data() -> Callable:
@@ -243,12 +199,11 @@ def transported_points(
 ):
     """(y_n, z_n) with z_n the flow image of the dyadic midpoints y_1..y_N.
 
-    The y_n collapse geometrically, so ordering of the z_n is only checked
-    where float spacing can resolve it.
+    ``dt`` is ignored: the flow is exact.  It is accepted so that existing
+    callers keep working.
     """
     ys = midpoint_markers(N)
-    zs_sorted = flow_positions(setup, ys[::-1], t, dt=dt)
-    return ys, zs_sorted[::-1]
+    return ys, flow_positions(setup, ys, t)
 
 
 def transported_values(
@@ -259,50 +214,22 @@ def transported_values(
     dt: Optional[float] = None,
     include_dilution: bool = False,
 ):
-    """v(x, t) by tracing characteristics back to time 0 (shooting + bisection).
+    """v(x, t) = v0 at the foot of the characteristic through (x, t).
 
-    The flow map is monotone in the starting point, so the foot of the
-    characteristic through (x, t) is found by bisection on forward flows,
-    vectorized over the queries.  ``include_dilution`` multiplies by the
-    inverse stretching factor of the flow map (conservative-form weight).
+    The feet come from inverting the exact branch maps.  At t > 0 a query
+    strictly inside a fan (m1 or m4) has no foot: the backward map sends the
+    whole fan to one pulse edge, so its value is NaN.  ``include_dilution``
+    divides by the Jacobian of the flow map, (t_n - t)/t_n on m2 and m3 and
+    1 outside (conservative-form weight).  ``dt`` is ignored: the flow is
+    exact.  It is accepted so that existing callers keep working.
     """
+    if not 0.0 <= t <= setup.T:
+        raise ConfigError(f"need 0 <= t <= T={setup.T}, got {t}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if t == 0.0:
-        vals = np.asarray(v0(xs), dtype=float)
-        return vals if xs.ndim else float(vals)
-    vbound = setup.velocity_bound()
-    lo = xs - vbound * t - 1.0
-    hi = xs + vbound * t + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = _rk4(setup, mid, 0.0, t, dt or setup.T / 2**14) < xs
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < 1e-13 * max(1.0, float(np.max(np.abs(xs)))):
-            break
-    feet = 0.5 * (lo + hi)
+    feet, k, branch = _flow_map(setup, xs, t, 0.0)
     vals = np.asarray(v0(feet), dtype=float)
-    if include_dilution:
-        eps = 1e-7
-        stretch = (
-            _rk4(setup, feet + eps, 0.0, t, dt or setup.T / 2**14)
-            - _rk4(setup, feet - eps, 0.0, t, dt or setup.T / 2**14)
-        ) / (2.0 * eps)
-        vals = vals / stretch
-    return vals
-
-
-def transported_value(
-    setup: TriangularSetup,
-    v0: Callable,
-    x: float,
-    t: float,
-    dt: Optional[float] = None,
-    include_dilution: bool = False,
-) -> float:
-    return float(
-        transported_values(setup, v0, [x], t, dt=dt, include_dilution=include_dilution)[0]
-    )
+    vals = np.where((branch == 1) | (branch == 4), np.nan, vals)
+    return vals * k if include_dilution else vals  # backward k = 1 / forward Jacobian
 
 
 def transported_variation_sums(
@@ -310,7 +237,6 @@ def transported_variation_sums(
     t: float,
     s_prime: float,
     N: int,
-    dt: Optional[float] = None,
 ) -> float:
     """sum over n <= N of |v(z_n, t) - v(z_{n+1}, t)|^(1/s_prime).
 
@@ -319,10 +245,10 @@ def transported_variation_sums(
     the alternating data gives exactly N * 2^(1/s_prime).
     """
     if not 0.0 < s_prime <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {s_prime}")
+        raise ConfigError(f"order must lie in (0, 1], got {s_prime}")
     if N == 0:
         return 0.0
-    ys, _ = transported_points(setup, t, N + 1, dt=dt)
+    ys, _ = transported_points(setup, t, N + 1)
     v0 = alternating_initial_data()
     vals = np.asarray(v0(ys), dtype=float)
     return float(np.sum(np.abs(np.diff(vals)) ** (1.0 / s_prime)))
@@ -351,7 +277,7 @@ def continuity_defect(setup: TriangularSetup, t: float, n: Optional[int] = None)
     the side would measure sqrt(ulp) noise instead of the true limits).
     """
     if not 0.0 < t <= setup.T:
-        raise ValueError(f"need 0 < t <= T={setup.T}, got {t}")
+        raise ConfigError(f"need 0 < t <= T={setup.T}, got {t}")
     idx = np.arange(setup.N) if n is None else np.array([n - 1])
     w = setup.widths[idx]
     tn = setup.t_form[idx]

@@ -146,6 +146,11 @@ def test_order_outside_unit_interval_rejected(argv, capsys):
         ["kk", "--p", "2", "--delta", "0.1", "--n", "0", "--t", "0.5", "--res", "8"],
         ["kk", "--p", "2", "--delta", "0.1", "--n", "1", "--imax", "0", "--t", "0.5", "--res", "8"],
         ["kk", "--p", "2", "--delta", "0.1", "--n", "1", "--t", "0.5", "--res", "8", "--Ni", "-1"],
+        ["triangular", "--p", "0.5", "--T", "1", "--t", "0.5", "--N", "3", "--sprime", "1"],
+        ["triangular", "--p", "2", "--T", "1", "--t", "2", "--N", "3", "--sprime", "1"],
+        ["triangular", "--p", "2", "--T", "1", "--t", "-1", "--N", "3", "--sprime", "1"],
+        ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "3", "--sprime", "1.5"],
+        ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "3", "--sprime", "0"],
     ],
 )
 def test_validation_errors_exit_config(argv, capsys):

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from fracbv import (
-    NumericsError,
     TriangularSetup,
     alternating_initial_data,
-    characteristic_flow,
     continuity_defect,
     flow_positions,
     fractional_variation,
-    p_variation,
-    pulse_value,
     transport_velocity,
-    transported_value,
     transported_variation_sums,
-    u_value,
     u_values,
     u_variation_lower_bounds,
 )
@@ -24,7 +18,44 @@ from fracbv import SampledFunction
 from fracbv.triangular import midpoint_markers, transported_points, transported_values
 
 SETUP = TriangularSetup(p=2.0, T=1.0, N=64)
-DT = 1.0 / 2**10  # coarse step keeps the ODE-heavy tests quick
+DT = 1.0 / 2**10  # accepted and ignored by the exact flow
+# (p, T, t) at which the exact flow is checked against the RK4 reference
+FLOW_CASES = [(2.0, 1.0, 0.5), (3.0, 2.0, 1.5), (1.5, 0.7, 0.35)]
+
+
+def rk4_flow(setup, x0s, t, t_start=0.0):
+    """Reference flow: classical RK4 on dX/dt = u|u|^(p-1), u from u_values, step <= T/2^8."""
+
+    def velocity(x, tt):
+        u = u_values(setup, x, tt)
+        return u * np.abs(u) ** (setup.p - 1.0)
+
+    steps = max(1, math.ceil((t - t_start) * 2**8 / setup.T))
+    h = (t - t_start) / steps
+    x = np.array(x0s, dtype=float)
+    tt = t_start
+    for _ in range(steps):
+        k1 = velocity(x, tt)
+        k2 = velocity(x + 0.5 * h * k1, tt + 0.5 * h)
+        k3 = velocity(x + 0.5 * h * k2, tt + 0.5 * h)
+        k4 = velocity(x + h * k3, min(tt + h, setup.T))
+        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tt += h
+    return x
+
+
+def branch_points(setup, t):
+    """Points at 10, 50 and 90 % of each branch m1..m4 of pulses 1, 2, 5, 17 and 64 at time t."""
+    i = np.array([1, 2, 5, 17, 64]) - 1
+    w, tn, start = setup.widths[i], setup.t_form[i], setup.edges[i]
+    r = w / tn * t
+    f = np.array([[0.1], [0.5], [0.9]])
+    return {
+        1: (start + f * r).ravel(),
+        2: (start + r + f * (w - r)).ravel(),
+        3: (start + w + f * (w - r)).ravel(),
+        4: (start + 2.0 * w - r + f * r).ravel(),
+    }
 
 
 class TestSetup:
@@ -62,14 +93,15 @@ class TestSetup:
 class TestPulse:
     def test_fan_branch_value(self):
         # first pulse: fan reaches past x = 0.04 at t = 1
-        assert pulse_value(SETUP, 1, 0.04, 1.0) == pytest.approx(0.2, rel=1e-14)
+        assert u_values(SETUP, 0.04, 1.0)[0] == pytest.approx(0.2, rel=1e-14)
 
     def test_zero_at_center_and_ends(self):
         w1 = SETUP.widths[0]
         for t in (0.25, 1.0):
-            assert pulse_value(SETUP, 1, 0.0, t) == 0.0
-            assert pulse_value(SETUP, 1, w1, t) == pytest.approx(0.0, abs=1e-13)
-            assert pulse_value(SETUP, 1, 2 * w1, t) == 0.0
+            center_and_ends = u_values(SETUP, [0.0, w1, 2 * w1], t)
+            assert center_and_ends[0] == 0.0
+            assert center_and_ends[1] == pytest.approx(0.0, abs=1e-13)
+            assert center_and_ends[2] == 0.0
 
     def test_seam_identity(self):
         # at x = amplitude^p t the fan and the decreasing branch agree
@@ -79,26 +111,22 @@ class TestPulse:
             fan = (r / 0.7) ** SETUP.s
             back = ((SETUP.widths[i] - r) / (SETUP.t_form[i] - 0.7)) ** SETUP.s
             assert fan == pytest.approx(back, rel=1e-13)
-            assert pulse_value(SETUP, n, r * (1 - 1e-12), 0.7) == pytest.approx(fan, rel=1e-9)
+            x = SETUP.edges[i] + r * (1 - 1e-12)
+            assert u_values(SETUP, x, 0.7)[0] == pytest.approx(fan, rel=1e-9)
 
     def test_antisymmetry(self):
-        w1 = SETUP.widths[0]
+        # the first pulse alone, so that xi = 1.3 lands outside every support
+        single = TriangularSetup(p=2.0, T=1.0, N=1)
+        w1 = single.widths[0]
         for xi in (0.2, 0.8, 1.3):
-            left = pulse_value(SETUP, 1, w1 - xi * w1, 0.5)
-            right = pulse_value(SETUP, 1, w1 + xi * w1, 0.5)
+            left, right = u_values(single, [w1 - xi * w1, w1 + xi * w1], 0.5)
             assert left == pytest.approx(-right, rel=1e-12)
 
     def test_initial_data_recovered_at_time_zero(self):
         w1, t1 = SETUP.widths[0], SETUP.t_form[0]
-        assert pulse_value(SETUP, 1, 0.3 * w1, 0.0) == pytest.approx(
+        assert u_values(SETUP, 0.3 * w1, 0.0)[0] == pytest.approx(
             ((w1 - 0.3 * w1) / t1) ** 0.5, rel=1e-13
         )
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            pulse_value(SETUP, 0, 0.1, 0.5)
-        with pytest.raises(ValueError):
-            pulse_value(SETUP, 1, 0.1, 2.0)
 
 
 class TestGlobalField:
@@ -107,8 +135,7 @@ class TestGlobalField:
             assert continuity_defect(SETUP, t) < 1e-8
 
     def test_zero_outside_all_supports(self):
-        assert u_value(SETUP, -1.0, 0.5) == 0.0
-        assert u_value(SETUP, SETUP.edges[-1] + 1.0, 0.5) == 0.0
+        np.testing.assert_array_equal(u_values(SETUP, [-1.0, SETUP.edges[-1] + 1.0], 0.5), 0.0)
 
     def test_slope_field_lipschitz(self):
         # difference quotients of f'(u) stay under 1/t + max 1/(t_n - T)
@@ -132,12 +159,12 @@ class TestGlobalField:
 
 class TestCharacteristics:
     def test_frozen_outside(self):
-        assert characteristic_flow(SETUP, -2.0, 1.0, dt=DT) == -2.0
+        assert flow_positions(SETUP, -2.0, 1.0)[0] == -2.0
 
     def test_fan_flow_closed_form(self):
         t_a, t_b = 0.5, 1.0
         x_a = 0.3 * SETUP.widths[0] / SETUP.t_form[0] * t_a  # inside the fan
-        got = characteristic_flow(SETUP, x_a, t_b, dt=DT / 4, t_start=t_a)
+        got = flow_positions(SETUP, x_a, t_b, t_start=t_a)[0]
         assert got == pytest.approx(x_a * t_b / t_a, rel=1e-10)
 
     def test_backward_branch_closed_form(self):
@@ -146,20 +173,45 @@ class TestCharacteristics:
         w1, t1 = SETUP.widths[0], SETUP.t_form[0]
         x0 = 1.0
         closed = w1 - (w1 - x0) * (t1 - 1.0) / t1
-        assert characteristic_flow(SETUP, x0, 1.0, dt=DT / 4) == pytest.approx(
-            closed, rel=1e-10
-        )
+        assert flow_positions(SETUP, x0, 1.0)[0] == pytest.approx(closed, rel=1e-10)
 
     def test_order_preserved_random_pairs(self):
         rng = np.random.default_rng(17)
         x0 = np.sort(rng.uniform(-0.5, SETUP.edges[-1] + 0.5, size=400))
-        xt = flow_positions(SETUP, x0, 1.0, dt=DT)
+        xt = flow_positions(SETUP, x0, 1.0)
         resolvable = np.diff(x0) > 1e-9
         assert np.all(np.diff(xt)[resolvable] > 0.0)
 
     def test_time_window_validated(self):
         with pytest.raises(ValueError):
-            characteristic_flow(SETUP, 0.0, 2.0, dt=DT)
+            flow_positions(SETUP, 0.0, 2.0)
+        with pytest.raises(ValueError):
+            u_values(SETUP, 0.1, 2.0)
+
+    @pytest.mark.parametrize("p,T,t", FLOW_CASES)
+    @pytest.mark.parametrize("start_frac", [0.0, 0.5])
+    def test_matches_rk4_reference(self, p, T, t, start_frac):
+        # every branch the start time has open, outside points, the dyadic
+        # markers and random points, traced from t_start = start_frac * t
+        setup = TriangularSetup(p=p, T=T, N=64)
+        t_start = start_frac * t
+        by_branch = branch_points(setup, t_start)
+        open_branches = (1, 2, 3, 4) if t_start > 0.0 else (2, 3)  # no fan at t = 0
+        rng = np.random.default_rng(23)
+        x0 = np.concatenate(
+            [
+                *(by_branch[b] for b in open_branches),
+                [-0.3, setup.edges[-1] + 0.2],
+                midpoint_markers(40),
+                rng.uniform(-0.5, setup.edges[-1] + 0.5, size=200),
+            ]
+        )
+        np.testing.assert_allclose(
+            flow_positions(setup, x0, t, t_start=t_start),
+            rk4_flow(setup, x0, t, t_start),
+            rtol=1e-12,
+            atol=0.0,
+        )
 
 
 class TestTransport:
@@ -195,9 +247,36 @@ class TestTransport:
     def test_scalar_wrapper(self):
         v0 = alternating_initial_data()
         _, zs = transported_points(SETUP, 0.25, 3, dt=DT)
-        assert transported_value(SETUP, v0, float(zs[0]), 0.25, dt=DT) == v0(
+        assert transported_values(SETUP, v0, float(zs[0]), 0.25, dt=DT)[0] == v0(
             midpoint_markers(3)
         )[0]
+
+    @pytest.mark.parametrize("p,T,t", FLOW_CASES)
+    def test_dilution_is_the_inverse_jacobian(self, p, T, t):
+        # central differences of the RK4 reference flow at feet on m2, m3
+        # and outside; every foot is at least 0.1 w_64 from its branch ends
+        setup = TriangularSetup(p=p, T=T, N=64)
+        by_branch = branch_points(setup, 0.0)
+        x0 = np.concatenate([by_branch[2], by_branch[3], [-0.3]])
+        eps = 0.05 * setup.widths[-1]
+        ends = rk4_flow(setup, np.concatenate([x0 - eps, x0 + eps]), t)
+        jacobian = (ends[x0.size :] - ends[: x0.size]) / (2.0 * eps)
+        weights = transported_values(
+            setup, np.ones_like, flow_positions(setup, x0, t), t, include_dilution=True
+        )
+        np.testing.assert_allclose(weights, 1.0 / jacobian, rtol=1e-8)
+
+    def test_feet_inside_fans_are_undefined(self):
+        # backward in time a fan collapses onto its pulse edge
+        v0 = alternating_initial_data()
+        t = 0.5
+        by_branch = branch_points(SETUP, t)
+        fans = np.concatenate([by_branch[1], by_branch[4]])
+        rest = np.concatenate([by_branch[2], by_branch[3], [-1.0, SETUP.edges[-1] + 1.0]])
+        assert np.all(np.isnan(transported_values(SETUP, v0, fans, t)))
+        assert np.all(np.isnan(transported_values(SETUP, v0, fans, t, include_dilution=True)))
+        assert np.all(np.isfinite(transported_values(SETUP, v0, rest, t)))
+        assert np.all(np.isfinite(transported_values(SETUP, v0, fans, 0.0)))
 
 
 class TestDivergenceSums:
@@ -206,15 +285,15 @@ class TestDivergenceSums:
         [(10, 1.0, 20.0), (10, 0.5, 40.0), (0, 1.0, 0.0)],
     )
     def test_exact_values(self, N, s_prime, expected):
-        assert transported_variation_sums(SETUP, 0.5, s_prime, N, dt=DT) == expected
+        assert transported_variation_sums(SETUP, 0.5, s_prime, N) == expected
 
     def test_linear_growth(self):
-        vals = [transported_variation_sums(SETUP, 0.25, 1.0, N, dt=DT) for N in (4, 8, 16)]
+        vals = [transported_variation_sums(SETUP, 0.25, 1.0, N) for N in (4, 8, 16)]
         assert vals == [8.0, 16.0, 32.0]
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            transported_variation_sums(SETUP, 0.5, 1.5, 4, dt=DT)
+            transported_variation_sums(SETUP, 0.5, 1.5, 4)
 
 
 class TestVariationBounds:
