@@ -42,6 +42,27 @@ and every exact tie is recorded.  The bound is relative, so it needs every
 score and power in the normal float range; for data outside it (powers
 that may overflow, or differences whose powers underflow) the full
 dynamic program runs instead.
+
+The chain.  On inputs such as the sampled triangular sawtooth the best
+subdivision is every extremum in order, and a check in numpy proves that
+before the candidate pass runs.  It takes the chain sums
+C = cumsum(|v[1:] - v[:-1]|^p): the numpy power of each neighbour pair, the
+ufunc and inputs of the exact pass, added left to right as the exact pass
+adds them, so C is the exact pass's best bit for bit whenever each
+extremum's one recorded predecessor is its neighbour.  With C standing in
+for the approximate best, the check applies the candidate pass's rules to
+every extremum at once, one predecessor offset d = 2, 3, ... at a time: a
+predecessor leaves the live set once a later extremum beats it by the
+margin at both ends of the values still to come, and a live one whose score
+reaches top - tol * top, top the neighbour's score, is a second candidate.
+C is a sum of computed powers like any approximate best, within the same
+few units of roundoff per link of its real value, so the check is the
+candidate pass with other approximate powers and the margin argument above
+holds for it unchanged: a predecessor it drops or leaves below the cut loses
+in exact arithmetic too.  If no predecessor is live by offset
+``_CHAIN_OFFSETS`` and none came near the top, C is the dynamic program and
+the subdivision is the extrema up to the earliest index attaining the
+value; otherwise the candidate and exact passes run.
 """
 
 from __future__ import annotations
@@ -53,7 +74,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .fanprofile import FanContext, fan_profile, fan_values
 from .flux import Flux
 from .source import SourceProfile
@@ -72,7 +93,7 @@ class SampledFunction:
         object.__setattr__(self, "vs", vs)
         if xs.ndim != 1 or xs.shape != vs.shape:
             raise ValueError("xs and vs must be 1-D arrays of equal length")
-        if np.any(np.diff(xs) <= 0):
+        if np.any(xs[1:] <= xs[:-1]):
             raise ValueError("xs must be strictly increasing")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
             raise ValueError("samples must be finite")
@@ -93,15 +114,15 @@ def _candidate_indices(vs: np.ndarray) -> np.ndarray:
     n = vs.size
     if n <= 2:
         return np.arange(n)
-    change = np.nonzero(np.diff(vs) != 0.0)[0]
+    change = np.nonzero(vs[1:] != vs[:-1])[0]
     starts = np.concatenate(([0], change + 1))
     ends = np.concatenate((change, [n - 1]))
     w = vs[starts]
     if w.size == 1:  # constant data
         return np.array([0, n - 1])
-    sign = np.sign(np.diff(w))
+    up = w[1:] > w[:-1]  # compared, not subtracted: differences may overflow
     keep = np.ones(w.size, dtype=bool)
-    keep[1:-1] = sign[:-1] != sign[1:]
+    keep[1:-1] = up[:-1] != up[1:]
     return np.unique(np.concatenate((starts[keep], ends[keep])))
 
 
@@ -111,6 +132,8 @@ _MARGIN_PER_LINK = 2.0 ** -46
 # The candidate pass scores live sets of up to this many predecessors with
 # scalar powers and larger ones with numpy, returning below half of it.
 _SCALAR_LIVE = 48
+# The chain check follows predecessors up to this many extrema back.
+_CHAIN_OFFSETS = 16
 # A numpy live set refreshes its scores at the ends of the values to come at
 # most every this many extrema.
 _REFRESH_EVERY = 8
@@ -133,7 +156,8 @@ def p_variation(f: SampledFunction, p: float) -> VariationReport:
     that come within the rounding margin of the top score (see the module
     docstring).  Value and subdivision equal those of the full dynamic
     program bit for bit.  Ties break toward subdivisions with fewer points,
-    then earliest indices.  Raises ValueError unless p is finite and >= 1.
+    then earliest indices.  Raises ValueError unless p is finite and >= 1,
+    and NumericsError when the value overflows float64.
     """
     _check_exponent(p)
     if len(f) < 2:
@@ -141,34 +165,48 @@ def p_variation(f: SampledFunction, p: float) -> VariationReport:
     cand = _candidate_indices(f.vs)
     best, prev, _ = _best_predecessors(f.vs[cand], p)
     total = float(best[-1])
+    if not math.isfinite(total):
+        raise NumericsError(f"the {p}-variation is not finite in float64")
     end = best.index(total)  # earliest attaining index
-    path = [end]
-    while prev[path[-1]] >= 0:
-        path.append(prev[path[-1]])
-    path.reverse()
-    sub = [int(cand[i]) for i in path]
+    if prev is None:  # the chain: every extremum follows its neighbour
+        sub = cand[: end + 1].tolist()
+    else:
+        path = [end]
+        while prev[path[-1]] >= 0:
+            path.append(prev[path[-1]])
+        path.reverse()
+        sub = [int(cand[i]) for i in path]
     if len(sub) == 1:  # constant data: report the trivial 2-point subdivision
         sub = [int(cand[0]), int(cand[-1])]
     return VariationReport(p=float(p), value=total, subdivision=tuple(sub))
 
 
+def _in_normal_range(v: np.ndarray, p: float) -> bool:
+    """Whether every score and nonzero power over the extrema ``v`` is a
+    normal float, the range the margin covers."""
+    spread = float(v.max()) - float(v.min())  # inf, and no warning, on overflow
+    if not spread > 0.0 or math.log2(v.size) + p * math.log2(spread) > 1000.0:
+        return False
+    steps = np.abs(np.diff(v))
+    return p * math.log2(float(steps[steps > 0.0].min())) >= -960.0
+
+
 def _best_predecessors(v: np.ndarray, p: float):
     """(best, prev, scored) of the dynamic program over the extrema ``v``.
 
-    ``best`` and ``prev`` are lists; ``scored`` counts the (j, i) pairs the
-    candidate pass scored, the work the pruning saves.
+    ``best`` and ``prev`` are lists, ``prev`` None when every extremum's
+    predecessor is its neighbour; ``scored`` counts the (j, i) pairs the
+    chain check and candidate pass scored, the work the pruning saves.
     """
     k = v.size
-    nonzero = np.abs(np.diff(v))
-    nonzero = nonzero[nonzero > 0.0]
-    if (
-        nonzero.size == 0
-        or p * math.log2(float(nonzero.min())) < -960.0
-        or math.log2(k) + p * math.log2(float(v.max()) - float(v.min())) > 1000.0
-    ):
+    if not _in_normal_range(v, p):
         best, prev = _full_dynamic_program(v, p)
         return best, prev, k * (k - 1) // 2
-    pairs_j, pairs_i, starts, scored = _candidate_pairs(v, p)
+    chain, scored = _chain_best(v, p)
+    if chain is not None:
+        return chain, None, scored
+    pairs_j, pairs_i, starts, candidates = _candidate_pairs(v, p)
+    scored += candidates
     powers = (np.abs(v[np.array(pairs_j)] - v[np.array(pairs_i)]) ** p).tolist()
     best = [0.0] * k
     prev = [-1] * k
@@ -186,6 +224,46 @@ def _best_predecessors(v: np.ndarray, p: float):
         prev[j] = i
         chain[j] = chain[i] + 1
     return best, prev, scored
+
+
+def _chain_best(v: np.ndarray, p: float):
+    """Chain check: (best, scored), ``best`` the chain sums as a list when
+    every extremum's one candidate is its neighbour, else None.
+
+    The candidate pass's rules with the chain sums for its approximate best,
+    applied at each predecessor offset 2, 3, ... to every extremum at once,
+    until no predecessor is live or the offsets pass ``_CHAIN_OFFSETS``.
+    ``scored`` counts the (j, i) pairs compared.
+    """
+    k = v.size
+    chain = np.concatenate(([0.0], np.cumsum(np.abs(v[1:] - v[:-1]) ** p)))
+    tol = _MARGIN_PER_LINK * (k + 1)
+    cut = chain - tol * chain
+    # the ends of the values after each j < k - 1, and j's scores there
+    lo = np.minimum.accumulate(v[::-1])[::-1][1:]
+    hi = np.maximum.accumulate(v[::-1])[::-1][1:]
+    score_lo = chain[:-1] + np.abs(lo - v[:-1]) ** p
+    score_hi = chain[:-1] + np.abs(hi - v[:-1]) ** p
+    margin = tol * (chain[:-1] + np.maximum(score_lo, score_hi))
+    beat_lo = score_lo - margin
+    beat_hi = score_hi - margin
+    scored = k - 1
+    live = np.arange(k - 2)  # predecessors with a query at offset 2
+    for d in range(2, _CHAIN_OFFSETS + 1):
+        # the extremum just before the query drops those it beats at both ends
+        by = live + (d - 1)
+        base = chain[live]
+        at = v[live]
+        keep = (base + np.abs(lo[by] - at) ** p >= beat_lo[by]) | (base + np.abs(hi[by] - at) ** p >= beat_hi[by])
+        live = live[keep]
+        if live.size == 0:
+            return chain.tolist(), scored
+        j = live + d
+        scored += live.size
+        if np.any(chain[live] + np.abs(v[j] - v[live]) ** p >= cut[j]):
+            return None, scored
+        live = live[j + 1 < k]
+    return None, scored
 
 
 def _candidate_pairs(v: np.ndarray, p: float):
@@ -305,16 +383,17 @@ def _full_dynamic_program(v: np.ndarray, p: float):
     best = np.zeros(k)
     prev = np.full(k, -1, dtype=np.int64)
     chain = np.ones(k, dtype=np.int64)
-    for j in range(1, k):
-        scores = best[:j] + np.abs(v[j] - v[:j]) ** p
-        m = int(np.argmax(scores))
-        top = scores[m]
-        ties = np.nonzero(scores == top)[0]
-        if ties.size > 1:
-            m = int(ties[np.argmin(chain[ties])])
-        best[j] = top
-        prev[j] = m
-        chain[j] = chain[m] + 1
+    with np.errstate(over="ignore"):  # p_variation reports an infinite value
+        for j in range(1, k):
+            scores = best[:j] + np.abs(v[j] - v[:j]) ** p
+            m = int(np.argmax(scores))
+            top = scores[m]
+            ties = np.nonzero(scores == top)[0]
+            if ties.size > 1:
+                m = int(ties[np.argmin(chain[ties])])
+            best[j] = top
+            prev[j] = m
+            chain[j] = chain[m] + 1
     return best.tolist(), prev.tolist()
 
 

@@ -177,6 +177,25 @@ def test_malformed_profile_csv_exits_numerical(text, capsys, tmp_path):
     assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,u\n0,1e308\n1,-1e308\n2,1e308\n",  # a difference overflows
+        "x,u\n0,1e200\n1,-1e200\n",  # a power overflows
+        "x,u\n0,5e153\n1,-5e153\n2,5e153\n3,-5e153\n",  # a sum overflows
+    ],
+)
+def test_overflowing_profile_exits_numerical(text, capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak either
+        assert main(["variation", "--s", "0.5", "--input", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical"
+    assert "not finite in float64" in err["error"]
+
+
 @pytest.mark.parametrize("samples", ["-4", "0", "1", "2.5"])
 @pytest.mark.parametrize(
     "argv",

@@ -175,17 +175,34 @@ GROWING = st.lists(st.floats(0.0, 2.0), min_size=2, max_size=300).map(
 )
 
 
-@given(vs=st.one_of(INTEGERS, PLATEAUS, WALKS, GROWING), p=EXPONENTS)
-@settings(max_examples=400, deadline=None)
-def test_pruned_dynamic_program_is_bit_identical(vs, p):
-    assert_matches_quadratic(vs, p)
-
-
 def absorbed(p, scale, wiggles):
     """One swing so large that the later powers sit near half an ulp of the
     running sum, which they then either move by one ulp or not at all."""
     big = 2.0 ** (52.0 / p) * scale
     return [0.0, big] + [big + (-1.0) ** n * w for n, w in enumerate(wiggles)]
+
+
+def chain_shaped(decays, tail=None):
+    """Swings of alternating sign and decaying amplitude, like the sampled
+    triangular sawtooth, optionally followed by an ``absorbed(*tail)`` run."""
+    vs = (-1.0) ** np.arange(len(decays)) * np.cumprod(decays)
+    if tail is None:
+        return vs
+    return np.append(vs, vs[-1] + np.array(absorbed(*tail)[1:]))
+
+
+ABSORBED_TAILS = st.tuples(
+    st.sampled_from([1.5, 2.0, 2.5, 3.0]), st.floats(0.5, 2.0), st.lists(st.floats(0.3, 3.0), min_size=2, max_size=20)
+)
+CHAINS = st.builds(
+    chain_shaped, st.lists(st.floats(0.8, 1.0), min_size=2, max_size=300), st.one_of(st.none(), ABSORBED_TAILS)
+)
+
+
+@given(vs=st.one_of(INTEGERS, PLATEAUS, WALKS, GROWING, CHAINS), p=EXPONENTS)
+@settings(max_examples=400, deadline=None)
+def test_pruned_dynamic_program_is_bit_identical(vs, p):
+    assert_matches_quadratic(vs, p)
 
 
 # Inputs on which the candidate pass, run without its margin, drops a
@@ -289,6 +306,42 @@ def test_sawtooth_scores_few_predecessors(sawtooth_values, order):
     assert v.size > 8000
     _, _, scored = variation._best_predecessors(v, 1.0 / order)
     assert scored <= 2 * v.size
+
+
+def takes_the_chain(vs, p):
+    v = np.asarray(vs, dtype=float)[variation._candidate_indices(np.asarray(vs, dtype=float))]
+    return variation._best_predecessors(v, p)[1] is None
+
+
+@pytest.mark.parametrize("order", SAWTOOTH_ORDERS)
+def test_sawtooth_takes_the_chain(sawtooth_values, order):
+    assert takes_the_chain(sawtooth_values, 1.0 / order)
+
+
+# absorbed(...) runs whose offset-2 scores come within the margin of the
+# neighbour's (about 1e-14 relative) without tying it
+NEAR_TIES = [
+    (2.0, 1.081, [1.08, 2.14, 0.68, 0.84, 0.32]),
+    (2.5, 0.645, [2.74, 1.53, 0.85]),
+    (3.0, 1.497, [2.2, 2.41, 1.54, 1.84, 0.68]),
+]
+
+
+@pytest.mark.parametrize("p, scale, wiggles", NEAR_TIES)
+def test_chain_check_turns_down_near_ties(p, scale, wiggles):
+    vs = absorbed(p, scale, wiggles)
+    assert not takes_the_chain(vs, p)
+    assert_matches_quadratic(vs, p)
+
+
+def test_drifting_walk_and_family_profile_fall_back():
+    rng = np.random.default_rng(5)
+    walk = np.cumsum(rng.standard_normal(600) + 0.3)
+    profile = sample_profile(family_profile(power_law_family(2.0, ZERO, 30), 1.0), fan_points=32).vs
+    for vs in (walk, profile):
+        for p in (1.5, 2.0, 3.0):
+            assert not takes_the_chain(vs, p)
+            assert_matches_quadratic(vs, p)
 
 
 @given(
