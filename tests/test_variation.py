@@ -309,8 +309,8 @@ def test_sawtooth_scores_few_predecessors(sawtooth_values, order):
 
 
 def takes_the_chain(vs, p):
-    v = np.asarray(vs, dtype=float)[variation._candidate_indices(np.asarray(vs, dtype=float))]
-    return variation._best_predecessors(v, p)[1] is None
+    vs = np.asarray(vs, dtype=float)
+    return variation._best_predecessors(vs[variation._candidate_indices(vs)], p)[1] is None
 
 
 @pytest.mark.parametrize("order", SAWTOOTH_ORDERS)
