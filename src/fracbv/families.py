@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from .errors import ConfigError, NumericsError
 from .fanprofile import (
     FanContext,
@@ -32,13 +34,11 @@ from .fanprofile import (
 from .flux import Flux, power_law_flux
 from .source import SourceProfile
 from .waves import (
-    ConstantRegion,
-    FanRegion,
     Packet,
     PiecewiseProfile,
+    _packet_layout,
     flux_difference_drift,
     make_packet,
-    packet_profile,
 )
 
 
@@ -337,7 +337,6 @@ def cell_profile(
     """
     if t <= 0.0:
         raise ValueError(f"cell profile needs t > 0, got {t}")
-    ctx = FanContext(flux=F, source=S)
     if t < cell.t0:
         zeta_minus = cell.A + edge_travel_plus(F, S, t, cell.a)
         zeta_plus = cell.B - edge_travel_minus(F, S, t, cell.b)
@@ -345,47 +344,37 @@ def cell_profile(
             cell.a - cell.b
         )
         zeta_0 = min(max(zeta_0, zeta_minus), zeta_plus)
-        regions = (
-            FanRegion(cell.A, zeta_minus, center=cell.A),
-            ConstantRegion(zeta_minus, zeta_0, w=cell.a),
-            ConstantRegion(zeta_0, zeta_plus, w=cell.b),
-            FanRegion(zeta_plus, cell.B, center=cell.B),
-        )
+        ends = (cell.A, zeta_minus, zeta_0, zeta_plus, cell.B)
+        fan = (True, False, False, True)
+        anchor = (cell.A, cell.a, cell.b, cell.B)
     else:
         zeta_m = _shock_position(cell, F, S, t, ode_steps=ode_steps)
-        regions = (
-            FanRegion(cell.A, zeta_m, center=cell.A),
-            FanRegion(zeta_m, cell.B, center=cell.B),
-        )
-    return PiecewiseProfile(ctx=ctx, time=t, regions=regions)
+        ends, fan, anchor = (cell.A, zeta_m, cell.B), (True, True), (cell.A, cell.B)
+    return PiecewiseProfile(FanContext(flux=F, source=S), t, ends, fan, anchor)
 
 
 def family_profile(family, t: float) -> PiecewiseProfile:
-    """Disjoint union of the member profiles, zero-filled between supports."""
+    """Disjoint union of the member profiles, zero-filled between supports.
+
+    A power-law family's packets are laid out in one pass, as
+    :func:`packet_profile` lays out one; a shock-cell family has one
+    :func:`cell_profile` per cell.  The members' arrays are joined with a
+    zero region between supports.  An empty family is zero on [0, 1].
+    """
     if t <= 0.0:
         raise ConfigError(f"family profile needs t > 0, got {t}")
-    ctx = FanContext(flux=family.flux, source=family.source)
+    F, S = family.flux, family.source
     if isinstance(family, PowerLawFamily):
-        members = [
-            (p.support, packet_profile(family.flux, family.source, p, t).regions)
-            for p in family.packets
-        ]
+        members = [_packet_layout(F, S, family.packets, t)] if family.packets else []
     elif isinstance(family, ShockCellFamily):
-        members = [
-            ((c.A, c.B), cell_profile(c, family.flux, family.source, t).regions)
-            for c in family.cells
-        ]
+        members = [cell_profile(c, F, S, t) for c in family.cells]
     else:
         raise TypeError(f"unsupported family type {type(family).__name__}")
     if not members:
-        return PiecewiseProfile(
-            ctx=ctx, time=t, regions=(ConstantRegion(0.0, 1.0, w=0.0),)
-        )
-    regions: List = []
-    cursor = members[0][0][0]
-    for (lo, hi), member_regions in members:
-        if lo > cursor:
-            regions.append(ConstantRegion(cursor, lo, w=0.0))
-        regions.extend(member_regions)
-        cursor = hi
-    return PiecewiseProfile(ctx=ctx, time=t, regions=tuple(regions))
+        return PiecewiseProfile(FanContext(flux=F, source=S), t, (0.0, 1.0), (False,), (0.0,))
+    return PiecewiseProfile(
+        members[0].ctx, t,
+        np.concatenate([m.ends for m in members]),
+        np.concatenate([np.append(m.fan, False) for m in members])[:-1],
+        np.concatenate([np.append(m.anchor, 0.0) for m in members])[:-1],
+    )

@@ -132,13 +132,18 @@ class SourceProfile:
             raise ValueError(f"target must be non-negative, got {target}")
         if target == 0.0:
             return 0.0
-        if target >= self.effective_time_limit(p):
-            return math.inf
+        if p < 1.0:
+            raise ValueError(f"exponent must satisfy p >= 1, got {p}")
         # Locate the piece containing the target, then invert in closed form.
         acc = 0.0
         for left, value, right, b_left in self.pieces:
-            piece = _exp_linear_integral(p, b_left, value, right - left)
-            if acc + piece >= target or math.isinf(right):
+            # the last end is the limit bit for bit (the same terms in the same
+            # order); an earlier end is it only if later pieces add nothing
+            end = acc + _exp_linear_integral(p, b_left, value, right - left)
+            last = math.isinf(right)
+            if target >= end and (last or target == end and target >= self.effective_time_limit(p)):
+                return math.inf
+            if end >= target or last:
                 remainder = target - acc
                 scale = math.exp(p * b_left)
                 if value == 0.0:
@@ -146,7 +151,7 @@ class SourceProfile:
                 # remainder = scale * (exp(p a tau) - 1) / (p a)
                 arg = remainder * p * value / scale
                 return left + math.log1p(arg) / (p * value)
-            acc += piece
+            acc = end
         raise AssertionError("unreachable: last piece is unbounded")
 
 

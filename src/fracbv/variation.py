@@ -78,7 +78,7 @@ from .errors import ConfigError, NumericsError
 from .fanprofile import FanContext, fan_profile, fan_values
 from .flux import Flux
 from .source import SourceProfile
-from .waves import PiecewiseProfile, ConstantRegion, speed_bound
+from .waves import PiecewiseProfile, speed_bound
 
 
 @dataclass(frozen=True)
@@ -401,13 +401,17 @@ def p_variation_reference(f: SampledFunction, p: float) -> float:
     """Plain quadratic DP over all sample indices; slow but obviously correct.
 
     Independent of the extrema restriction; used to cross-check
-    :func:`p_variation`.  Raises ValueError unless p is finite and >= 1.
+    :func:`p_variation`.  Raises ValueError unless p is finite and >= 1,
+    and NumericsError when the value overflows float64.
     """
     _check_exponent(p)
     v = f.vs
     best = np.zeros(v.size)
-    for j in range(1, v.size):
-        best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
+    with np.errstate(over="ignore"):  # reported below
+        for j in range(1, v.size):
+            best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
+    if not math.isfinite(best[-1]):
+        raise NumericsError(f"the {p}-variation is not finite in float64")
     return float(best[-1])
 
 
@@ -430,43 +434,42 @@ def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFu
     contribute ``fan_points`` uniformly spaced samples.  Fans are monotone,
     so coarse interior sampling loses nothing at the jumps.
 
-    All regions are sampled in one pass: one ``np.linspace`` over the fan
-    regions' ends and one :func:`fan_values` call, scattered into arrays
-    laid out region by region.  The samples are bit for bit those of a
-    ``np.linspace`` and a ``fan_values`` call per region, because each
-    element takes the same operations wherever it sits in the array.  Rows
-    whose step rounds to zero get their own ``np.linspace`` call, since
-    numpy switches the formula of a whole call when any step is zero.
-    Raises ValueError when ``fan_points`` is below 2.
+    All regions are sampled in one pass over slices of the profile's ends,
+    fan flags and anchors: one ``np.linspace`` over the fan regions' ends
+    and one :func:`fan_values` call, scattered into arrays laid out region
+    by region.  The samples are bit for bit those of a ``np.linspace`` and
+    a ``fan_values`` call per region, because each element takes the same
+    operations wherever it sits in the array.  Rows whose step rounds to
+    zero get their own ``np.linspace`` call, since numpy switches the
+    formula of a whole call when any step is zero.  Raises ValueError when
+    ``fan_points`` is below 2.
     """
     if fan_points < 2:
         raise ValueError(f"need at least 2 samples per fan region, got {fan_points}")
     ctx = profile.ctx
     t = profile.time
     scale = math.exp(ctx.source.cumulative_source(t))
-    regions = profile.regions
-    const = np.array([isinstance(r, ConstantRegion) for r in regions], dtype=bool)
-    lefts = np.array([r.left for r in regions], dtype=float)
-    rights = np.array([r.right for r in regions], dtype=float)
+    fan = profile.fan
+    const = ~fan
+    lefts, rights = profile.ends[:-1], profile.ends[1:]
     counts = np.where(const, 2, fan_points)
-    ends = np.cumsum(counts) - 1
-    starts = ends - counts + 1
+    lasts = np.cumsum(counts) - 1
+    starts = lasts - counts + 1
     xs = np.empty(int(counts.sum()))
     vs = np.empty(xs.size)
 
     firsts = starts[const]
-    level = np.array([r.w for r in regions if isinstance(r, ConstantRegion)], dtype=float) * scale
+    level = profile.anchor[const] * scale
     xs[firsts], xs[firsts + 1] = lefts[const], rights[const]
     vs[firsts], vs[firsts + 1] = level, level
 
-    fan = ~const
     fan_lefts, fan_rights = lefts[fan], rights[fan]
     grid = np.empty((fan_lefts.size, fan_points))
     flat = (fan_rights - fan_lefts) / (fan_points - 1) == 0.0
     for rows in (flat, ~flat):
         if rows.any():
             grid[rows] = np.linspace(fan_lefts[rows], fan_rights[rows], fan_points, axis=1)
-    centers = np.array([r.center for r in regions if not isinstance(r, ConstantRegion)], dtype=float)
+    centers = profile.anchor[fan]
     at = (starts[fan][:, None] + np.arange(fan_points)).ravel()
     xs[at] = grid.ravel()
     vs[at] = fan_values(ctx, (grid - centers[:, None]).ravel(), t) * scale
@@ -476,7 +479,7 @@ def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFu
     # A region narrower than an ulp then ends below its own left end, so a
     # point is kept only above every point before it (on ordered points,
     # the same as a positive difference to its predecessor).
-    xs[ends] = np.nextafter(xs[ends], -np.inf)
+    xs[lasts] = np.nextafter(xs[lasts], -np.inf)
     keep = np.concatenate(([True], xs[1:] > np.maximum.accumulate(xs)[:-1]))
     return SampledFunction(xs[keep], vs[keep])
 

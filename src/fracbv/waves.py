@@ -1,27 +1,22 @@
 """Exact entropy-solution structures: shocks, fans, antisymmetric packets.
 
 Solutions of u_t + f(u)_x = alpha(t) u built from structured initial data
-are represented as ordered region lists (constants and centered fans) that
-evaluate pointwise without any discretization.  Jumps stay sharp; sampling
-for variation measurements happens elsewhere.
+are stored as three arrays: k + 1 region ends, k fan flags and k anchors
+(the level of a constant region, the center of a fan).  They evaluate
+pointwise without any discretization.  Jumps stay sharp; sampling for
+variation measurements happens elsewhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .fanprofile import (
-    FanContext,
-    fan_profile,
-    fan_values,
-    slope_time_integral,
-    source_time_integral,
-)
+from .fanprofile import FanContext, fan_values, slope_time_integral, source_time_integral
 from .flux import Flux
 from .source import SourceProfile
 
@@ -40,69 +35,69 @@ class FanRegion:
     center: float  # region value is V(x - center, t) * exp(B(t))
 
 
-Region = Union[ConstantRegion, FanRegion]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseProfile:
-    """Exact solution at a fixed time as contiguous ordered regions.
+    """Exact solution at a fixed time as k contiguous ordered regions.
 
-    Outside the covered span the solution is zero.  Breakpoints where the
-    left and right values differ are entropy shocks (left > right).
+    Region i spans [ends[i], ends[i + 1]].  Where ``fan[i]`` is false its
+    value is anchor[i] * exp(B(t)); where it is true the region is a fan
+    centered at anchor[i], valued V(x - anchor[i], t) * exp(B(t)).  Outside
+    the covered span the solution is zero.  Breakpoints where the left and
+    right values differ are entropy shocks (left > right).  Raises
+    ValueError unless there are k >= 1 flags and anchors and k + 1 ends.
     """
 
     ctx: FanContext
     time: float
-    regions: Tuple[Region, ...]
+    ends: np.ndarray
+    fan: np.ndarray
+    anchor: np.ndarray
 
     def __post_init__(self):
-        for r, s in zip(self.regions, self.regions[1:]):
-            if r.right != s.left:
-                raise ValueError("profile regions must be contiguous")
+        for name, dtype in (("ends", float), ("fan", bool), ("anchor", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        k = self.fan.size
+        if self.fan.ndim != 1 or k < 1 or self.anchor.shape != (k,) or self.ends.shape != (k + 1,):
+            raise ValueError("a profile needs k >= 1 fan flags and anchors and k + 1 ends")
 
     @property
     def span(self) -> Tuple[float, float]:
-        return self.regions[0].left, self.regions[-1].right
+        return float(self.ends[0]), float(self.ends[-1])
 
-    def region_value(self, region: Region, x: float) -> float:
+    @property
+    def regions(self) -> Tuple:
+        """The regions as :class:`ConstantRegion` and :class:`FanRegion`, a read-only view."""
+        ends = self.ends.tolist()
+        return tuple(
+            FanRegion(left, right, center=a) if f else ConstantRegion(left, right, w=a)
+            for left, right, f, a in zip(ends, ends[1:], self.fan.tolist(), self.anchor.tolist())
+        )
+
+    def _values(self, xs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Value at each point of ``xs`` taken in the region of the same place in ``idx``."""
         scale = math.exp(self.ctx.source.cumulative_source(self.time))
-        if isinstance(region, ConstantRegion):
-            return region.w * scale
-        return fan_profile(self.ctx, x - region.center, self.time) * scale
+        values = self.anchor[idx] * scale
+        fan = self.fan[idx]
+        values[fan] = fan_values(self.ctx, xs[fan] - self.anchor[idx[fan]], self.time) * scale
+        return values
 
     def __call__(self, x: float) -> float:
-        lo, hi = self.span
-        if x < lo or x > hi or not self.regions:
-            return 0.0
-        lefts = [r.left for r in self.regions]
-        idx = min(max(np.searchsorted(lefts, x, side="right") - 1, 0), len(self.regions) - 1)
-        return self.region_value(self.regions[idx], x)
+        """The value at x, as :meth:`evaluate` gives it."""
+        return float(self.evaluate(np.array([x]))[0])
 
     def evaluate(self, xs) -> np.ndarray:
         """Values at every point of ``xs``; zero outside the covered span.
 
-        Picks each point's region as :meth:`__call__` does, with one
-        ``searchsorted`` over all points, and evaluates all fan points
-        through :func:`fan_values`.  For power-law fluxes that array power
-        may differ from the scalar fan profile in the last bit.
+        A point on a shared end takes the region to its right, found with
+        one ``searchsorted`` over all points; fan points go through one
+        :func:`fan_values` call.
         """
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
         lo, hi = self.span
         inside = (xs >= lo) & (xs <= hi)
         pts = xs[inside]
-        idx = np.searchsorted([r.left for r in self.regions], pts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.regions) - 1)
-        scale = math.exp(self.ctx.source.cumulative_source(self.time))
-        is_fan = np.array([isinstance(r, FanRegion) for r in self.regions])
-        # constant regions take w * scale; fan regions are overwritten below
-        level = np.array([0.0 if f else r.w * scale for r, f in zip(self.regions, is_fan)])
-        centers = np.array([r.center if f else 0.0 for r, f in zip(self.regions, is_fan)])
-        values = level[idx]
-        fan = is_fan[idx]
-        offsets = pts[fan] - centers[idx[fan]]
-        values[fan] = fan_values(self.ctx, offsets, self.time) * scale
-        out[inside] = values
+        out[inside] = self._values(pts, np.searchsorted(self.ends[:-1], pts, side="right") - 1)
         return out
 
     def side_values(self, x: float):
@@ -111,23 +106,16 @@ class PiecewiseProfile:
         Zero-width regions (degenerate plateaus at exact saturation) are
         skipped when picking the one-sided neighbours.
         """
-        lefts = [r.left for r in self.regions]
-        idx = int(np.searchsorted(lefts, x, side="right") - 1)
-        idx = min(max(idx, 0), len(self.regions) - 1)
-        j = idx
-        while j + 1 < len(self.regions) and self.regions[j].left == self.regions[j].right:
-            j += 1
-        right_region = self.regions[j]
-        k = idx - 1 if self.regions[idx].left == x and idx >= 1 else idx
-        while k > 0 and self.regions[k].left == self.regions[k].right:
-            k -= 1
-        left_region = self.regions[k]
-        return self.region_value(left_region, x), self.region_value(right_region, x)
-
-    def breakpoints(self):
-        pts = [r.left for r in self.regions]
-        pts.append(self.regions[-1].right)
-        return pts
+        ends = self.ends
+        last = self.fan.size - 1
+        idx = min(max(int(np.searchsorted(ends[:-1], x, side="right")) - 1, 0), last)
+        right = idx
+        while right < last and ends[right] == ends[right + 1]:
+            right += 1
+        left = idx - 1 if ends[idx] == x and idx >= 1 else idx
+        while left > 0 and ends[left] == ends[left + 1]:
+            left -= 1
+        return tuple(self._values(np.array([x, x]), np.array([left, right])).tolist())
 
 
 @dataclass(frozen=True)
@@ -212,22 +200,35 @@ def packet_profile(F: Flux, S: SourceProfile, P: Packet, t: float) -> PiecewiseP
     """
     if t <= 0.0:
         raise ValueError(f"packet profile needs t > 0, got {t}")
-    ctx = FanContext(flux=F, source=S)
-    x_l, x_r = P.support
-    if t < P.t_n:
-        zeta_l, zeta_r = fan_edges(F, S, P, t)
-        regions = (
-            FanRegion(x_l, zeta_l, center=x_l),
-            ConstantRegion(zeta_l, P.x_n, w=P.delta),
-            ConstantRegion(P.x_n, zeta_r, w=-P.delta),
-            FanRegion(zeta_r, x_r, center=x_r),
-        )
-    else:
-        regions = (
-            FanRegion(x_l, P.x_n, center=x_l),
-            FanRegion(P.x_n, x_r, center=x_r),
-        )
-    return PiecewiseProfile(ctx=ctx, time=t, regions=regions)
+    return _packet_layout(F, S, (P,), t)
+
+
+def _packet_layout(F: Flux, S: SourceProfile, packets: Sequence[Packet], t: float):
+    """Packets side by side at time t > 0, in order, zero between them.
+
+    Each packet takes five slots: fan, plateau +delta, plateau -delta, fan
+    and the zero gap to the next packet, which the last packet does not
+    take.  From its interaction time on a packet's plateaus are dropped and
+    its fans meet at the center.  The effective time G is taken once and
+    delta |delta|^(p-1) once per packet, as a Python float; numpy rounds
+    the products and sums with it as Python does, so the fan edges are
+    those of :func:`fan_edges` bit for bit.
+    """
+    p = F.power
+    g = S.effective_time(p, t)
+    x_n, dx, delta, t_n, reach = np.array(
+        [(P.x_n, P.dx, P.delta, P.t_n, P.delta * abs(P.delta) ** (p - 1.0)) for P in packets]
+    ).T
+    x_l, x_r = x_n - dx, x_n + dx
+    before = t < t_n
+    zeta_r = np.where(before, x_r - reach * g, x_n)
+    ends = np.column_stack((x_l, x_l + reach * g, x_n, zeta_r, x_r)).ravel()
+    fan = np.tile([True, False, False, True, False], len(packets))
+    anchor = np.column_stack((x_l, delta, -delta, x_r, np.zeros_like(x_n))).ravel()
+    keep = np.repeat(before, 5) | np.tile([True, False, False, True, True], len(packets))
+    return PiecewiseProfile(
+        FanContext(flux=F, source=S), t, ends[keep], fan[keep][:-1], anchor[keep][:-1]
+    )
 
 
 def speed_bound(F: Flux, S: SourceProfile, T: float) -> float:

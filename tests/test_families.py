@@ -201,19 +201,19 @@ class TestCellSolution:
         c = family.cells[0]
         for t in (1.5, 3.0, 8.0):
             prof = cell_profile(c, Q3, ZERO, t)
-            pos = prof.regions[0].right
+            pos = prof.ends[1]
             assert c.A < pos < c.B
 
     def test_structure_switches_at_meeting_time(self, family):
         c = family.cells[0]
-        assert len(cell_profile(c, Q3, ZERO, 0.9).regions) == 4
-        assert len(cell_profile(c, Q3, ZERO, 1.1).regions) == 2
+        assert cell_profile(c, Q3, ZERO, 0.9).fan.size == 4
+        assert cell_profile(c, Q3, ZERO, 1.1).fan.size == 2
 
     def test_entropy_at_shock(self, family):
         c = family.cells[0]
         for t in (0.4, 2.0):
             prof = cell_profile(c, Q3, ZERO, t)
-            shock_x = c.tau if t < 1.0 else prof.regions[0].right
+            shock_x = c.tau if t < 1.0 else prof.ends[1]
             left, right = prof.side_values(shock_x)
             assert left > right
 
@@ -270,7 +270,7 @@ def test_shared_per_time_work_keeps_the_shock_position(F, S, cell, t, ode_steps)
     if cell is None:
         a, b = solve_cell_states(F, S, 1.0, 0.0, 0.02)
         cell = ShockCell(1, 0.0, 0.02, a, b, initial_shock_position(F, S, 1.0, 0.0, 0.02, a, b), 1.0)
-    got = cell_profile(cell, F, S, t, ode_steps=ode_steps).regions[0].right
+    got = cell_profile(cell, F, S, t, ode_steps=ode_steps).ends[1]
     want = per_stage_shock_position(cell, F, S, t, ode_steps)
     assert cell.A < got < cell.B
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -295,8 +295,8 @@ class TestCellMeetingTime:
 
     def test_structure_switches_at_t0(self, sourced_family):
         for c in sourced_family.cells:
-            assert len(cell_profile(c, Q3, self.SRC, c.t0 * (1.0 - 1e-9)).regions) == 4
-            assert len(cell_profile(c, Q3, self.SRC, c.t0 * (1.0 + 1e-9), ode_steps=4).regions) == 2
+            assert cell_profile(c, Q3, self.SRC, c.t0 * (1.0 - 1e-9)).fan.size == 4
+            assert cell_profile(c, Q3, self.SRC, c.t0 * (1.0 + 1e-9), ode_steps=4).fan.size == 2
 
 
 class TestFamilies:
@@ -375,6 +375,30 @@ class TestFamilies:
 
 
 class TestFamilyProfile:
+    @pytest.mark.parametrize("alpha", ["zero", "pw:0:-0.3,0.5:0.2"])
+    def test_power_law_layout_in_one_pass(self, monkeypatch, alpha):
+        from fracbv import parse_alpha, waves
+
+        fam = power_law_family(2.0, parse_alpha(alpha), 50)
+        counts = Counter()
+
+        def counting(name, fun):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fun(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(SourceProfile, "effective_time", counting("effective_time", SourceProfile.effective_time))
+        for name in ("packet_profile", "fan_edges"):
+            for module in (waves, families):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(waves, name)))
+        for t in (0.5, 2.0):
+            counts.clear()
+            family_profile(fam, t)
+            assert counts == {"effective_time": 1}
+
     def test_empty_family_is_zero(self):
         fam = power_law_family(2.0, ZERO, 0)
         prof = family_profile(fam, 1.0)

@@ -108,3 +108,27 @@ def test_unresolved_grid_is_refused(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["grid"].startswith("unresolved: grid of")
     assert "bv_norm_u0_minus_b" not in payload and "sup_distance" not in payload
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_jump_sum_lower_bound_is_the_closed_sum(t):
+    setup = kk.KKSetup(p=2.0, delta=0.1, n=2, i_max=4)
+    expo = 2.0 * 1.1
+    sums = np.array([kk.jump_sum_lower_bound(setup, t, N_i) for N_i in range(400)])
+    for N_i, got in enumerate(sums):
+        want = t / 2.0 * math.fsum(1.0 - i ** -expo for i in range(2, 2 + N_i + 1))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    # the increments t/2 (1 - i^(-p(1+delta))) rise to t/2
+    i = np.arange(3, 3 + sums.size - 1, dtype=float)
+    increments = np.diff(sums)
+    np.testing.assert_allclose(increments, t / 2.0 * (1.0 - i**-expo), rtol=0.0, atol=1e-12)
+    gaps = t / 2.0 - increments
+    assert np.all(gaps > 0.0) and gaps[-1] < 1e-4 * gaps[0]
+
+
+@pytest.mark.parametrize("t, N_i", [(0.0, 3), (1.0, 3), (-0.5, 3), (1.5, 3), (math.nan, 3), (0.5, -1)])
+def test_jump_sum_lower_bound_rejects_bad_arguments(t, N_i):
+    from fracbv import ConfigError
+
+    with pytest.raises(ConfigError):
+        kk.jump_sum_lower_bound(kk.KKSetup(p=2.0, delta=0.1), t, N_i)

@@ -276,6 +276,31 @@ def test_piece_table_matches_generator_primitives(src):
             assert same_float(src.effective_time_inverse(p, g), old_effective_time_inverse(src, p, g)), (p, g)
 
 
+@pytest.mark.parametrize(
+    "src",
+    [
+        ZERO,
+        SourceProfile.constant(-0.2),
+        SourceProfile.piecewise([0.0, 0.3, 0.7, 1.2], [-0.3, 0.2, 0.4, -0.5]),
+        # the tail after the first piece adds nothing to the limit in float64
+        SourceProfile.piecewise([0.0, 1.0], [-40.0, -0.5]),
+    ],
+    ids=["zero", "constant", "four-piece", "saturating"],
+)
+def test_interaction_times_need_no_separate_limit(src, monkeypatch):
+    from fracbv import power_law_family
+
+    for p in (1.5, 2.0, 3.0):
+        limit = src.effective_time_limit(p)
+        if math.isfinite(limit):
+            assert src.effective_time_inverse(p, limit) == math.inf
+            assert src.effective_time_inverse(p, math.nextafter(limit, 0.0)) < math.inf
+    monkeypatch.setattr(SourceProfile, "effective_time_limit", None)  # no call left
+    for p in (1.5, 2.0, 3.0):
+        for P in power_law_family(p, src, 300).packets:
+            assert same_float(P.t_n, old_effective_time_inverse(src, p, P.dx / P.delta**p)), (p, P.x_n)
+
+
 def test_piece_table_leaves_equality_and_hash_alone():
     src = SourceProfile.piecewise([0.0, 0.5], [1.0, -2.0])
     twin = SourceProfile.piecewise([0.0, 0.5], [1.0, -2.0])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +27,12 @@ from fracbv import (
     smoothing_upper_bound,
     u_values,
 )
-from fracbv import variation
+from fracbv import NumericsError, variation
 from fracbv.cli import main
 from fracbv.families import ShockCell, cell_profile, initial_shock_position, solve_cell_states
 from fracbv.fanprofile import FanContext, fan_values
 from fracbv.flux import Decay, user_flux
-from fracbv.waves import ConstantRegion, FanRegion, PiecewiseProfile
+from fracbv.waves import ConstantRegion, FanRegion, PiecewiseProfile, fan_edges
 
 ZERO = SourceProfile.zero()
 
@@ -271,6 +272,19 @@ def test_extreme_ranges_take_the_full_dynamic_program():
         assert variation._best_predecessors(vs[variation._candidate_indices(vs)], p)[2] == k * (k - 1) // 2
 
 
+@pytest.mark.parametrize(
+    "vs",
+    [[1e308, -1e308, 1e308], [1e200, -1e200], [5e153, -5e153, 5e153, -5e153]],
+    ids=["difference", "power", "sum"],
+)
+def test_overflow_raises_without_warning(vs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fun in (p_variation_reference, p_variation):
+            with pytest.raises(NumericsError, match="not finite in float64"):
+                fun(sampled(vs), 2.0)
+
+
 def benchmark_sawtooth(p, T, t, N):
     """The sampled triangular sawtooth of the ``systems`` benchmark workload."""
     n = np.arange(1, N + 1, dtype=float)
@@ -409,15 +423,13 @@ class TestSampling:
             assert np.array_equal(f.vs, g.vs)
 
 
-def per_region_sample_profile(profile, fan_points):
+def per_region_sample_profile(ctx, t, regions, fan_points):
     """``sample_profile`` as it was before it sampled all regions in one pass:
-    one ``np.linspace`` and one ``fan_values`` call per region.  The oracle
-    for the one-pass sampling, which must match it bit for bit."""
-    ctx = profile.ctx
-    t = profile.time
+    one ``np.linspace`` and one ``fan_values`` call per region object.  The
+    oracle for the one-pass sampling, which must match it bit for bit."""
     scale = math.exp(ctx.source.cumulative_source(t))
     xs_parts, vs_parts = [], []
-    for region in profile.regions:
+    for region in regions:
         if isinstance(region, ConstantRegion):
             xs = np.array([region.left, region.right])
             vs = np.array([region.w * scale, region.w * scale])
@@ -464,12 +476,9 @@ def sampling_profiles():
     yield "flat-fan", PiecewiseProfile(
         ctx=ctx,
         time=1.0,
-        regions=(
-            FanRegion(-0.2, -0.1, center=-0.2),
-            ConstantRegion(-0.1, 0.0, w=0.3),
-            FanRegion(0.0, 0.1, center=0.1),
-            FanRegion(0.1, 0.1, center=0.1),
-        ),
+        ends=(-0.2, -0.1, 0.0, 0.1, 0.1),
+        fan=(True, False, True, True),
+        anchor=(-0.2, 0.3, 0.1, 0.1),
     )
 
 
@@ -481,7 +490,102 @@ SAMPLING_PROFILES = dict(sampling_profiles())
 def test_one_pass_sampling_is_bit_identical(name, fan_points):
     profile = SAMPLING_PROFILES[name]
     got = sample_profile(profile, fan_points=fan_points)
-    want = per_region_sample_profile(profile, fan_points)
+    want = per_region_sample_profile(profile.ctx, profile.time, profile.regions, fan_points)
+    assert got.xs.tobytes() == want.xs.tobytes()
+    assert got.vs.tobytes() == want.vs.tobytes()
+
+
+def region_assembly(family, t):
+    """The family's regions as objects, joined as ``family_profile`` joined
+    them before profiles were arrays: per packet the regions of the old
+    ``packet_profile``, edges from :func:`fan_edges`; per cell those of
+    :func:`cell_profile`; a zero region wherever a support starts past the
+    previous one's end."""
+    F, S = family.flux, family.source
+    members = []
+    for P in getattr(family, "packets", ()):
+        x_l, x_r = P.support
+        if t < P.t_n:
+            zeta_l, zeta_r = fan_edges(F, S, P, t)
+            regions = (
+                FanRegion(x_l, zeta_l, center=x_l),
+                ConstantRegion(zeta_l, P.x_n, w=P.delta),
+                ConstantRegion(P.x_n, zeta_r, w=-P.delta),
+                FanRegion(zeta_r, x_r, center=x_r),
+            )
+        else:
+            regions = (FanRegion(x_l, P.x_n, center=x_l), FanRegion(P.x_n, x_r, center=x_r))
+        members.append((P.support, regions))
+    for c in getattr(family, "cells", ()):
+        members.append(((c.A, c.B), cell_profile(c, F, S, t).regions))
+    out = []
+    cursor = members[0][0][0]
+    for (lo, hi), regions in members:
+        if lo > cursor:
+            out.append(ConstantRegion(cursor, lo, w=0.0))
+        out.extend(regions)
+        cursor = hi
+    assert all(r.right == s.left for r, s in zip(out, out[1:]))
+    return out
+
+
+def region_evaluate(ctx, t, regions, xs):
+    """``PiecewiseProfile.evaluate`` as it was on region objects."""
+    out = np.zeros(xs.shape)
+    inside = (xs >= regions[0].left) & (xs <= regions[-1].right)
+    pts = xs[inside]
+    idx = np.searchsorted([r.left for r in regions], pts, side="right") - 1
+    scale = math.exp(ctx.source.cumulative_source(t))
+    is_fan = np.array([isinstance(r, FanRegion) for r in regions])
+    level = np.array([0.0 if f else r.w * scale for r, f in zip(regions, is_fan)])
+    centers = np.array([r.center if f else 0.0 for r, f in zip(regions, is_fan)])
+    values = level[idx]
+    fan = is_fan[idx]
+    values[fan] = fan_values(ctx, pts[fan] - centers[idx[fan]], t) * scale
+    out[inside] = values
+    return out
+
+
+def layout_cases():
+    """Families before their first interaction, between interactions and
+    after the last finite interaction time."""
+    for alpha in ("zero", "constant:-0.2", "pw:0:-0.3,0.5:0.2"):
+        for p, N in ((2.0, 1), (2.37, 12), (2.0, 2000), (1.5, 2000)):
+            family = power_law_family(p, parse_alpha(alpha), N)
+            finite = [P.t_n for P in family.packets if math.isfinite(P.t_n)]
+            for when, t in (
+                ("before", 0.5 * finite[0]),
+                ("between", 0.5 * (finite[0] + finite[-1])),
+                ("after", 2.0 * finite[-1]),
+            ):
+                yield f"powerlaw-{alpha}-p{p}-N{N}-{when}", family, t
+    q3 = power_law_flux(3.0, M=1.0, decay=Decay(q=3.0, C=1.0, r=1.0))
+    cells = shock_cell_family(q3, parse_alpha("constant:-0.2"), 1.0, 9)
+    yield "assp-before", cells, 0.6
+    yield "assp-after", cells, 1.7
+
+
+LAYOUT_CASES = {name: (family, t) for name, family, t in layout_cases()}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_CASES))
+def test_family_layout_matches_region_assembly(name):
+    family, t = LAYOUT_CASES[name]
+    profile = family_profile(family, t)
+    regions = region_assembly(family, t)
+    ends = np.array([r.left for r in regions] + [regions[-1].right])
+    fan = np.array([isinstance(r, FanRegion) for r in regions])
+    anchor = np.array([r.center if isinstance(r, FanRegion) else r.w for r in regions])
+    assert profile.ends.tobytes() == ends.tobytes()
+    assert profile.fan.tobytes() == fan.tobytes()
+    assert profile.anchor.tobytes() == anchor.tobytes()
+
+    lo, hi = profile.span
+    rng = np.random.default_rng(5)
+    xs = np.concatenate((rng.uniform(lo - 0.1, hi + 0.1, size=4000), ends, [lo - 0.1, hi + 0.1]))
+    assert profile.evaluate(xs).tobytes() == region_evaluate(profile.ctx, t, regions, xs).tobytes()
+    got = sample_profile(profile, fan_points=8)
+    want = per_region_sample_profile(profile.ctx, t, regions, 8)
     assert got.xs.tobytes() == want.xs.tobytes()
     assert got.vs.tobytes() == want.vs.tobytes()
 

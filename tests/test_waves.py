@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracbv import (
+    ConstantRegion,
     FanContext,
     SourceProfile,
     fan_edges,
@@ -122,13 +123,16 @@ class TestPacket:
             assert left > right
 
     def test_conservation(self):
-        # region-wise composite quadrature; antisymmetric data integrates to 0
+        # region-wise composite quadrature; antisymmetric data integrates to 0.
+        # Each region takes its own one-sided values at its ends: evaluate
+        # takes the right neighbour's value at a shared end.
         for t in (0.15, 0.8):
             prof = packet_profile(self.F, ZERO, self.P, t)
             total = 0.0
-            for region in prof.regions:
-                xs = np.linspace(region.left, region.right, 4001)
-                vals = np.array([prof.region_value(region, x) for x in xs])
+            for lo, hi in zip(prof.ends[:-1], prof.ends[1:]):
+                xs = np.linspace(lo, hi, 4001)
+                vals = prof.evaluate(xs)
+                vals[0], vals[-1] = prof.side_values(lo)[1], prof.side_values(hi)[0]
                 total += np.trapezoid(vals, xs)
             assert abs(total) < 1e-6
 
@@ -168,16 +172,23 @@ def test_speed_bound_power_law():
     assert speed_bound(F, src, 2.0) == pytest.approx(math.exp(1.0) ** 2)
 
 
-def test_profile_contiguity_validation():
-    from fracbv import ConstantRegion, PiecewiseProfile
+def test_profile_shape_validation():
+    from fracbv import PiecewiseProfile
 
     ctx = FanContext(flux=power_law_flux(2.0, M=1.0), source=ZERO)
-    with pytest.raises(ValueError):
-        PiecewiseProfile(
-            ctx=ctx,
-            time=1.0,
-            regions=(ConstantRegion(0.0, 1.0, 0.1), ConstantRegion(1.5, 2.0, 0.2)),
-        )
+    bad = [
+        ((0.0, 1.0, 2.0), (False,), (0.1,)),  # k + 2 ends
+        ((0.0, 1.0), (False, True), (0.1, 0.0)),  # k ends
+        ((0.0, 1.0, 2.0), (False, True), (0.1,)),  # k - 1 anchors
+        ((0.0, 1.0, 2.0), (False,), (0.1, 0.2)),  # k - 1 flags
+        ((0.0,), (), ()),  # k = 0
+        (((0.0, 1.0),), ((False,),), ((0.1,),)),  # not 1-D
+    ]
+    for ends, fan, anchor in bad:
+        with pytest.raises(ValueError, match="k >= 1"):
+            PiecewiseProfile(ctx=ctx, time=1.0, ends=ends, fan=fan, anchor=anchor)
+    profile = PiecewiseProfile(ctx=ctx, time=1.0, ends=(0.0, 1.0, 2.0), fan=(False, True), anchor=(0.1, 2.0))
+    assert profile.span == (0.0, 2.0)
 
 
 def evaluation_points(profile, rng, n_random=400):
@@ -185,14 +196,34 @@ def evaluation_points(profile, rng, n_random=400):
     outside the span."""
     lo, hi = profile.span
     pad = 0.1 * (hi - lo)
-    ends = [r.left for r in profile.regions] + [r.right for r in profile.regions]
     outside = [lo - pad, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), hi + pad]
-    return np.concatenate((rng.uniform(lo - pad, hi + pad, size=n_random), ends, outside))
+    return np.concatenate((rng.uniform(lo - pad, hi + pad, size=n_random), profile.ends, outside))
+
+
+def scalar_values(profile, xs):
+    """Values region by region through the scalar fan profile, each point in
+    the region to its right at a shared end: the pointwise evaluator that
+    profiles had before they were arrays."""
+    lo, hi = profile.span
+    regions = profile.regions
+    lefts = [r.left for r in regions]
+    scale = math.exp(profile.ctx.source.cumulative_source(profile.time))
+    out = []
+    for x in xs.tolist():
+        region = regions[int(np.searchsorted(lefts, x, side="right")) - 1]
+        if x < lo or x > hi:
+            out.append(0.0)
+        elif isinstance(region, ConstantRegion):
+            out.append(region.w * scale)
+        else:
+            out.append(fan_profile(profile.ctx, x - region.center, profile.time) * scale)
+    return np.array(out)
 
 
 def assert_evaluate_matches_call(profile, xs, rtol):
     got = profile.evaluate(xs)
-    want = np.array([profile(float(x)) for x in xs])
+    assert np.array_equal(got, np.array([profile(float(x)) for x in xs]))
+    want = scalar_values(profile, xs)
     assert got.shape == xs.shape
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
     lo, hi = profile.span
@@ -209,7 +240,7 @@ class TestProfileEvaluate:
         P = make_packet(F, self.SRC, 0.3, 0.1, 0.5)
         t = when * P.t_n
         profile = packet_profile(F, self.SRC, P, t)
-        assert len(profile.regions) == (4 if t < P.t_n else 2)
+        assert profile.fan.size == (4 if t < P.t_n else 2)
         xs = evaluation_points(profile, np.random.default_rng(11))
         assert_evaluate_matches_call(profile, xs, 1e-14)
 
@@ -223,20 +254,18 @@ class TestProfileEvaluate:
         assert_evaluate_matches_call(profile, xs, 1e-14)
 
     def test_general_flux_is_exact(self):
-        from fracbv import ConstantRegion, FanRegion, PiecewiseProfile, user_flux
+        from fracbv import PiecewiseProfile, user_flux
 
         F = user_flux(lambda u: np.cosh(u) - 1.0, np.sinh, M=2.0)
         ctx = FanContext(flux=F, source=self.SRC)
         profile = PiecewiseProfile(
             ctx=ctx,
             time=1.0,
-            regions=(
-                FanRegion(-1.0, -0.4, center=-1.0),
-                ConstantRegion(-0.4, 0.0, w=0.3),
-                ConstantRegion(0.0, 0.4, w=-0.3),
-                FanRegion(0.4, 1.0, center=1.0),
-            ),
+            ends=(-1.0, -0.4, 0.0, 0.4, 1.0),
+            fan=(True, False, False, True),
+            anchor=(-1.0, 0.3, -0.3, 1.0),
         )
         xs = evaluation_points(profile, np.random.default_rng(13), n_random=12)
         got = profile.evaluate(xs)
         assert np.array_equal(got, np.array([profile(float(x)) for x in xs]))
+        assert np.array_equal(got, scalar_values(profile, xs))
