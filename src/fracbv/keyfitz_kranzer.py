@@ -11,14 +11,14 @@ length t 2^-i; summing their sizes against any candidate BV factor yields
 a lower-bound series with unit terms, which is the blow-up signature.
 
 Everything here is for the planar case (two space dimensions, two state
-components) with the affine default g(u) = u - |b|.
+components) with the affine g(u) = u - |b|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,8 +31,9 @@ class KKSetup:
 
     ``p`` is the reciprocal of the targeted fractional order, ``delta`` the
     extra exponent in the strip counts m_i = i^(p + p delta), ``n`` the
-    first dyadic band, ``i_max`` the band truncation.  ``g`` defaults to the
-    affine u - |b| (so the modulus bumps are exactly r_i = 2^-i).
+    first dyadic band, ``i_max`` the band truncation, ``M`` the support
+    box, by default 4 + 2|b|.  Rows move with speed g(u) = u - |b|, so the
+    modulus bumps are exactly r_i = 2^-i.
     """
 
     p: float
@@ -40,9 +41,7 @@ class KKSetup:
     b: Tuple[float, float] = (1.0, 0.0)
     n: int = 1
     i_max: int = 4
-    epsilon: Optional[float] = None
     M: Optional[float] = None
-    g: Optional[Callable] = None
     b_norm: float = field(init=False)
     beta: np.ndarray = field(init=False, repr=False)
 
@@ -57,14 +56,8 @@ class KKSetup:
             raise ConfigError("b must be nonzero")
         object.__setattr__(self, "b_norm", b_norm)
         object.__setattr__(self, "beta", b / b_norm)
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", 0.25 * b_norm)
-        if self.g is None:
-            object.__setattr__(self, "g", lambda u, _c=b_norm: u - _c)
         if self.M is None:
-            span = np.linspace(b_norm - 2 * self.epsilon, b_norm + 2 * self.epsilon, 257)
-            gmax = float(np.max(np.abs(np.asarray(self.g(span), dtype=float))))
-            object.__setattr__(self, "M", 4.0 * (1.0 + gmax))
+            object.__setattr__(self, "M", 4.0 + 2.0 * b_norm)
         if self.M <= 1.0:
             raise ConfigError("support box M must exceed 1")
 
@@ -77,25 +70,11 @@ class KKSetup:
         return max(1, int(math.floor(self.strip_count(i))))
 
     def bump(self, i: int) -> float:
-        """r_i with g(|b| + r_i) = 2^-i; exact 2^-i for the affine default."""
-        target = 2.0 ** (-i)
-        lo, hi = -2.0 * self.epsilon, 2.0 * self.epsilon
-        glo = float(self.g(self.b_norm + lo))
-        ghi = float(self.g(self.b_norm + hi))
-        if not glo <= target <= ghi:
-            raise ValueError(f"g does not reach 2^-{i} on the injectivity window")
-        # affine fast path keeps r_i exact
-        mid_slope = (ghi - glo) / (hi - lo)
-        r_affine = lo + (target - glo) / mid_slope
-        if abs(float(self.g(self.b_norm + r_affine)) - target) < 1e-15:
-            return r_affine
-        while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            if float(self.g(self.b_norm + mid)) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        """r_i = 2^-i, so that g(|b| + r_i) = 2^-i; at most |b|/2."""
+        r = 2.0 ** (-i)
+        if r > 0.5 * self.b_norm:
+            raise ValueError(f"bump 2^-{i} exceeds |b|/2 = {0.5 * self.b_norm}")
+        return r
 
     def rotated_direction(self, i: int) -> np.ndarray:
         """Unit vector at chord distance i^(-1-delta) from the base direction."""
@@ -168,7 +147,7 @@ def direction_at(setup: KKSetup, xs, ys) -> np.ndarray:
 
 
 def direction_at_time(setup: KKSetup, xs, ys, t: float) -> np.ndarray:
-    """Direction field at time t: rows shift by t * g(row modulus).
+    """Direction field at time t: rows shift by t * (row modulus - |b|).
 
     Rows whose modulus equals |b| are frozen; rows inside band i move with
     speed 2^-i (even strips) or 2^-i-1 (odd strips).  Valid while the
@@ -181,8 +160,7 @@ def direction_at_time(setup: KKSetup, xs, ys, t: float) -> np.ndarray:
         np.atleast_1d(np.asarray(xs, dtype=float)),
         np.atleast_1d(np.asarray(ys, dtype=float)),
     )
-    row_modulus = modulus_at(setup, np.zeros_like(ys), ys)
-    speed = np.asarray(setup.g(row_modulus), dtype=float)
+    speed = modulus_at(setup, np.zeros_like(ys), ys) - setup.b_norm
     return direction_at(setup, xs - t * speed, ys)
 
 

@@ -150,6 +150,8 @@ class SourceProfile:
                     return left + remainder / scale
                 # remainder = scale * (exp(p a tau) - 1) / (p a)
                 arg = remainder * p * value / scale
+                if arg <= -1.0:  # the target rounds onto the piece's end
+                    return right
                 return left + math.log1p(arg) / (p * value)
             acc = end
         raise AssertionError("unreachable: last piece is unbounded")

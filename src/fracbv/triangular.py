@@ -111,22 +111,28 @@ def _branches(setup: TriangularSetup, xs: np.ndarray, t: float):
     return loc, w, tn, branch
 
 
+def _branch_u(branch: int, x, w, tn, t: float, s: float):
+    """u on branch 1..4 (m1, m2, m3, m4) at local coordinate x of a pulse
+    with half-width w and formation time tn."""
+    if branch == 1:
+        return (x / t) ** s
+    if branch == 2:
+        return ((w - x) / (tn - t)) ** s
+    if branch == 3:
+        return -((x - w) / (tn - t)) ** s
+    return -((2.0 * w - x) / t) ** s
+
+
 def u_values(setup: TriangularSetup, xs, t: float) -> np.ndarray:
     """Sawtooth component at time t, vectorized over positions."""
     if not 0.0 <= t <= setup.T:
         raise ConfigError(f"need 0 <= t <= T={setup.T}, got {t}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     loc, w, tn, branch = _branches(setup, xs, t)
-    s = setup.s
     out = np.zeros_like(xs)
-    m = branch == 1
-    out[m] = (loc[m] / t) ** s
-    m = branch == 2
-    out[m] = ((w[m] - loc[m]) / (tn[m] - t)) ** s
-    m = branch == 3
-    out[m] = -((loc[m] - w[m]) / (tn[m] - t)) ** s
-    m = branch == 4
-    out[m] = -((2.0 * w[m] - loc[m]) / t) ** s
+    for b in (1, 2, 3, 4):
+        m = branch == b
+        out[m] = _branch_u(b, loc[m], w[m], tn[m], t, setup.s)
     return out
 
 
@@ -281,19 +287,18 @@ def continuity_defect(setup: TriangularSetup, t: float, n: Optional[int] = None)
     idx = np.arange(setup.N) if n is None else np.array([n - 1])
     w = setup.widths[idx]
     tn = setup.t_form[idx]
-    s = setup.s
     r = w / tn * t
-    b1 = lambda x: (x / t) ** s
-    b2 = lambda x: ((w - x) / (tn - t)) ** s
-    b3 = lambda x: -((x - w) / (tn - t)) ** s
-    b4 = lambda x: -((2.0 * w - x) / t) ** s
+
+    def u(branch, x):
+        return _branch_u(branch, x, w, tn, t, setup.s)
+
     defects = np.concatenate(
         [
-            np.abs(b1(np.zeros_like(w))),  # outer left seam against 0
-            np.abs(b1(r) - b2(r)),
-            np.abs(b2(w) - b3(w)),
-            np.abs(b3(2.0 * w - r) - b4(2.0 * w - r)),
-            np.abs(b4(2.0 * w)),  # outer right seam against 0
+            np.abs(u(1, np.zeros_like(w))),  # outer left seam against 0
+            np.abs(u(1, r) - u(2, r)),
+            np.abs(u(2, w) - u(3, w)),
+            np.abs(u(3, 2.0 * w - r) - u(4, 2.0 * w - r)),
+            np.abs(u(4, 2.0 * w)),  # outer right seam against 0
         ]
     )
     return float(np.max(defects))

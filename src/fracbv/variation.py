@@ -14,13 +14,16 @@ Scoring every pair (i, j) is quadratic in k.  :func:`p_variation` scores
 each extremum against the few predecessors that can still win, in two
 passes, and returns bit for bit what the full dynamic program returns.
 
-* The candidate pass keeps a live set of predecessors and scores them with
-  approximate powers (Python ``**`` while the set is small).  For p >= 1
-  the difference |v - v_i|^p - |v - v_j|^p is monotone in v, so once j
-  beats i by more than a margin at both ends of the range of the values
-  still to come (their min and max), i wins no later query and leaves the
-  live set.  For each j the pass records every predecessor whose score
-  comes within the margin of the top score.
+* The candidate pass keeps a live set of predecessors in a list and
+  scores them with approximate powers, Python ``**``.  For p >= 1 the
+  difference |v - v_i|^p - |v - v_j|^p is monotone in v, so once j beats i
+  by more than a margin at both ends of the range of the values still to
+  come (their min and max), i wins no later query and leaves the live set.
+  For each j the pass records every predecessor whose score comes within
+  the margin of the top score.  Where this pruning fails, the live set
+  grows past ``_SCALAR_LIVE`` predecessors and a fixed share of all of
+  them; the pass then gives up and the full dynamic program, which scores
+  every pair with numpy, runs instead.
 * The exact pass takes the power of every recorded pair in one numpy call,
   ``np.abs(v[J] - v[I]) ** p``: the ufunc and inputs of the full dynamic
   program, and numpy gives each element the same power wherever it sits in
@@ -129,18 +132,13 @@ def _candidate_indices(vs: np.ndarray) -> np.ndarray:
 # Margin of the candidate pass per link of the longest chain, relative to
 # the largest quantity compared: 2^-46 is 128 units of roundoff.
 _MARGIN_PER_LINK = 2.0 ** -46
-# The candidate pass scores live sets of up to this many predecessors with
-# scalar powers and larger ones with numpy, returning below half of it.
+# The candidate pass hands a live set of more than _SCALAR_LIVE predecessors,
+# and more than one in _HANDOFF_SHARE of them, to the full dynamic program:
+# numpy scores a pair about _HANDOFF_SHARE times faster than the Python loop.
 _SCALAR_LIVE = 48
+_HANDOFF_SHARE = 64
 # The chain check follows predecessors up to this many extrema back.
 _CHAIN_OFFSETS = 16
-# A numpy live set refreshes its scores at the ends of the values to come at
-# most every this many extrema.
-_REFRESH_EVERY = 8
-# From this many extrema on, a live set that holds more than a quarter of
-# the predecessors gives way to scoring every predecessor, as the full
-# dynamic program does.
-_FULL_SCAN_AFTER = 1024
 
 
 def _check_exponent(p: float) -> None:
@@ -196,7 +194,8 @@ def _best_predecessors(v: np.ndarray, p: float):
 
     ``best`` and ``prev`` are lists, ``prev`` None when every extremum's
     predecessor is its neighbour; ``scored`` counts the (j, i) pairs the
-    chain check and candidate pass scored, the work the pruning saves.
+    chain check and candidate pass scored, plus all k (k - 1) / 2 when the
+    full dynamic program runs: the work the pruning saves.
     """
     k = v.size
     if not _in_normal_range(v, p):
@@ -205,8 +204,12 @@ def _best_predecessors(v: np.ndarray, p: float):
     chain, scored = _chain_best(v, p)
     if chain is not None:
         return chain, None, scored
-    pairs_j, pairs_i, starts, candidates = _candidate_pairs(v, p)
+    pairs, candidates = _candidate_pairs(v, p)
     scored += candidates
+    if pairs is None:  # the live set grew large: score every pair
+        best, prev = _full_dynamic_program(v, p)
+        return best, prev, scored + k * (k - 1) // 2
+    pairs_j, pairs_i, starts = pairs
     powers = (np.abs(v[np.array(pairs_j)] - v[np.array(pairs_i)]) ** p).tolist()
     best = [0.0] * k
     prev = [-1] * k
@@ -269,14 +272,14 @@ def _chain_best(v: np.ndarray, p: float):
 def _candidate_pairs(v: np.ndarray, p: float):
     """Candidate pass: the predecessors that may attain best[j], for every j.
 
-    Returns (pairs_j, pairs_i, starts, scored): the pairs in order of j, then
-    of i, those of j at ``starts[j]:starts[j + 1]``, and the number of pairs
-    scored.  Live predecessors carry their approximate best and their scores
-    at the two ends [lo, hi] of the values still to come.  A live set above
-    ``_SCALAR_LIVE`` moves into the rows (index, value, best, score at lo,
-    score at hi) of one numpy array.  The ends only narrow, and scores kept
-    for a wider range still prune soundly, so the rows are refreshed at most
-    every ``_REFRESH_EVERY`` extrema.
+    Returns (pairs, scored): ``pairs`` is (pairs_j, pairs_i, starts), the
+    pairs in order of j, then of i, those of j at ``starts[j]:starts[j + 1]``,
+    and ``scored`` the number of pairs scored.  Live predecessors carry their
+    approximate best and their scores at the two ends [lo, hi] of the values
+    still to come, refreshed whenever the ends narrow.  ``pairs`` is None
+    when the pass gives up: once the live set holds more than
+    ``_SCALAR_LIVE`` predecessors and more than one in ``_HANDOFF_SHARE`` of
+    them, scoring every pair with numpy costs less.
     """
     k = v.size
     vals = v.tolist()
@@ -290,52 +293,25 @@ def _candidate_pairs(v: np.ndarray, p: float):
     at_lo[0] = abs(lo - vals[0]) ** p
     at_hi[0] = abs(hi - vals[0]) ** p
     live = [0]
-    rows = n = None  # numpy live set and its size
-    full = None  # approximate best of every predecessor, once all are scored
-    refreshed = 0
     pairs_j: List[int] = []
     pairs_i: List[int] = []
     starts = [0, 0]
     scored = 0
     for j in range(1, k):
         vj = vals[j]
-        if full is not None:
-            scored += j
-            scores = full[:j] + np.abs(vj - v[:j]) ** p
-            top = float(scores.max())
-            near = np.flatnonzero(scores >= top - tol * top).tolist()
-            pairs_j.extend([j] * len(near))
-            pairs_i.extend(near)
-            full[j] = top
-            starts.append(len(pairs_i))
-            continue
-        narrowed = lo_after[j + 1] != lo or hi_after[j + 1] != hi
-        if rows is None:
-            scored += len(live)
-            scores = [approx[i] + abs(vj - vals[i]) ** p for i in live]
-            top = max(scores)
-            cut = top - tol * top
-            for i, score in zip(live, scores):
-                if score >= cut:
-                    pairs_j.append(j)
-                    pairs_i.append(i)
-            if narrowed:
-                lo, hi = lo_after[j + 1], hi_after[j + 1]
-                for i in live:
-                    at_lo[i] = approx[i] + abs(lo - vals[i]) ** p
-                    at_hi[i] = approx[i] + abs(hi - vals[i]) ** p
-        else:
-            scored += n
-            scores = rows[2, :n] + np.abs(vj - rows[1, :n]) ** p
-            top = float(scores.max())
-            near = rows[0, :n][scores >= top - tol * top].astype(np.int64).tolist()
-            pairs_j.extend([j] * len(near))
-            pairs_i.extend(near)
-            if narrowed and j - refreshed >= _REFRESH_EVERY:
-                lo, hi = lo_after[j + 1], hi_after[j + 1]
-                refreshed = j
-                rows[3, :n] = rows[2, :n] + np.abs(lo - rows[1, :n]) ** p
-                rows[4, :n] = rows[2, :n] + np.abs(hi - rows[1, :n]) ** p
+        scored += len(live)
+        scores = [approx[i] + abs(vj - vals[i]) ** p for i in live]
+        top = max(scores)
+        cut = top - tol * top
+        for i, score in zip(live, scores):
+            if score >= cut:
+                pairs_j.append(j)
+                pairs_i.append(i)
+        if lo_after[j + 1] != lo or hi_after[j + 1] != hi:
+            lo, hi = lo_after[j + 1], hi_after[j + 1]
+            for i in live:
+                at_lo[i] = approx[i] + abs(lo - vals[i]) ** p
+                at_hi[i] = approx[i] + abs(hi - vals[i]) ** p
         approx[j] = top
         starts.append(len(pairs_i))
         # j's scores at the ends; it beats i for every later value once it
@@ -343,42 +319,19 @@ def _candidate_pairs(v: np.ndarray, p: float):
         score_lo = top + abs(lo - vj) ** p
         score_hi = top + abs(hi - vj) ** p
         margin = tol * (top + max(score_lo, score_hi))
-        if rows is None:
-            live = [i for i in live if at_lo[i] >= score_lo - margin or at_hi[i] >= score_hi - margin]
-            live.append(j)
-            at_lo[j] = score_lo
-            at_hi[j] = score_hi
-            if len(live) > _SCALAR_LIVE:
-                n = len(live)
-                rows = np.empty((5, k))
-                rows[0, :n] = live
-                rows[1, :n] = [vals[i] for i in live]
-                rows[2, :n] = [approx[i] for i in live]
-                rows[3, :n] = [at_lo[i] for i in live]
-                rows[4, :n] = [at_hi[i] for i in live]
-                refreshed = j
-        else:
-            keep = (rows[3, :n] >= score_lo - margin) | (rows[4, :n] >= score_hi - margin)
-            if not keep.all():
-                m = int(np.count_nonzero(keep))
-                rows[:, :m] = rows[:, :n][:, keep]
-                n = m
-            rows[:, n] = (j, vj, top, score_lo, score_hi)
-            n += 1
-            if j >= _FULL_SCAN_AFTER and 4 * n > j:
-                full = np.array(approx)
-            elif n < _SCALAR_LIVE // 2:
-                live = rows[0, :n].astype(np.int64).tolist()
-                for i, a, b in zip(live, rows[3, :n].tolist(), rows[4, :n].tolist()):
-                    at_lo[i] = a
-                    at_hi[i] = b
-                rows = None
-    return pairs_j, pairs_i, starts, scored
+        live = [i for i in live if at_lo[i] >= score_lo - margin or at_hi[i] >= score_hi - margin]
+        live.append(j)
+        at_lo[j] = score_lo
+        at_hi[j] = score_hi
+        if len(live) > _SCALAR_LIVE and _HANDOFF_SHARE * len(live) > j:
+            return None, scored
+    return (pairs_j, pairs_i, starts), scored
 
 
 def _full_dynamic_program(v: np.ndarray, p: float):
-    """Every predecessor scored with numpy: the reference loop, kept for data
-    whose scores leave the normal float range."""
+    """Every predecessor scored with numpy: the reference loop, run for data
+    whose scores leave the normal float range and for live sets the
+    candidate pass gives up on."""
     k = v.size
     best = np.zeros(k)
     prev = np.full(k, -1, dtype=np.int64)

@@ -86,6 +86,15 @@ def test_inverse_examples():
     )
 
 
+
+def test_inverse_of_a_target_rounding_onto_a_piece_end():
+    # the closed form's log1p argument rounds to -1 at the end of the
+    # saturated first piece, just below the limit
+    src = SourceProfile.piecewise([0.0, 1.0], [-40.0, -0.5])
+    target = src.effective_time(1.0, 1.0)
+    assert target == 0.025 < src.effective_time_limit(1.0)
+    assert src.effective_time_inverse(1.0, target) == 1.0
+
 @given(
     target=st.floats(min_value=1e-6, max_value=3.0),
     p=st.floats(min_value=1.0, max_value=4.0),

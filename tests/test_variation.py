@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -242,12 +243,11 @@ def test_powers_near_half_an_ulp_of_the_sum(p, scale, wiggles):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_numpy_and_full_scan_modes_are_bit_identical(seed, monkeypatch):
-    # tiny thresholds move the candidate pass through its numpy live set and
-    # its full scan on short inputs; the large final swing keeps most
+def test_handoff_to_the_full_dynamic_program_is_bit_identical(seed, monkeypatch):
+    # a tiny threshold makes the candidate pass hand its live set to the full
+    # dynamic program on short inputs; the large final swing keeps most
     # predecessors live, the drift narrows the range of values to come
     monkeypatch.setattr(variation, "_SCALAR_LIVE", 4)
-    monkeypatch.setattr(variation, "_FULL_SCAN_AFTER", 40)
     rng = np.random.default_rng(seed)
     for k in (30, 120, 400):
         shapes = (
@@ -258,8 +258,44 @@ def test_numpy_and_full_scan_modes_are_bit_identical(seed, monkeypatch):
             np.cumsum(rng.integers(-3, 4, k)).astype(float),
         )
         for vs in shapes:
+            vs = np.asarray(vs, dtype=float)
+            v = vs[variation._candidate_indices(vs)]
             for p in (1.0, 1.5, 2.0, 3.0, float(rng.uniform(1.0, 5.0))):
                 assert_matches_quadratic(vs, p)
+                if k == 400 and p > 1.0:  # the hand-off ran
+                    assert variation._best_predecessors(v, p)[2] >= v.size * (v.size - 1) // 2
+
+
+def family_samples(N, t, alpha="zero"):
+    """A power-law family profile (flux exponent 2), two samples per fan."""
+    return sample_profile(family_profile(power_law_family(2.0, parse_alpha(alpha), N), t), fan_points=2).vs
+
+
+def test_family_beyond_the_pruning_takes_little_memory():
+    # at order 1/4 the pairwise test keeps most of a family's extrema live;
+    # the full dynamic program then holds O(k) floats, not O(k^2) pairs
+    vs = family_samples(2000, 0.5)
+    f = sampled(vs)
+    tracemalloc.start()
+    try:
+        rep = p_variation(f, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.value, rep.subdivision) == quadratic_p_variation(vs, 4.0)
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("alpha", ["zero", "constant:0.3", "pw:0:-0.3,0.5:0.2"])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_family_profiles_at_orders_one_half_and_one_third_never_hand_off(alpha, t, monkeypatch):
+    def handed_off(v, p):
+        raise AssertionError("the candidate pass handed off")
+
+    monkeypatch.setattr(variation, "_full_dynamic_program", handed_off)
+    vs = family_samples(2000, t, alpha)
+    for p in (2.0, 3.0):
+        p_variation(sampled(vs), p)
 
 
 def test_extreme_ranges_take_the_full_dynamic_program():
