@@ -63,7 +63,6 @@ from .triangular import (
     alternating_initial_data,
     continuity_defect,
     flow_positions,
-    transport_velocity,
     transported_variation_sums,
     u_values,
     u_variation_lower_bounds,

@@ -10,7 +10,9 @@ of disjoint supports:
   metadata.  Each cell's states (a, b) solve a coupled pair of integral
   identities (equal state functionals, prescribed cell width); the initial
   jump position makes the cell mean-zero, and in large time exactly one
-  shock survives between two fans.
+  shock survives between two fans.  The shock position comes from
+  conservation of the cell's mass, in closed form before the fans meet and
+  by one bracketed root search after.
 
 Families are truncated at a finite index N for desk-scale evaluation.
 """
@@ -276,80 +278,53 @@ def shock_cell_family(
     return ShockCellFamily(flux=F, source=S, t0=t0, n0=n0, N=N, cells=tuple(cells))
 
 
-def _shock_position(cell: ShockCell, F: Flux, S: SourceProfile, t: float, ode_steps: int = 256):
-    """Shock position at time t: exact integral before t0, RK4 continuation after."""
-    a, b, tau = cell.a, cell.b, cell.tau
+def _shock_position(cell: ShockCell, F: Flux, S: SourceProfile, t: float) -> float:
+    """Shock position at time t, from conservation of the cell's mass.
 
-    def pre(tt: float) -> float:
-        return tau + flux_difference_drift(F, S, a, b, tt) / (a - b)
+    In w = u e^{-B} the cell's mass stays m0 = a (tau - A) + b (B - tau).  A
+    fan's integral over the offsets [0, x] is x V - Psi(V), V its value at x
+    and Psi the flux drift, so a shock at z with one-sided values w_l, w_r
+    leaves the mass (z - A) w_l + (B - z) w_r - Psi(w_l) + Psi(w_r), the last
+    two terms being :func:`flux_difference_drift`.  Before t0, w_l = a and
+    w_r = b; the identity is linear in z and gives tau + drift / (a - b).
+    From t0 on, w_l = V(z - A, t) and w_r = V(z - B, t); the mass then has
+    the derivative w_l - w_r > 0 in z, so z is its root on [A, B] (Lax's
+    equal-area rule).
+    """
+    a, b = cell.a, cell.b
+    if t <= cell.t0:
+        return cell.tau + flux_difference_drift(F, S, a, b, t) / (a - b)
+    fan = fan_at_time(FanContext(flux=F, source=S), t)
 
-    t0 = cell.t0
-    if t <= t0:
-        return pre(t)
-    ctx = FanContext(flux=F, source=S)
+    def mass(z: float) -> float:
+        w_l, w_r = fan(z - cell.A), fan(z - cell.B)
+        return (z - cell.A) * w_l + (cell.B - z) * w_r - flux_difference_drift(F, S, w_l, w_r, t)
 
-    def speed_at(tt: float):
-        """Shock speed at time tt as a function of position.
-
-        exp(B(tt)) and the fan's per-time work are shared by both fans and
-        by every stage at time tt.
-        """
-        scale = math.exp(S.cumulative_source(tt))
-        fan = fan_at_time(ctx, tt)
-
-        def speed(z: float) -> float:
-            ul = fan(z - cell.A) * scale
-            ur = fan(z - cell.B) * scale
-            if ul <= ur:
-                raise NumericsError("post-interaction shock lost admissibility")
-            return (F.f(ul) - F.f(ur)) / (ul - ur)
-
-        return speed
-
-    z = pre(t0)
-    steps = max(ode_steps, int(math.ceil((t - t0) / 0.05)))
-    h = (t - t0) / steps
-    tt = t0
-    speed_start = speed_at(tt)
-    for _ in range(steps):
-        # k2 and k3 share the midpoint time, and k4's time tt + h is the
-        # next step's tt
-        k1 = speed_start(z)
-        speed_mid = speed_at(tt + 0.5 * h)
-        k2 = speed_mid(z + 0.5 * h * k1)
-        k3 = speed_mid(z + 0.5 * h * k2)
-        speed_start = speed_at(tt + h)
-        k4 = speed_start(z + h * k3)
-        z += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tt += h
-    if not cell.A < z < cell.B:
-        raise NumericsError(f"shock escaped the cell: {z} not in ({cell.A}, {cell.B})")
-    return z
+    return bisect_increasing(mass, cell.A, cell.B, a * (cell.tau - cell.A) + b * (cell.B - cell.tau))
 
 
 def cell_profile(
-    cell: ShockCell, F: Flux, S: SourceProfile, t: float, ode_steps: int = 256
+    cell: ShockCell, F: Flux, S: SourceProfile, t: float, ode_steps: int | None = None
 ) -> PiecewiseProfile:
     """Region structure of the cell solution at time t.
 
     Before ``cell.t0``: fan / plateau a / plateau b / fan, with the shock
-    between the plateaus.  From ``cell.t0`` on: two fans and the shock.
+    between the plateaus.  From ``cell.t0`` on: two fans and the shock.  The
+    shock position comes from conservation of the cell's mass
+    (:func:`_shock_position`).  ``ode_steps`` is ignored: no ODE is
+    integrated.  It is accepted so that existing callers keep working.
     """
     if t <= 0.0:
         raise ValueError(f"cell profile needs t > 0, got {t}")
+    zeta = _shock_position(cell, F, S, t)
     if t < cell.t0:
         zeta_minus = cell.A + edge_travel_plus(F, S, t, cell.a)
         zeta_plus = cell.B - edge_travel_minus(F, S, t, cell.b)
-        zeta_0 = cell.tau + flux_difference_drift(F, S, cell.a, cell.b, t) / (
-            cell.a - cell.b
-        )
-        zeta_0 = min(max(zeta_0, zeta_minus), zeta_plus)
-        ends = (cell.A, zeta_minus, zeta_0, zeta_plus, cell.B)
+        ends = (cell.A, zeta_minus, min(max(zeta, zeta_minus), zeta_plus), zeta_plus, cell.B)
         fan = (True, False, False, True)
         anchor = (cell.A, cell.a, cell.b, cell.B)
     else:
-        zeta_m = _shock_position(cell, F, S, t, ode_steps=ode_steps)
-        ends, fan, anchor = (cell.A, zeta_m, cell.B), (True, True), (cell.A, cell.B)
+        ends, fan, anchor = (cell.A, zeta, cell.B), (True, True), (cell.A, cell.B)
     return PiecewiseProfile(FanContext(flux=F, source=S), t, ends, fan, anchor)
 
 

@@ -159,7 +159,7 @@ class SourceProfile:
 
 def _check_time(t: float) -> None:
     if not t >= 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
+        raise ConfigError(f"time must be non-negative, got {t}")
 
 
 def _exp_linear_integral(p: float, b0: float, slope: float, span: float) -> float:

@@ -136,13 +136,6 @@ def u_values(setup: TriangularSetup, xs, t: float) -> np.ndarray:
     return out
 
 
-def transport_velocity(setup: TriangularSetup, x, t: float):
-    """c(x, t) = f'(u(x, t)) = u |u|^(p-1); Lipschitz in x for fixed t in (0, T]."""
-    u = u_values(setup, x, t)
-    c = u * np.abs(u) ** (setup.p - 1.0)
-    return float(c[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else c
-
-
 def _flow_map(setup: TriangularSetup, xs: np.ndarray, t_from: float, t_to: float):
     """Positions at t_to of the characteristics through xs at t_from, with factor and branch.
 

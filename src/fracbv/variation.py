@@ -447,9 +447,9 @@ def smoothing_upper_bound(
     Diverges as t -> 0 (no smoothing at time zero).
     """
     if not 0.0 < t <= T:
-        raise ValueError("need 0 < t <= T")
+        raise ConfigError("need 0 < t <= T")
     if b <= a:
-        raise ValueError("need a < b")
+        raise ConfigError("need a < b")
     deg = F.degeneracy
     if deg is None:
         raise ValueError("flux carries no degeneracy metadata (p, c0)")

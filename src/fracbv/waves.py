@@ -141,7 +141,7 @@ def make_packet(F: Flux, S: SourceProfile, x_n: float, dx: float, delta: float) 
     if F.power is None:
         raise ValueError("packets require a power-law flux")
     if dx <= 0.0 or delta <= 0.0:
-        raise ValueError("packet needs dx > 0 and delta > 0")
+        raise ConfigError("packet needs dx > 0 and delta > 0")
     p = F.power
     t_n = S.effective_time_inverse(p, dx / delta**p)
     return Packet(x_n=float(x_n), dx=float(dx), delta=float(delta), p=p, t_n=t_n)
@@ -199,7 +199,7 @@ def packet_profile(F: Flux, S: SourceProfile, P: Packet, t: float) -> PiecewiseP
     fans meeting at the (stationary) center.
     """
     if t <= 0.0:
-        raise ValueError(f"packet profile needs t > 0, got {t}")
+        raise ConfigError(f"packet profile needs t > 0, got {t}")
     return _packet_layout(F, S, (P,), t)
 
 

@@ -151,6 +151,12 @@ def test_order_outside_unit_interval_rejected(argv, capsys):
         ["triangular", "--p", "2", "--T", "1", "--t", "-1", "--N", "3", "--sprime", "1"],
         ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "3", "--sprime", "1.5"],
         ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "3", "--sprime", "0"],
+        ["packet", "--p", "2", "--dx", "0.1", "--delta", "0.5", "--t", "-1"],
+        ["oracle", "--p", "2", "--init", "packet", "--cells", "100", "--t", "0"],
+        ["packet", "--p", "2", "--dx", "-1", "--delta", "0.5", "--t", "1"],
+        ["bound", "--p", "2", "--t", "2", "--a", "0", "--b", "1", "--T", "1"],
+        ["bound", "--p", "2", "--t", "1", "--a", "1", "--b", "0", "--T", "1"],
+        ["riemann", "--p", "2", "--wl", "1", "--wr", "-1", "--t", "-1"],
     ],
 )
 def test_validation_errors_exit_config(argv, capsys):

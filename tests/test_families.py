@@ -218,10 +218,11 @@ class TestCellSolution:
             assert left > right
 
 
-def per_stage_shock_position(cell, F, S, t, ode_steps=256):
-    """The shock position after t0 as computed before the per-time work was
-    shared: the source and both fans evaluated afresh at every RK4 stage.
-    The oracle for ``cell_profile``, which must match it bit for bit."""
+def rk4_shock_position(cell, F, S, t, steps=256):
+    """The shock position after t0 by RK4 on the Rankine-Hugoniot ODE
+    dz/dt = (f(u_l) - f(u_r)) / (u_l - u_r), with the source and both fans
+    evaluated afresh at every stage: an independent route to the
+    conservation identity that ``cell_profile`` solves."""
     ctx = FanContext(flux=F, source=S)
 
     def fan(x, tt):
@@ -243,7 +244,7 @@ def per_stage_shock_position(cell, F, S, t, ode_steps=256):
         return (F.f(ul) - F.f(ur)) / (ul - ur)
 
     z = cell.tau + flux_difference_drift(F, S, cell.a, cell.b, cell.t0) / (cell.a - cell.b)
-    steps = max(ode_steps, int(math.ceil((t - cell.t0) / 0.05)))
+    steps = max(steps, int(math.ceil((t - cell.t0) / 0.05)))
     h = (t - cell.t0) / steps
     tt = cell.t0
     for _ in range(steps):
@@ -256,24 +257,57 @@ def per_stage_shock_position(cell, F, S, t, ode_steps=256):
     return z
 
 
+PW2 = SourceProfile.piecewise([0.0, 0.5], [-0.3, 0.2])
+
+
 @pytest.mark.parametrize(
-    "F, S, cell, t, ode_steps",
+    "F, S, t0, n, t, steps",
     [
-        # an asymmetric cell, so the shock moves
-        (Q3, PW3, ShockCell(index=1, A=0.0, B=0.1, a=0.3, b=-0.2, tau=0.05, t0=1.0), 1.6, 256),
-        (Q3, SourceProfile.constant(-0.2), ShockCell(index=1, A=0.0, B=0.1, a=0.25, b=-0.3, tau=0.05, t0=0.8), 3.1, 256),
-        (ASYM, ZERO, None, 1.3, 8),
+        (Q3, PW3, 1.0, 2, 1.6, 256),
+        (Q3, SourceProfile.constant(-0.2), 0.8, 3, 3.1, 256),
+        # asymmetric states, so the shock moves; 64 steps keep RK4 within
+        # about 1e-13 of the cell width
+        (ASYM, ZERO, 1.0, 13, 1.3, 64),
+        (ASYM, PW2, 1.0, 13, 1.3, 64),
     ],
-    ids=["q3-pw3", "q3-constant", "general-flux"],
+    ids=["q3-pw3", "q3-constant", "general-flux", "general-flux-two-piece"],
 )
-def test_shared_per_time_work_keeps_the_shock_position(F, S, cell, t, ode_steps):
-    if cell is None:
-        a, b = solve_cell_states(F, S, 1.0, 0.0, 0.02)
-        cell = ShockCell(1, 0.0, 0.02, a, b, initial_shock_position(F, S, 1.0, 0.0, 0.02, a, b), 1.0)
-    got = cell_profile(cell, F, S, t, ode_steps=ode_steps).ends[1]
-    want = per_stage_shock_position(cell, F, S, t, ode_steps)
+def test_conserved_mass_shock_matches_rk4(F, S, t0, n, t, steps):
+    cell = shock_cell_family(F, S, t0, n, n_start=n).cells[0]
+    got = cell_profile(cell, F, S, t).ends[1]
+    want = rk4_shock_position(cell, F, S, t, steps)
     assert cell.A < got < cell.B
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert abs(got - want) <= 1e-11 * (cell.B - cell.A)
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("source", [ZERO, PW3], ids=["zero", "three-piece"])
+def test_power_law_shock_stays_at_the_midpoint(q, source):
+    # a = -b, so the two fans mirror each other and the shock does not move
+    F = power_law_flux(q, M=1.0, decay=Decay(q=q, C=1.0, r=1.0))
+    for c in shock_cell_family(F, source, 1.0, 8).cells:
+        mid = 0.5 * (c.A + c.B)
+        for t in (1.0 + 1e-9, 1.7, 8.0):
+            z = cell_profile(c, F, source, t).ends[1]
+            assert abs(z - mid) <= 2 * math.ulp(mid), (c.index, t, z, mid)
+
+
+def test_post_meeting_cost_does_not_grow_with_time(monkeypatch):
+    from fracbv import fanprofile
+
+    calls = Counter()
+    rootfind = fanprofile.fan_profile_rootfind
+
+    def counted(*args, **kwargs):
+        calls[args[2]] += 1
+        return rootfind(*args, **kwargs)
+
+    monkeypatch.setattr(fanprofile, "fan_profile_rootfind", counted)
+    cell = shock_cell_family(ASYM, ZERO, 1.0, 13, n_start=13).cells[0]
+    for t in (1.3, 5.0):
+        cell_profile(cell, ASYM, ZERO, t)
+    assert set(calls) == {1.3, 5.0}
+    assert calls[1.3] == calls[5.0] <= 64
 
 
 class TestCellMeetingTime:
@@ -296,7 +330,7 @@ class TestCellMeetingTime:
     def test_structure_switches_at_t0(self, sourced_family):
         for c in sourced_family.cells:
             assert cell_profile(c, Q3, self.SRC, c.t0 * (1.0 - 1e-9)).fan.size == 4
-            assert cell_profile(c, Q3, self.SRC, c.t0 * (1.0 + 1e-9), ode_steps=4).fan.size == 2
+            assert cell_profile(c, Q3, self.SRC, c.t0 * (1.0 + 1e-9)).fan.size == 2
 
 
 class TestFamilies:

@@ -505,7 +505,7 @@ def sampling_profiles():
     tau = initial_shock_position(ASYM, ZERO, 1.0, 0.0, 0.02, a, b)
     cell = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=tau, t0=1.0)
     yield "general-flux-before", cell_profile(cell, ASYM, ZERO, 0.5)
-    yield "general-flux-after", cell_profile(cell, ASYM, ZERO, 1.3, ode_steps=8)
+    yield "general-flux-after", cell_profile(cell, ASYM, ZERO, 1.3)
     # a trailing fan of zero width next to fans of nonzero width: numpy's
     # linspace takes another formula for a whole call once any step is zero
     ctx = FanContext(flux=power_law_flux(2.0, M=1.0), source=pw)
