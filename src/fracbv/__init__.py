@@ -23,12 +23,8 @@ from .fanprofile import (
 from .waves import (
     ConstantRegion,
     FanRegion,
-    Packet,
     PiecewiseProfile,
-    fan_edges,
     flux_difference_drift,
-    make_packet,
-    packet_profile,
     riemann_shock,
     speed_bound,
 )
@@ -40,7 +36,9 @@ from .families import (
     edge_travel_minus,
     edge_travel_plus,
     family_profile,
+    fan_edges,
     initial_shock_position,
+    make_packet,
     power_law_family,
     shock_cell_family,
     solve_cell_states,

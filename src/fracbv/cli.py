@@ -18,14 +18,10 @@ import numpy as np
 
 from . import godunov, keyfitz_kranzer as kk, triangular, variation
 from .errors import ConfigError, NumericsError
-from .families import (
-    family_profile,
-    power_law_family,
-    shock_cell_family,
-)
+from .families import cell_profile, family_profile, make_packet, power_law_family, shock_cell_family
 from .flux import Decay, power_law_flux
 from .source import parse_alpha
-from .waves import make_packet, packet_profile, riemann_shock, speed_bound
+from .waves import riemann_shock, speed_bound
 
 SCHEMA = 1
 
@@ -112,7 +108,7 @@ def _cmd_packet(cfg: RunConfig) -> int:
     source = parse_alpha(o["alpha"])
     flux = power_law_flux(o["p"], M=o["delta"])
     packet = make_packet(flux, source, o["center"], o["dx"], o["delta"])
-    profile = packet_profile(flux, source, packet, o["t"])
+    profile = cell_profile(packet, flux, source, o["t"])
     _emit_profile(cfg, variation.sample_profile(profile, fan_points=o["samples"]))
     return 0
 
@@ -209,21 +205,21 @@ def _cmd_oracle(cfg: RunConfig) -> int:
             )
 
         def exact(xs, t):
-            return packet_profile(flux, source, packet, t).evaluate(xs)
+            return cell_profile(packet, flux, source, t).evaluate(xs)
 
     else:  # family
         family = _build_family({**o, "kind": "powerlaw"})
         flux = family.flux
-        lo = family.packets[0].support[0]
-        hi = family.packets[-1].support[1]
+        lo = family.cells[0].A
+        hi = family.cells[-1].B
         pad = 0.1 * (hi - lo)
         domain = (lo - pad, hi + pad)
 
         def initial(xs):
             out = np.zeros_like(xs)
-            for pk in family.packets:
-                out = np.where((xs >= pk.support[0]) & (xs < pk.x_n), pk.delta, out)
-                out = np.where((xs >= pk.x_n) & (xs <= pk.support[1]), -pk.delta, out)
+            for c in family.cells:
+                out = np.where((xs >= c.A) & (xs < c.tau), c.a, out)
+                out = np.where((xs >= c.tau) & (xs <= c.B), c.b, out)
             return out
 
         def exact(xs, t):
@@ -349,10 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    # only the profile commands, packet and family, have a choice of format
+    profile = argparse.ArgumentParser(add_help=False, parents=[common])
+    profile.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("packet", parents=[common], help="single antisymmetric packet profile")
+    sp = sub.add_parser("packet", parents=[profile], help="single antisymmetric packet profile", description=(
+        "Profile of +delta on [center - dx, center), -delta on [center, center + dx]: the two-state cell a = -b = delta."
+    ))
     sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
     sp.add_argument("--dx", type=_finite_float, required=True)
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", type=_finite_float, default=0.0)
     sp.add_argument("--t", type=_finite_float, required=True)
 
-    sp = sub.add_parser("family", parents=[common], help="truncated counterexample family profile")
+    sp = sub.add_parser("family", parents=[profile], help="truncated counterexample family profile")
     sp.add_argument("--kind", choices=("powerlaw", "assp"), default="powerlaw")
     sp.add_argument("--p", "--q", dest="p", type=_finite_float, required=True)
     sp.add_argument("--alpha", default="zero")
@@ -472,11 +472,11 @@ def main(argv=None) -> int:
     behaves as in a fresh process.  Rejected arguments raise SystemExit(2)
     from argparse.
     """
-    ns = _parser().parse_args(argv)
-    options = {k: v for k, v in vars(ns).items() if k not in {"command", "out", "format"}}
-    if ns.command == "kk" and options.get("imax") is None:
+    options = vars(_parser().parse_args(argv))
+    command, out, fmt = options.pop("command"), options.pop("out"), options.pop("format", "csv")
+    if command == "kk" and options.get("imax") is None:
         options["imax"] = max(options["n"], 4)
-    config = RunConfig(command=ns.command, options=options, out=ns.out, format=ns.format)
+    config = RunConfig(command=command, options=options, out=out, format=fmt)
     return dispatch(config)
 
 

@@ -1,19 +1,24 @@
 """Infinite families of compactly supported counterexample solutions.
 
-Two constructions share the same center placement on a convergent sequence
-of disjoint supports:
+Every member is a two-state cell (:class:`ShockCell`): state a left of a
+jump at tau, state b right of it, on a support [A, B], with both inner fan
+edges reaching tau at the meeting time t0.  Before t0 a cell is fan /
+plateau a / plateau b / fan with the shock between the plateaus; from t0
+on it is two fans and the one surviving shock.  Two constructions share
+the same support placement on a convergent sequence of disjoint supports:
 
-* PowerLawFamily: antisymmetric packets for the power-law flux, with
-  amplitudes tuned so the interaction times increase without bound while
-  every fractional variation of order above the smoothing order diverges.
-* ShockCellFamily: two-state cells for a general convex flux with decay
-  metadata.  Each cell's states (a, b) solve a coupled pair of integral
-  identities (equal state functionals, prescribed cell width); the initial
-  jump position makes the cell mean-zero, and in large time exactly one
-  shock survives between two fans.  The shock position comes from
-  conservation of the cell's mass, in closed form before the fans meet and
-  by one bracketed root search after.
+* PowerLawFamily: antisymmetric packets for the power-law flux, the
+  symmetric cells a = delta = -b, tau = x_n, t0 = t_n, with amplitudes
+  tuned so the interaction times t_n increase without bound while every
+  fractional variation of order above the smoothing order diverges.
+* ShockCellFamily: cells for a general convex flux with decay metadata,
+  all with one meeting time t0.  Each cell's states (a, b) solve a coupled
+  pair of integral identities (equal state functionals, prescribed cell
+  width); the initial jump position makes the cell mean-zero.  The shock
+  position comes from conservation of the cell's mass, in closed form
+  before the fans meet and by one bracketed root search after.
 
+One array layout builds the profile of one cell and of a whole family.
 Families are truncated at a finite index N for desk-scale evaluation.
 """
 
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,13 +40,7 @@ from .fanprofile import (
 )
 from .flux import Flux, power_law_flux
 from .source import SourceProfile
-from .waves import (
-    Packet,
-    PiecewiseProfile,
-    _packet_layout,
-    flux_difference_drift,
-    make_packet,
-)
+from .waves import PiecewiseProfile, flux_difference_drift
 
 
 def packet_width(n: int) -> float:
@@ -54,36 +53,28 @@ def packet_amplitude(n: int, p: float) -> float:
     return (n * math.log(n + 1.0) ** 3) ** (-1.0 / p)
 
 
-@dataclass(frozen=True)
-class PowerLawFamily:
-    flux: Flux
-    source: SourceProfile
-    N: int
-    packets: Tuple[Packet, ...]
+def _supports(n0: int, N: int) -> Iterator[Tuple[int, float, float]]:
+    """(n, center, half-width) of supports n0..N, centers 4 * prefix + 2 * width.
 
-
-def power_law_family(p: float, source: SourceProfile, N: int) -> PowerLawFamily:
-    """First N packets of the power-law counterexample family."""
-    if N < 0:
-        raise ValueError("truncation must be non-negative")
-    flux = power_law_flux(p, M=packet_amplitude(1, p))  # amplitudes decrease in n
-    packets = []
-    prefix = 0.0  # running sum of widths, so centers cost O(N) overall
-    for n in range(1, N + 1):
+    ``prefix`` is the sum of the half-widths before n, added one by one, so
+    centers cost O(N) overall and the supports stay disjoint.
+    """
+    prefix = sum(packet_width(k) for k in range(1, n0))
+    for n in range(n0, N + 1):
         width = packet_width(n)
-        center = 4.0 * prefix + 2.0 * width
+        yield n, 4.0 * prefix + 2.0 * width, width
         prefix += width
-        packets.append(make_packet(flux, source, center, width, packet_amplitude(n, p)))
-    return PowerLawFamily(flux=flux, source=source, N=N, packets=tuple(packets))
 
 
 @dataclass(frozen=True)
 class ShockCell:
     """Cell n on [A, B]: state a left of the initial jump at tau, b right of it.
 
-    ``t0`` is the family's meeting time: the inner fan edges and the shock
+    ``t0`` is the cell's meeting time: the inner fan edges and the shock
     meet at time t0, where both plateaus vanish and the cell becomes two
-    fans separated by the surviving shock.
+    fans separated by the surviving shock.  An antisymmetric packet is the
+    cell with a = -b; its t0 is infinite when the effective time saturates
+    before the fan edges meet.
     """
 
     index: int
@@ -93,6 +84,49 @@ class ShockCell:
     b: float
     tau: float
     t0: float
+
+
+@dataclass(frozen=True)
+class PowerLawFamily:
+    flux: Flux
+    source: SourceProfile
+    N: int
+    cells: Tuple[ShockCell, ...]
+
+
+def _packet(S: SourceProfile, p: float, n: int, x_n: float, dx: float, delta: float) -> ShockCell:
+    """Packet n: +delta on [x_n - dx, x_n), -delta on [x_n, x_n + dx].
+
+    Its fan edges meet at x_n at the interaction time t_n, where the
+    effective time G_p(t_n) reaches dx / delta^p.
+    """
+    t_n = S.effective_time_inverse(p, dx / delta**p)
+    return ShockCell(index=n, A=x_n - dx, B=x_n + dx, a=delta, b=-delta, tau=x_n, t0=t_n)
+
+
+def make_packet(F: Flux, S: SourceProfile, x_n: float, dx: float, delta: float) -> ShockCell:
+    """A lone antisymmetric packet, as cell 1, for a power-law flux.
+
+    Raises ValueError for another flux and ConfigError unless dx > 0 and
+    delta > 0.
+    """
+    if F.power is None:
+        raise ValueError("packets require a power-law flux")
+    if dx <= 0.0 or delta <= 0.0:
+        raise ConfigError("packet needs dx > 0 and delta > 0")
+    return _packet(S, F.power, 1, float(x_n), float(dx), float(delta))
+
+
+def power_law_family(p: float, source: SourceProfile, N: int) -> PowerLawFamily:
+    """First N packets of the power-law counterexample family."""
+    if N < 0:
+        raise ValueError("truncation must be non-negative")
+    flux = power_law_flux(p, M=packet_amplitude(1, p))  # amplitudes decrease in n
+    cells = tuple(
+        _packet(source, flux.power, n, center, width, packet_amplitude(n, p))
+        for n, center, width in _supports(1, N)
+    )
+    return PowerLawFamily(flux=flux, source=source, N=N, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -264,11 +298,7 @@ def shock_cell_family(
     q, C = F.decay.q, F.decay.C
     c0 = C * S.effective_time(q, t0)
     cells: List[ShockCell] = []
-    prefix = sum(packet_width(k) for k in range(1, n0))
-    for n in range(n0, N + 1):
-        width = packet_width(n)
-        center = 4.0 * prefix + 2.0 * width
-        prefix += width
+    for n, center, width in _supports(n0, N):
         A, B = center - width, center + width
         a, b = _solve_states(F, S, t0, B - A, anchors)
         tau = initial_shock_position(F, S, t0, A, B, a, b)
@@ -303,53 +333,82 @@ def _shock_position(cell: ShockCell, F: Flux, S: SourceProfile, t: float) -> flo
     return bisect_increasing(mass, cell.A, cell.B, a * (cell.tau - cell.A) + b * (cell.B - cell.tau))
 
 
+def fan_edges(F: Flux, S: SourceProfile, cell: ShockCell, t: float):
+    """Positions (zeta_minus, zeta_plus) of the cell's inner fan edges at time t.
+
+    zeta_minus is where the left fan, centered at A, reaches a; zeta_plus
+    is where the right fan, centered at B, reaches b.  A fan reaches level
+    w at the offset from its center given by the slope time integral at w.
+    The edges meet at tau at the meeting time; after it they have crossed,
+    and the raw positions are still returned.
+    """
+    if t <= 0.0:
+        raise ValueError(f"fan edges need t > 0, got {t}")
+    return cell.A + slope_time_integral(F, S, cell.a, t), cell.B + slope_time_integral(F, S, cell.b, t)
+
+
+def _cell_layout(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float) -> PiecewiseProfile:
+    """Cells side by side at time t > 0, in order, zero between them.
+
+    Each cell takes five slots: fan, plateau a, plateau b, fan and the zero
+    gap to the next cell, which the last cell does not take.  From its t0
+    on a cell's plateaus are dropped and its fans meet at the shock; before
+    t0 the shock is clipped to the fan edges.  For a power-law flux G_p(t)
+    is taken once and each state's reach w |w|^(p-1) as a Python float, so
+    the fan edges are those of :func:`fan_edges` bit for bit; a general
+    flux takes :func:`fan_edges` per cell.  The shock is
+    :func:`_shock_position`, except in a cell with b = -a under a power-law
+    flux: its data are odd about tau and the flux is even, so the shock
+    stays at tau.  No cells make a profile that is zero on [0, 1].
+    """
+    if t <= 0.0:
+        raise ConfigError(f"profile needs t > 0, got {t}")
+    ctx = FanContext(flux=F, source=S)
+    if not cells:
+        return PiecewiseProfile(ctx, t, (0.0, 1.0), (False,), (0.0,))
+    A, B, a, b, tau, t0 = np.array([(c.A, c.B, c.a, c.b, c.tau, c.t0) for c in cells]).T
+    shock = tau.copy()
+    p = F.power
+    if p is None:
+        zeta_minus, zeta_plus = np.array([fan_edges(F, S, c, t) for c in cells]).T
+        moving = range(len(cells))
+    else:
+        e = p - 1.0
+        moving = np.flatnonzero(b != -a)
+        reach_a = np.array([w * abs(w) ** e for w in a.tolist()])
+        reach_b = -reach_a  # b |b|^(p-1) where b = -a
+        reach_b[moving] = [w * abs(w) ** e for w in b[moving].tolist()]
+        g = S.effective_time(p, t)
+        zeta_minus, zeta_plus = A + reach_a * g, B + reach_b * g
+    for i in moving:
+        shock[i] = _shock_position(cells[i], F, S, t)
+    before = t < t0
+    inner = np.minimum(np.maximum(shock, zeta_minus), zeta_plus)
+    ends = np.column_stack((A, zeta_minus, inner, np.where(before, zeta_plus, shock), B)).ravel()
+    fan = np.tile([True, False, False, True, False], len(cells))
+    anchor = np.column_stack((A, a, b, B, np.zeros_like(A))).ravel()
+    keep = np.repeat(before, 5) | np.tile([True, False, False, True, True], len(cells))
+    return PiecewiseProfile(ctx, t, ends[keep], fan[keep][:-1], anchor[keep][:-1])
+
+
 def cell_profile(
     cell: ShockCell, F: Flux, S: SourceProfile, t: float, ode_steps: int | None = None
 ) -> PiecewiseProfile:
-    """Region structure of the cell solution at time t.
+    """Region structure of the cell solution at time t > 0.
 
     Before ``cell.t0``: fan / plateau a / plateau b / fan, with the shock
-    between the plateaus.  From ``cell.t0`` on: two fans and the shock.  The
-    shock position comes from conservation of the cell's mass
-    (:func:`_shock_position`).  ``ode_steps`` is ignored: no ODE is
-    integrated.  It is accepted so that existing callers keep working.
+    between the plateaus.  From ``cell.t0`` on: two fans and the shock.
+    This is :func:`family_profile`'s layout on one cell.  ``ode_steps`` is
+    ignored: no ODE is integrated.  It is accepted so that existing callers
+    keep working.
     """
-    if t <= 0.0:
-        raise ValueError(f"cell profile needs t > 0, got {t}")
-    zeta = _shock_position(cell, F, S, t)
-    if t < cell.t0:
-        zeta_minus = cell.A + edge_travel_plus(F, S, t, cell.a)
-        zeta_plus = cell.B - edge_travel_minus(F, S, t, cell.b)
-        ends = (cell.A, zeta_minus, min(max(zeta, zeta_minus), zeta_plus), zeta_plus, cell.B)
-        fan = (True, False, False, True)
-        anchor = (cell.A, cell.a, cell.b, cell.B)
-    else:
-        ends, fan, anchor = (cell.A, zeta, cell.B), (True, True), (cell.A, cell.B)
-    return PiecewiseProfile(FanContext(flux=F, source=S), t, ends, fan, anchor)
+    return _cell_layout(F, S, (cell,), t)
 
 
 def family_profile(family, t: float) -> PiecewiseProfile:
-    """Disjoint union of the member profiles, zero-filled between supports.
+    """The family's cells laid out at time t > 0, zero between supports.
 
-    A power-law family's packets are laid out in one pass, as
-    :func:`packet_profile` lays out one; a shock-cell family has one
-    :func:`cell_profile` per cell.  The members' arrays are joined with a
-    zero region between supports.  An empty family is zero on [0, 1].
+    One array layout for both kinds of family (see :func:`cell_profile`).
+    An empty family is zero on [0, 1].
     """
-    if t <= 0.0:
-        raise ConfigError(f"family profile needs t > 0, got {t}")
-    F, S = family.flux, family.source
-    if isinstance(family, PowerLawFamily):
-        members = [_packet_layout(F, S, family.packets, t)] if family.packets else []
-    elif isinstance(family, ShockCellFamily):
-        members = [cell_profile(c, F, S, t) for c in family.cells]
-    else:
-        raise TypeError(f"unsupported family type {type(family).__name__}")
-    if not members:
-        return PiecewiseProfile(FanContext(flux=F, source=S), t, (0.0, 1.0), (False,), (0.0,))
-    return PiecewiseProfile(
-        members[0].ctx, t,
-        np.concatenate([m.ends for m in members]),
-        np.concatenate([np.append(m.fan, False) for m in members])[:-1],
-        np.concatenate([np.append(m.anchor, 0.0) for m in members])[:-1],
-    )
+    return _cell_layout(family.flux, family.source, family.cells, t)

@@ -42,7 +42,7 @@ class Flux:
     """Convex flux on [-M, M].
 
     ``f``/``df`` are raw callables (vectorized over numpy arrays) without
-    domain checks; use :meth:`value`/:meth:`slope` for checked evaluation.
+    domain checks.
     ``power`` is the power-law exponent p when the flux is
     |u|^(p+1)/(p+1), else None.
     """
@@ -53,16 +53,6 @@ class Flux:
     power: Optional[float] = None
     degeneracy: Optional[Degeneracy] = None
     decay: Optional[Decay] = None
-
-    def value(self, u: float) -> float:
-        if abs(u) > self.M * (1.0 + 1e-14):
-            raise ValueError(f"flux argument {u} outside [-M, M] with M={self.M}")
-        return float(self.f(u))
-
-    def slope(self, u: float) -> float:
-        if abs(u) > self.M * (1.0 + 1e-14):
-            raise ValueError(f"flux argument {u} outside [-M, M] with M={self.M}")
-        return float(self.df(u))
 
 
 def power_law_flux(p: float, M: float = 1.0, decay: Optional[Decay] = None) -> Flux:

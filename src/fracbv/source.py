@@ -72,10 +72,6 @@ class SourceProfile:
     def sup_norm(self) -> float:
         return max(abs(v) for v in self.values)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
-
     def cumulative_source(self, t: float) -> float:
         """B(t): piecewise-linear primitive of alpha, B(0) = 0."""
         _check_time(t)

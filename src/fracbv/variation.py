@@ -113,20 +113,23 @@ class VariationReport:
 
 
 def _candidate_indices(vs: np.ndarray) -> np.ndarray:
-    """Endpoint and local-extrema indices; plateau runs keep both endpoints."""
+    """Endpoint and local-extrema indices, a plateau run by its first index.
+
+    The rest of a run changes neither value nor subdivision: it has its
+    first index's value, best, chain length and predecessor, so it only
+    ties with it, and ties go to the earlier index.
+    """
     n = vs.size
     if n <= 2:
         return np.arange(n)
-    change = np.nonzero(vs[1:] != vs[:-1])[0]
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [n - 1]))
+    starts = np.concatenate(([0], np.nonzero(vs[1:] != vs[:-1])[0] + 1))
     w = vs[starts]
     if w.size == 1:  # constant data
         return np.array([0, n - 1])
     up = w[1:] > w[:-1]  # compared, not subtracted: differences may overflow
     keep = np.ones(w.size, dtype=bool)
     keep[1:-1] = up[:-1] != up[1:]
-    return np.unique(np.concatenate((starts[keep], ends[keep])))
+    return starts[keep]
 
 
 # Margin of the candidate pass per link of the longest chain, relative to
@@ -469,7 +472,7 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     two-state cell families it is the min of the construction-time and
     evolution-time degeneracy bounds.
     """
-    from .families import PowerLawFamily, ShockCellFamily
+    from .families import PowerLawFamily, ShockCellFamily, packet_width
 
     if t <= 0.0:
         raise ConfigError(f"need t > 0, got {t}")
@@ -479,14 +482,14 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     scale = math.exp(family.source.cumulative_source(t))
     if isinstance(family, PowerLawFamily):
         ctx = FanContext(flux=family.flux, source=family.source)
-        for n, packet in enumerate(family.packets[:N], start=1):
-            if t < packet.t_n:
-                jump = 2.0 * packet.delta * scale
-            else:
-                jump = 2.0 * fan_profile(ctx, packet.dx, t) * scale
+        for cell in family.cells[:N]:
+            if t < cell.t0:
+                jump = 2.0 * cell.a * scale
+            else:  # the fan value at the packet's half-width
+                jump = 2.0 * fan_profile(ctx, packet_width(cell.index), t) * scale
             bound = jump ** (1.0 / s)
             cum += bound
-            rows.append((n, bound, cum))
+            rows.append((cell.index, bound, cum))
         return rows
     if isinstance(family, ShockCellFamily):
         decay = family.flux.decay

@@ -1,22 +1,24 @@
-"""Exact entropy-solution structures: shocks, fans, antisymmetric packets.
+"""Exact entropy-solution structures: shocks and fans.
 
 Solutions of u_t + f(u)_x = alpha(t) u built from structured initial data
 are stored as three arrays: k + 1 region ends, k fan flags and k anchors
 (the level of a constant region, the center of a fan).  They evaluate
 pointwise without any discretization.  Jumps stay sharp; sampling for
-variation measurements happens elsewhere.
+variation measurements happens elsewhere.  Two-state cells, packets
+among them, and their layout into profiles live in :mod:`fracbv.families`;
+this module holds the profile, the flux drift and the single shock.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .fanprofile import FanContext, fan_values, slope_time_integral, source_time_integral
+from .fanprofile import FanContext, fan_values, source_time_integral
 from .flux import Flux
 from .source import SourceProfile
 
@@ -118,35 +120,6 @@ class PiecewiseProfile:
         return tuple(self._values(np.array([x, x]), np.array([left, right])).tolist())
 
 
-@dataclass(frozen=True)
-class Packet:
-    """Antisymmetric square pulse: +delta on [x_n - dx, x_n], -delta after.
-
-    ``t_n`` is the interaction time at which the two fan edges meet at x_n;
-    it is infinite when the effective time saturates below dx / delta^p.
-    """
-
-    x_n: float
-    dx: float
-    delta: float
-    p: float
-    t_n: float
-
-    @property
-    def support(self) -> Tuple[float, float]:
-        return self.x_n - self.dx, self.x_n + self.dx
-
-
-def make_packet(F: Flux, S: SourceProfile, x_n: float, dx: float, delta: float) -> Packet:
-    if F.power is None:
-        raise ValueError("packets require a power-law flux")
-    if dx <= 0.0 or delta <= 0.0:
-        raise ConfigError("packet needs dx > 0 and delta > 0")
-    p = F.power
-    t_n = S.effective_time_inverse(p, dx / delta**p)
-    return Packet(x_n=float(x_n), dx=float(dx), delta=float(delta), p=p, t_n=t_n)
-
-
 def flux_difference_drift(F: Flux, S: SourceProfile, w_plus: float, w_minus: float, t: float) -> float:
     """integral of [f(w_plus e^B) - f(w_minus e^B)] e^{-B} over [0, t].
 
@@ -173,62 +146,6 @@ def riemann_shock(
     drift = flux_difference_drift(F, S, w_plus, w_minus, t) / (w_plus - w_minus)
     scale = math.exp(S.cumulative_source(t))
     return x0 + drift, w_minus * scale, w_plus * scale
-
-
-def fan_edges(F: Flux, S: SourceProfile, packet: Packet, t: float):
-    """Positions (zeta_L, zeta_R) of the packet's inner fan edges at time t.
-
-    zeta_L is where the left fan reaches +delta, zeta_R where the right fan
-    reaches -delta.  A fan reaches level w at the offset from its center
-    given by the slope time integral at w.  After the interaction time the
-    edges have crossed; the raw solutions are still returned.
-    """
-    if t <= 0.0:
-        raise ValueError(f"fan edges need t > 0, got {t}")
-    x_l, x_r = packet.support
-    zeta_l = x_l + slope_time_integral(F, S, packet.delta, t)
-    zeta_r = x_r + slope_time_integral(F, S, -packet.delta, t)
-    return zeta_l, zeta_r
-
-
-def packet_profile(F: Flux, S: SourceProfile, P: Packet, t: float) -> PiecewiseProfile:
-    """Region structure of the packet solution at time t.
-
-    Before the interaction time: fan / plateau +delta / plateau -delta / fan
-    with a single shock at the center.  From the interaction time on: two
-    fans meeting at the (stationary) center.
-    """
-    if t <= 0.0:
-        raise ConfigError(f"packet profile needs t > 0, got {t}")
-    return _packet_layout(F, S, (P,), t)
-
-
-def _packet_layout(F: Flux, S: SourceProfile, packets: Sequence[Packet], t: float):
-    """Packets side by side at time t > 0, in order, zero between them.
-
-    Each packet takes five slots: fan, plateau +delta, plateau -delta, fan
-    and the zero gap to the next packet, which the last packet does not
-    take.  From its interaction time on a packet's plateaus are dropped and
-    its fans meet at the center.  The effective time G is taken once and
-    delta |delta|^(p-1) once per packet, as a Python float; numpy rounds
-    the products and sums with it as Python does, so the fan edges are
-    those of :func:`fan_edges` bit for bit.
-    """
-    p = F.power
-    g = S.effective_time(p, t)
-    x_n, dx, delta, t_n, reach = np.array(
-        [(P.x_n, P.dx, P.delta, P.t_n, P.delta * abs(P.delta) ** (p - 1.0)) for P in packets]
-    ).T
-    x_l, x_r = x_n - dx, x_n + dx
-    before = t < t_n
-    zeta_r = np.where(before, x_r - reach * g, x_n)
-    ends = np.column_stack((x_l, x_l + reach * g, x_n, zeta_r, x_r)).ravel()
-    fan = np.tile([True, False, False, True, False], len(packets))
-    anchor = np.column_stack((x_l, delta, -delta, x_r, np.zeros_like(x_n))).ravel()
-    keep = np.repeat(before, 5) | np.tile([True, False, False, True, True], len(packets))
-    return PiecewiseProfile(
-        FanContext(flux=F, source=S), t, ends[keep], fan[keep][:-1], anchor[keep][:-1]
-    )
 
 
 def speed_bound(F: Flux, S: SourceProfile, T: float) -> float:

@@ -237,6 +237,22 @@ def test_zero_width_fan_region_is_sampled(t, center, capsys):
     assert us == (0.0, 0.5, -0.5, -0.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["riemann", "--p", "2", "--wl", "1", "--wr", "-1", "--t", "1"],
+        ["assp", "--q", "3", "--N", "3"],
+        ["bound", "--p", "2", "--t", "1", "--a", "0", "--b", "1", "--T", "1"],
+    ],
+)
+def test_format_only_on_profile_commands(argv, capsys):
+    # only packet and family write a profile whose format can be chosen
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 REJECTED = ["family", "--p", "2", "--N", "3", "--t", "1", "--samples", "1"]
 VALID = ["family", "--p", "2", "--alpha", "pw:0:-0.3,0.5:0.2", "--N", "4", "--t", "2", "--samples", "8"]
 

@@ -292,6 +292,19 @@ def test_power_law_shock_stays_at_the_midpoint(q, source):
             assert abs(z - mid) <= 2 * math.ulp(mid), (c.index, t, z, mid)
 
 
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("source", [ZERO, PW3], ids=["zero", "three-piece"])
+def test_symmetric_shock_is_the_mass_root_bit_for_bit(q, source):
+    # the layout keeps a b = -a cell's shock at tau without a root search;
+    # the mass identity's root is tau to the last bit
+    F = power_law_flux(q, M=1.0, decay=Decay(q=q, C=1.0, r=1.0))
+    for c in shock_cell_family(F, source, 1.0, 12).cells:
+        assert c.b == -c.a
+        for t in (1.0 + 1e-9, 1.7, 8.0):
+            root = families._shock_position(c, F, source, t)
+            assert cell_profile(c, F, source, t).ends[1] == root == c.tau, (c.index, t)
+
+
 def test_post_meeting_cost_does_not_grow_with_time(monkeypatch):
     from fracbv import fanprofile
 
@@ -336,22 +349,25 @@ class TestCellMeetingTime:
 class TestFamilies:
     def test_power_law_widths_and_amplitudes(self):
         fam = power_law_family(2.0, ZERO, 5)
-        for n, pk in enumerate(fam.packets, start=1):
-            assert pk.dx == pytest.approx(packet_width(n), rel=1e-15)
-            assert pk.delta == pytest.approx(packet_amplitude(n, 2.0), rel=1e-15)
+        for n, pk in enumerate(fam.cells, start=1):
+            dx = packet_width(n)
+            # packet n is the symmetric cell on [x_n - dx, x_n + dx]
+            assert (pk.index, pk.A, pk.B) == (n, pk.tau - dx, pk.tau + dx)
+            assert pk.a == pytest.approx(packet_amplitude(n, 2.0), rel=1e-15)
+            assert pk.b == -pk.a
             # width / amplitude^p = log(n+1) exactly
-            assert pk.dx / pk.delta**2 == pytest.approx(math.log(n + 1.0), rel=1e-12)
+            assert dx / pk.a**2 == pytest.approx(math.log(n + 1.0), rel=1e-12)
 
     def test_interaction_times_increase(self):
         fam = power_law_family(2.0, ZERO, 20)
-        times = [pk.t_n for pk in fam.packets]
+        times = [pk.t0 for pk in fam.cells]
         assert times == pytest.approx([math.log(n + 1.0) for n in range(1, 21)], rel=1e-12)
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_disjoint_supports(self):
         fam = power_law_family(2.0, ZERO, 200)
-        for a, b in zip(fam.packets, fam.packets[1:]):
-            assert a.support[1] < b.support[0]
+        for a, b in zip(fam.cells, fam.cells[1:]):
+            assert a.B < b.A
 
     def test_total_width_summable(self):
         def block(lo, hi):
@@ -411,7 +427,7 @@ class TestFamilies:
 class TestFamilyProfile:
     @pytest.mark.parametrize("alpha", ["zero", "pw:0:-0.3,0.5:0.2"])
     def test_power_law_layout_in_one_pass(self, monkeypatch, alpha):
-        from fracbv import parse_alpha, waves
+        from fracbv import parse_alpha
 
         fam = power_law_family(2.0, parse_alpha(alpha), 50)
         counts = Counter()
@@ -424,10 +440,10 @@ class TestFamilyProfile:
             return wrapped
 
         monkeypatch.setattr(SourceProfile, "effective_time", counting("effective_time", SourceProfile.effective_time))
-        for name in ("packet_profile", "fan_edges"):
-            for module in (waves, families):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(waves, name)))
+        # no per-cell profile, fan edge or shock position: the shocks stay at
+        # the centers
+        for name in ("cell_profile", "fan_edges", "_shock_position"):
+            monkeypatch.setattr(families, name, counting(name, getattr(families, name)))
         for t in (0.5, 2.0):
             counts.clear()
             family_profile(fam, t)
@@ -442,23 +458,23 @@ class TestFamilyProfile:
         fam = power_law_family(2.0, ZERO, 2)
         t = 0.5  # below t_1 = log 2
         prof = family_profile(fam, t)
-        for n, pk in enumerate(fam.packets, start=1):
-            zl = pk.support[0] + pk.delta**2 * t
-            mid = 0.5 * (zl + pk.x_n)
-            assert prof(mid) == pytest.approx(pk.delta, rel=1e-12)
+        for pk in fam.cells:
+            zl = pk.A + pk.a**2 * t
+            mid = 0.5 * (zl + pk.tau)
+            assert prof(mid) == pytest.approx(pk.a, rel=1e-12)
 
     def test_mixed_structures(self):
         fam = power_law_family(2.0, ZERO, 10)
         t = 0.8  # t_1 = log 2 < t < t_2 = log 3
         prof = family_profile(fam, t)
-        first, rest = fam.packets[0], fam.packets[1]
-        left, right = prof.side_values(first.x_n)
-        expected = math.sqrt(first.dx / t)
+        first, rest = fam.cells[0], fam.cells[1]
+        left, right = prof.side_values(first.tau)
+        expected = math.sqrt(packet_width(1) / t)
         assert left == pytest.approx(expected, rel=1e-12)  # post-interaction fan value
-        assert prof(0.5 * (rest.support[0] + rest.x_n - rest.delta**2 * t) + rest.delta**2 * t / 2) != 0.0
+        assert prof(0.5 * (rest.A + rest.tau - rest.a**2 * t) + rest.a**2 * t / 2) != 0.0
 
     def test_gaps_are_zero(self):
         fam = power_law_family(2.0, ZERO, 3)
         prof = family_profile(fam, 0.5)
-        gap_x = 0.5 * (fam.packets[0].support[1] + fam.packets[1].support[0])
+        gap_x = 0.5 * (fam.cells[0].B + fam.cells[1].A)
         assert prof(gap_x) == 0.0

@@ -7,11 +7,11 @@ from fracbv import (
     MeshRun,
     NumericsError,
     SourceProfile,
+    cell_profile,
     flux_from_config,
     godunov_solve,
     l1_distance,
     make_packet,
-    packet_profile,
     power_law_flux,
 )
 from fracbv.godunov import godunov_flux
@@ -103,7 +103,7 @@ def test_packet_convergence_under_refinement():
     for cells in (2**9, 2**10, 2**11):
         F, P, run, u0 = packet_run(cells, 0.2, (0.2,))
         _, u = godunov_solve(F, ZERO, u0, run)[-1]
-        prof = packet_profile(F, ZERO, P, 0.2)
+        prof = cell_profile(P, F, ZERO, 0.2)
         exact = np.array([prof(float(x)) for x in run.centers()])
         errs.append(l1_distance(u, exact, run.dx))
     assert errs[0] / errs[1] >= 1.3

@@ -298,6 +298,7 @@ def test_piece_table_matches_generator_primitives(src):
 )
 def test_interaction_times_need_no_separate_limit(src, monkeypatch):
     from fracbv import power_law_family
+    from fracbv.families import packet_width
 
     for p in (1.5, 2.0, 3.0):
         limit = src.effective_time_limit(p)
@@ -306,8 +307,9 @@ def test_interaction_times_need_no_separate_limit(src, monkeypatch):
             assert src.effective_time_inverse(p, math.nextafter(limit, 0.0)) < math.inf
     monkeypatch.setattr(SourceProfile, "effective_time_limit", None)  # no call left
     for p in (1.5, 2.0, 3.0):
-        for P in power_law_family(p, src, 300).packets:
-            assert same_float(P.t_n, old_effective_time_inverse(src, p, P.dx / P.delta**p)), (p, P.x_n)
+        for c in power_law_family(p, src, 300).cells:
+            dx = packet_width(c.index)
+            assert same_float(c.t0, old_effective_time_inverse(src, p, dx / c.a**p)), (p, c.tau)
 
 
 def test_piece_table_leaves_equality_and_hash_alone():

@@ -19,7 +19,6 @@ from fracbv import (
     make_packet,
     p_variation,
     p_variation_reference,
-    packet_profile,
     parse_alpha,
     power_law_family,
     power_law_flux,
@@ -30,10 +29,18 @@ from fracbv import (
 )
 from fracbv import NumericsError, variation
 from fracbv.cli import main
-from fracbv.families import ShockCell, cell_profile, initial_shock_position, solve_cell_states
+from fracbv.families import (
+    ShockCell,
+    ShockCellFamily,
+    _shock_position,
+    cell_profile,
+    fan_edges,
+    initial_shock_position,
+    solve_cell_states,
+)
 from fracbv.fanprofile import FanContext, fan_values
 from fracbv.flux import Decay, user_flux
-from fracbv.waves import ConstantRegion, FanRegion, PiecewiseProfile, fan_edges
+from fracbv.waves import ConstantRegion, FanRegion, PiecewiseProfile
 
 ZERO = SourceProfile.zero()
 
@@ -124,14 +131,16 @@ class TestPVariation:
             SampledFunction(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
 
-def quadratic_p_variation(vs, p):
+def quadratic_p_variation(vs, p, cand=None):
     """The full dynamic program over extrema that ``p_variation`` prunes.
 
     Kept verbatim as the oracle: every predecessor of every extremum scored
-    in one numpy expression; returns (value, subdivision).
+    in one numpy expression; returns (value, subdivision).  ``cand`` are the
+    extrema's indices, by default those ``p_variation`` takes.
     """
     vs = np.asarray(vs, dtype=float)
-    cand = variation._candidate_indices(vs)
+    if cand is None:
+        cand = variation._candidate_indices(vs)
     v = vs[cand]
     k = v.size
     best = np.zeros(k)
@@ -207,6 +216,28 @@ def test_pruned_dynamic_program_is_bit_identical(vs, p):
     assert_matches_quadratic(vs, p)
 
 
+def extrema_with_run_ends(vs):
+    """The end indices and local extrema with both ends of every plateau run,
+    as extrema were chosen before a run was taken by its first index."""
+    vs = np.asarray(vs, dtype=float)
+    change = np.nonzero(vs[1:] != vs[:-1])[0]
+    starts = np.concatenate(([0], change + 1))
+    ends = np.concatenate((change, [vs.size - 1]))
+    w = vs[starts]
+    keep = np.ones(w.size, dtype=bool)
+    keep[1:-1] = (w[1:-1] > w[:-2]) != (w[2:] > w[1:-1])
+    return np.unique(np.concatenate((starts[keep], ends[keep])))
+
+
+@given(vs=st.one_of(INTEGERS, PLATEAUS), p=EXPONENTS)
+@settings(max_examples=200, deadline=None)
+def test_plateau_run_ends_change_nothing(vs, p):
+    # a run's later indices tie with its first, and ties go to the earlier
+    # index, so value and subdivision are those over both run ends
+    rep = p_variation(sampled(vs), p)
+    assert (rep.value, rep.subdivision) == quadratic_p_variation(vs, p, extrema_with_run_ends(vs))
+
+
 # Inputs on which the candidate pass, run without its margin, drops a
 # predecessor that ties or wins in exact arithmetic.
 ABSORBED_FAILURES_WITHOUT_MARGIN = [
@@ -255,7 +286,9 @@ def test_handoff_to_the_full_dynamic_program_is_bit_identical(seed, monkeypatch)
             np.cumsum(rng.standard_normal(k)),
             np.cumsum(rng.standard_normal(k) + 0.3),
             np.append(rng.standard_normal(k), [1e3, -1e3]),
-            np.cumsum(rng.integers(-3, 4, k)).astype(float),
+            # nonzero integer steps: exact ties, but no plateau runs, which
+            # collapse to one extremum and leave too few to hand off
+            np.cumsum(rng.choice([-3, -2, -1, 1, 2, 3], k)).astype(float),
         )
         for vs in shapes:
             vs = np.asarray(vs, dtype=float)
@@ -384,13 +417,15 @@ def test_chain_check_turns_down_near_ties(p, scale, wiggles):
     assert_matches_quadratic(vs, p)
 
 
-def test_drifting_walk_and_family_profile_fall_back():
+def test_drifting_walk_falls_back_and_family_profile_takes_the_chain():
+    # a packet's two plateaus collapse to one extremum each, so the family
+    # profile's extrema follow their neighbours
     rng = np.random.default_rng(5)
     walk = np.cumsum(rng.standard_normal(600) + 0.3)
     profile = sample_profile(family_profile(power_law_family(2.0, ZERO, 30), 1.0), fan_points=32).vs
-    for vs in (walk, profile):
+    for vs, chain in ((walk, False), (profile, True)):
         for p in (1.5, 2.0, 3.0):
-            assert not takes_the_chain(vs, p)
+            assert takes_the_chain(vs, p) == chain
             assert_matches_quadratic(vs, p)
 
 
@@ -441,7 +476,7 @@ class TestSampling:
     def test_jump_heights_survive_sampling(self):
         F = power_law_flux(2.0, M=0.5)
         P = make_packet(F, ZERO, 0.0, 0.1, 0.5)
-        prof = packet_profile(F, ZERO, P, 0.1)
+        prof = cell_profile(P, F, ZERO, 0.1)
         f = sample_profile(prof, fan_points=16)
         jumps = np.abs(np.diff(f.vs))
         assert jumps.max() == pytest.approx(1.0, rel=1e-12)  # 2 delta at the center
@@ -494,7 +529,7 @@ def sampling_profiles():
     """Profiles of every kind, before and after their waves interact."""
     pw = parse_alpha("pw:0:-0.3,0.5:0.2")
     family = power_law_family(2.0, pw, 12)
-    first = family.packets[0].t_n
+    first = family.cells[0].t0
     yield "powerlaw-before", family_profile(family, 0.5 * first)
     yield "powerlaw-after", family_profile(family, 2.0)
     q3 = power_law_flux(3.0, M=1.0, decay=Decay(q=3.0, C=1.0, r=1.0))
@@ -533,27 +568,27 @@ def test_one_pass_sampling_is_bit_identical(name, fan_points):
 
 def region_assembly(family, t):
     """The family's regions as objects, joined as ``family_profile`` joined
-    them before profiles were arrays: per packet the regions of the old
-    ``packet_profile``, edges from :func:`fan_edges`; per cell those of
-    :func:`cell_profile`; a zero region wherever a support starts past the
-    previous one's end."""
+    them before profiles were arrays, each cell's built by hand: before its
+    t0, fan / plateau a / plateau b / fan with edges from :func:`fan_edges`
+    and the shock of :func:`_shock_position` clipped to them; from t0 on,
+    two fans meeting at that shock; a zero region wherever a support starts
+    past the previous one's end."""
     F, S = family.flux, family.source
     members = []
-    for P in getattr(family, "packets", ()):
-        x_l, x_r = P.support
-        if t < P.t_n:
-            zeta_l, zeta_r = fan_edges(F, S, P, t)
+    for c in family.cells:
+        z = _shock_position(c, F, S, t)
+        if t < c.t0:
+            zeta_l, zeta_r = fan_edges(F, S, c, t)
+            z = min(max(z, zeta_l), zeta_r)
             regions = (
-                FanRegion(x_l, zeta_l, center=x_l),
-                ConstantRegion(zeta_l, P.x_n, w=P.delta),
-                ConstantRegion(P.x_n, zeta_r, w=-P.delta),
-                FanRegion(zeta_r, x_r, center=x_r),
+                FanRegion(c.A, zeta_l, center=c.A),
+                ConstantRegion(zeta_l, z, w=c.a),
+                ConstantRegion(z, zeta_r, w=c.b),
+                FanRegion(zeta_r, c.B, center=c.B),
             )
         else:
-            regions = (FanRegion(x_l, P.x_n, center=x_l), FanRegion(P.x_n, x_r, center=x_r))
-        members.append((P.support, regions))
-    for c in getattr(family, "cells", ()):
-        members.append(((c.A, c.B), cell_profile(c, F, S, t).regions))
+            regions = (FanRegion(c.A, z, center=c.A), FanRegion(z, c.B, center=c.B))
+        members.append(((c.A, c.B), regions))
     out = []
     cursor = members[0][0][0]
     for (lo, hi), regions in members:
@@ -588,7 +623,7 @@ def layout_cases():
     for alpha in ("zero", "constant:-0.2", "pw:0:-0.3,0.5:0.2"):
         for p, N in ((2.0, 1), (2.37, 12), (2.0, 2000), (1.5, 2000)):
             family = power_law_family(p, parse_alpha(alpha), N)
-            finite = [P.t_n for P in family.packets if math.isfinite(P.t_n)]
+            finite = [c.t0 for c in family.cells if math.isfinite(c.t0)]
             for when, t in (
                 ("before", 0.5 * finite[0]),
                 ("between", 0.5 * (finite[0] + finite[-1])),
@@ -599,6 +634,16 @@ def layout_cases():
     cells = shock_cell_family(q3, parse_alpha("constant:-0.2"), 1.0, 9)
     yield "assp-before", cells, 0.6
     yield "assp-after", cells, 1.7
+    # lone cells whose shock moves: a general flux, and a power law with
+    # |a| != |b| (edge travels a^3 + |b|^3 = B - A at t0 = 1)
+    a, b = solve_cell_states(ASYM, ZERO, 1.0, 0.0, 0.02)
+    asym = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=initial_shock_position(ASYM, ZERO, 1.0, 0.0, 0.02, a, b), t0=1.0)
+    a, b = 0.25, -((0.02 - 0.25**3) ** (1.0 / 3.0))
+    skew = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=initial_shock_position(q3, ZERO, 1.0, 0.0, 0.02, a, b), t0=1.0)
+    for name, F, cell in (("general-flux", ASYM, asym), ("skew-power-law", q3, skew)):
+        family = ShockCellFamily(flux=F, source=ZERO, t0=1.0, n0=1, N=1, cells=(cell,))
+        yield f"{name}-before", family, 0.5
+        yield f"{name}-after", family, 1.3
 
 
 LAYOUT_CASES = {name: (family, t) for name, family, t in layout_cases()}
@@ -709,7 +754,7 @@ class TestUpperBound:
     def test_lower_bounds_below_upper_bound_at_matching_order(self):
         fam = power_law_family(2.0, ZERO, 200)
         rows = family_variation_lower_bounds(fam, 1.0, 0.5, 200)
-        lo = fam.packets[0].support[0]
-        hi = fam.packets[-1].support[1]
+        lo = fam.cells[0].A
+        hi = fam.cells[-1].B
         bound = smoothing_upper_bound(fam.flux, ZERO, 1.0, lo, hi, 1.0)
         assert rows[-1][2] <= bound

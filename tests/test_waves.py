@@ -7,10 +7,10 @@ from fracbv import (
     ConstantRegion,
     FanContext,
     SourceProfile,
+    cell_profile,
     fan_edges,
     fan_profile,
     make_packet,
-    packet_profile,
     power_law_flux,
     riemann_shock,
     speed_bound,
@@ -90,19 +90,24 @@ class TestPacket:
         self.P = make_packet(self.F, ZERO, 0.0, 0.1, 0.5)
 
     def test_interaction_time(self):
-        assert self.P.t_n == pytest.approx(0.4, rel=1e-15)
+        assert self.P.t0 == pytest.approx(0.4, rel=1e-15)
+
+    def test_is_the_symmetric_cell(self):
+        # +delta on [x_n - dx, x_n), -delta on [x_n, x_n + dx], a lone cell 1
+        P = self.P
+        assert (P.index, P.A, P.B, P.a, P.b, P.tau) == (1, -0.1, 0.1, 0.5, -0.5, 0.0)
 
     def test_plateau_value(self):
-        assert packet_profile(self.F, ZERO, self.P, 0.1)(-0.05) == pytest.approx(0.5)
+        assert cell_profile(self.P, self.F, ZERO, 0.1)(-0.05) == pytest.approx(0.5)
 
     def test_zero_outside_support(self):
         for x in (-0.11, 0.11, 5.0):
             for t in (0.1, 2.0):
-                assert packet_profile(self.F, ZERO, self.P, t)(x) == 0.0
+                assert cell_profile(self.P, self.F, ZERO, t)(x) == 0.0
 
     def test_post_interaction_center_limits(self):
         t = 0.8  # = 2 t_n
-        prof = packet_profile(self.F, ZERO, self.P, t)
+        prof = cell_profile(self.P, self.F, ZERO, t)
         left, right = prof.side_values(0.0)
         expected = math.sqrt(0.1 / t)
         assert left == pytest.approx(expected, rel=1e-13)
@@ -110,7 +115,7 @@ class TestPacket:
 
     def test_continuity_at_fan_edges(self):
         for t in (0.05, 0.2, 0.39):
-            prof = packet_profile(self.F, ZERO, self.P, t)
+            prof = cell_profile(self.P, self.F, ZERO, t)
             zl, zr = fan_edges(self.F, ZERO, self.P, t)
             for x in (zl, zr):
                 left, right = prof.side_values(x)
@@ -118,7 +123,7 @@ class TestPacket:
 
     def test_entropy_admissibility_at_center(self):
         for t in (0.1, 0.4, 1.0, 10.0):
-            prof = packet_profile(self.F, ZERO, self.P, t)
+            prof = cell_profile(self.P, self.F, ZERO, t)
             left, right = prof.side_values(0.0)
             assert left > right
 
@@ -127,7 +132,7 @@ class TestPacket:
         # Each region takes its own one-sided values at its ends: evaluate
         # takes the right neighbour's value at a shared end.
         for t in (0.15, 0.8):
-            prof = packet_profile(self.F, ZERO, self.P, t)
+            prof = cell_profile(self.P, self.F, ZERO, t)
             total = 0.0
             for lo, hi in zip(prof.ends[:-1], prof.ends[1:]):
                 xs = np.linspace(lo, hi, 4001)
@@ -137,23 +142,23 @@ class TestPacket:
             assert abs(total) < 1e-6
 
     def test_edges_meet_at_center(self):
-        zl, zr = fan_edges(self.F, ZERO, self.P, self.P.t_n)
-        assert zl == pytest.approx(self.P.x_n, abs=1e-14)
-        assert zr == pytest.approx(self.P.x_n, abs=1e-14)
+        zl, zr = fan_edges(self.F, ZERO, self.P, self.P.t0)
+        assert zl == pytest.approx(self.P.tau, abs=1e-14)
+        assert zr == pytest.approx(self.P.tau, abs=1e-14)
 
     def test_support_never_grows(self):
         rng = np.random.default_rng(2)
         for t in rng.uniform(0.01, 5.0, size=20):
-            prof = packet_profile(self.F, ZERO, self.P, t)
+            prof = cell_profile(self.P, self.F, ZERO, t)
             lo, hi = prof.span
-            assert lo >= self.P.support[0] - 1e-15
-            assert hi <= self.P.support[1] + 1e-15
+            assert lo >= self.P.A - 1e-15
+            assert hi <= self.P.B + 1e-15
 
     def test_with_source_interaction_blocked(self):
         src = SourceProfile.constant(-1.0)
         P = make_packet(power_law_flux(2.0, M=1.0), src, 0.0, 0.5, 1.0)
-        assert P.t_n == math.inf  # width/amplitude^p = 0.5 >= saturation 0.5
-        prof = packet_profile(power_law_flux(2.0, M=1.0), src, P, 10.0)
+        assert P.t0 == math.inf  # width/amplitude^p = 0.5 >= saturation 0.5
+        prof = cell_profile(P, power_law_flux(2.0, M=1.0), src, 10.0)
         left, right = prof.side_values(0.0)
         assert left > 0.0 > right  # jump never dies
 
@@ -238,9 +243,9 @@ class TestProfileEvaluate:
     def test_packet_before_and_after_interaction(self, p, when):
         F = power_law_flux(p, M=0.5)
         P = make_packet(F, self.SRC, 0.3, 0.1, 0.5)
-        t = when * P.t_n
-        profile = packet_profile(F, self.SRC, P, t)
-        assert profile.fan.size == (4 if t < P.t_n else 2)
+        t = when * P.t0
+        profile = cell_profile(P, F, self.SRC, t)
+        assert profile.fan.size == (4 if t < P.t0 else 2)
         xs = evaluation_points(profile, np.random.default_rng(11))
         assert_evaluate_matches_call(profile, xs, 1e-14)
 
@@ -248,7 +253,7 @@ class TestProfileEvaluate:
         from fracbv import family_profile, power_law_family
 
         family = power_law_family(2.0, self.SRC, 6)
-        t = 0.5 * (family.packets[0].t_n + family.packets[-1].t_n)
+        t = 0.5 * (family.cells[0].t0 + family.cells[-1].t0)
         profile = family_profile(family, t)
         xs = evaluation_points(profile, np.random.default_rng(12), n_random=2000)
         assert_evaluate_matches_call(profile, xs, 1e-14)
