@@ -1,12 +1,16 @@
 """Command-line front end emitting CSV/JSON artifacts for all constructions.
 
 Outputs are deterministic: identical configuration yields byte-identical
-files.  Exit codes: 0 success, 2 configuration errors, 3 numerical failures.
+files.  Tables and profiles are written straight to their destination in
+slices of ``CHUNK_ROWS`` rows, so the memory an output takes beyond its
+arrays does not grow with the row count.  Exit codes: 0 success,
+2 configuration errors, 3 numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -24,6 +28,8 @@ from .source import parse_alpha
 from .waves import riemann_shock, speed_bound
 
 SCHEMA = 1
+# rows formatted and written at a time by the CSV and profile JSON writers
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -72,23 +78,34 @@ _positive_int = _int_at_least(1, "a positive integer")
 _sample_count = _int_at_least(2, "an integer >= 2")
 
 
+def _open_out(out: Optional[str]):
+    """The file ``out``, opened for writing, or stdout (left open) when None."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+
+
 def _write_text(out: Optional[str], text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
-def _csv_text(header, columns) -> str:
-    """CSV text, one column per sequence; every cell is the repr of its value.
+def _cell_slices(columns):
+    """Each column's cells as repr strings, ``CHUNK_ROWS`` rows at a time.
 
-    Columns are converted with ``tolist()``, so numpy floats print as the
+    Slices are converted with ``tolist()``, so numpy floats print as the
     shortest repr that round-trips and integers print plainly.
     """
-    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    return "\n".join(lines) + "\n"
+    columns = [np.asarray(column) for column in columns]
+    rows = len(columns[0]) if columns else 0
+    for lo in range(0, rows, CHUNK_ROWS):
+        yield [map(repr, column[lo : lo + CHUNK_ROWS].tolist()) for column in columns]
+
+
+def _write_csv(out: Optional[str], header, columns) -> None:
+    """CSV, one column per sequence, one line per row; every cell is the repr of its value."""
+    with _open_out(out) as fh:
+        fh.write(",".join(header) + "\n")
+        for cells in _cell_slices(columns):
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _json_text(payload: dict) -> str:
@@ -96,11 +113,28 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _write_profile_json(out: Optional[str], xs: np.ndarray, us: np.ndarray) -> None:
+    """The bytes of ``_json_text({"x": xs.tolist(), "u": us.tolist()})``,
+    written in row slices: one value per line, keys in sorted order."""
+    if not (np.isfinite(xs).all() and np.isfinite(us).all()):
+        raise NumericsError("Out of range float values are not JSON compliant")
+    with _open_out(out) as fh:
+        fh.write(f'{{\n  "schema": {SCHEMA},\n')
+        for key, values, end in (("u", us, ","), ("x", xs, "")):
+            fh.write(f'  "{key}": [')
+            lead = "\n    "
+            for (cells,) in _cell_slices([values]):
+                fh.write(lead + ",\n    ".join(cells))
+                lead = ",\n    "
+            fh.write(("\n  ]" if values.size else "]") + end + "\n")
+        fh.write("}\n")
+
+
 def _emit_profile(cfg: RunConfig, sampled) -> None:
     if cfg.format == "csv":
-        _write_text(cfg.out, _csv_text(["x", "u"], [sampled.xs, sampled.vs]))
+        _write_csv(cfg.out, ["x", "u"], [sampled.xs, sampled.vs])
     else:
-        _write_text(cfg.out, _json_text({"x": sampled.xs.tolist(), "u": sampled.vs.tolist()}))
+        _write_profile_json(cfg.out, sampled.xs, sampled.vs)
 
 
 def _cmd_packet(cfg: RunConfig) -> int:
@@ -171,7 +205,7 @@ def _cmd_diverge(cfg: RunConfig) -> int:
     o = cfg.options
     family = _build_family(o)
     rows = variation.family_variation_lower_bounds(family, o["t"], o["s"], o["N"])
-    _write_text(cfg.out, _csv_text(["n", "bound", "cumulative"], zip(*rows)))
+    _write_csv(cfg.out, ["n", "bound", "cumulative"], zip(*rows))
     return 0
 
 
@@ -257,7 +291,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         np.tile(centers, len(snaps)),
         np.concatenate([u for _, u in snaps]),
     ]
-    _write_text(cfg.out, _csv_text(["t", "x", "u"], columns))
+    _write_csv(cfg.out, ["t", "x", "u"], columns)
     if cfg.out is not None:
         sys.stdout.write(_json_text({"errors": errors}))
     return 0
@@ -308,7 +342,7 @@ def _cmd_kk(cfg: RunConfig) -> int:
                 omega[rows, :, 0].ravel(),
                 omega[rows, :, 1].ravel(),
             ]
-            _write_text(o["grid_out"], _csv_text(["x", "y", "eta", "wx", "wy"], columns))
+            _write_csv(o["grid_out"], ["x", "y", "eta", "wx", "wy"], columns)
     except ValueError as exc:
         payload["grid"] = f"unresolved: {exc}"
     _write_text(cfg.out, _json_text(payload))

@@ -339,9 +339,13 @@ def _full_dynamic_program(v: np.ndarray, p: float):
     best = np.zeros(k)
     prev = np.full(k, -1, dtype=np.int64)
     chain = np.ones(k, dtype=np.int64)
+    buf = np.empty(k)
     with np.errstate(over="ignore"):  # p_variation reports an infinite value
         for j in range(1, k):
-            scores = best[:j] + np.abs(v[j] - v[:j]) ** p
+            scores = np.subtract(v[j], v[:j], out=buf[:j])
+            np.abs(scores, out=scores)
+            scores **= p
+            scores += best[:j]
             m = int(np.argmax(scores))
             top = scores[m]
             ties = np.nonzero(scores == top)[0]

@@ -3,11 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fracbv import cli
 from fracbv.cli import RunConfig, dispatch, main
 
 
@@ -280,3 +284,73 @@ def test_reused_parser_gives_the_bytes_of_a_fresh_process():
     assert (rejected.returncode, valid.returncode, both.returncode) == (2, 0, 0)
     assert both.stderr == rejected.stderr and b"integer >= 2" in both.stderr
     assert both.stdout == valid.stdout and valid.stdout.startswith(b"x,u\n")
+
+
+# the writers' whole-text formulas, kept as the reference for their bytes
+def csv_text(header, columns):
+    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def profile_json_text(xs, us):
+    payload = {"schema": cli.SCHEMA, "x": xs.tolist(), "u": us.tolist()}
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-5]
+ROW_COUNTS = [0, 1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1, 3 * cli.CHUNK_ROWS + 7]
+
+
+def table(rows):
+    """An integer column, a random column spanning many decades, and one
+    of the edge values (with nan, which CSV writes as ``nan``)."""
+    rng = np.random.default_rng(rows)
+    spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    return [np.arange(rows), spread, np.resize(np.array(EDGE_VALUES + [math.nan]), rows)]
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_csv_writer_gives_the_bytes_of_the_whole_text(rows, tmp_path, capsys):
+    header, columns = ["n", "x", "u"], table(rows)
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), header, columns)
+    assert path.read_bytes() == csv_text(header, columns).encode()
+    cli._write_csv(None, header, columns)
+    assert capsys.readouterr().out == csv_text(header, columns)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_profile_json_writer_gives_the_bytes_of_json_dumps(rows, tmp_path, capsys):
+    _, xs, _ = table(rows)
+    us = np.resize(np.array(EDGE_VALUES), rows)
+    path = tmp_path / "profile.json"
+    cli._write_profile_json(str(path), xs, us)
+    assert path.read_bytes() == profile_json_text(xs, us).encode()
+    cli._write_profile_json(None, xs, us)
+    assert capsys.readouterr().out == profile_json_text(xs, us)
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_non_finite_profile_json_exits_numerical_and_writes_nothing(to_file, monkeypatch, tmp_path, capsys):
+    nan_profile = types.SimpleNamespace(xs=np.array([0.0, 1.0]), vs=np.array([0.5, math.nan]))
+    monkeypatch.setattr(cli.variation, "sample_profile", lambda *args, **kwargs: nan_profile)
+    out = tmp_path / "profile.json"
+    argv = ["family", "--p", "2", "--N", "2", "--t", "1", "--format", "json"]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["kind"] == "numerical"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_csv_writer_memory_does_not_grow_with_rows(tmp_path):
+    # the whole text of 2e5 rows is tens of MiB; slices keep the peak flat
+    rng = np.random.default_rng(0)
+    columns = [np.sort(rng.standard_normal(200_000)), rng.standard_normal(200_000)]
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path / "table.csv"), ["x", "u"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -55,6 +55,10 @@ CASES = {
     "kk": [
         ["kk", "--p", "2", "--delta", "0.1", "--n", "1", "--t", "0.5", "--res", "200", "--imax", "1", "--Ni", "20", "--grid-out", "grid.csv"]
     ],
+    # more rows than one write slice of the CSV and JSON writers
+    "family-powerlaw-csv-chunks": [["family", "--p", "2", "--alpha", PW, "--N", "200", "--t", "2", "--out", "profile.csv"]],
+    "family-powerlaw-json-chunks": [["family", "--p", "2", "--alpha", PW, "--N", "40", "--t", "2", "--format", "json"]],
+    "oracle-family-chunks": [["oracle", "--p", "2", "--init", "family", "--N", "6", "--cells", "4000", "--t", "1"]],
     "bound": [["bound", "--p", "2", "--alpha", PW, "--t", "1", "--a", "0", "--b", "1", "--T", "2", "--M", "1"]],
 }
 
@@ -62,7 +66,8 @@ CASES = {
 # "family-assp-json": power-law cell states now come from the closed form
 # a = -b = (width / (2 G_q(t0)))^(1/q) (with one Newton step) instead of a
 # bisection, which moves some a and b by 1 ulp, and the profile values
-# built on them; tau and every other case are unchanged
+# built on them; tau and every other case are unchanged.  The three "-chunks"
+# cases were recorded before the writers wrote in row slices.
 GOLDEN = {
     "assp": {
         "stdout": "df0294997f7185f3cb0f70170c4577c138602f4f274456a987243203025fe985",
@@ -88,8 +93,15 @@ GOLDEN = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "profile.csv": "baff373f62294b83cca7e0cb6eda546241cf4907c49d56e717bca2679a89b2c7",
     },
+    "family-powerlaw-csv-chunks": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "profile.csv": "70efb9439a1ac65bd1f0466051974646740f79b0c16e892713425bbb8e5bb354",
+    },
     "family-powerlaw-json": {
         "stdout": "217e455b80789d23b25e481ab8ff74b573f32a3bf97bdb87fc01b6e229c417a5",
+    },
+    "family-powerlaw-json-chunks": {
+        "stdout": "633e52fc5c42b758e6b3c2379da39180fe6149d978c50888cc4f60907416f354",
     },
     "kk": {
         "stdout": "5e2ad9810206ccc81d8a0fea6bc521c23221807125bc0d2a833c7799c3c426f9",
@@ -98,6 +110,9 @@ GOLDEN = {
     "oracle-family": {
         "stdout": "15621e9a16e608def33bf75c7e589432cbf00e1b436ac1ce87a0461a0ca2e9f4",
         "oracle.csv": "bc3fc4a184c71c515136f47a9066c0c25bc988742d5700a859f8574d7fad5c06",
+    },
+    "oracle-family-chunks": {
+        "stdout": "a58b466b0bc8a680779a0a8cee65f1f4459c64f6f864e3c4f3a23164fc1aafc6",
     },
     "oracle-family-stdout": {
         "stdout": "ae99a2c4582c035083ef4def6d5318267dc8651bf9bee760f03f0690cde4fd2a",
