@@ -14,9 +14,8 @@ from .flux import (
 )
 from .source import SourceProfile, parse_alpha
 from .fanprofile import (
-    FanContext,
-    fan_profile,
     fan_profile_rootfind,
+    fan_values,
     slope_time_integral,
     slope_time_integral_numeric,
 )

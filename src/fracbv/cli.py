@@ -88,23 +88,29 @@ def _write_text(out: Optional[str], text: str) -> None:
         fh.write(text)
 
 
-def _cell_slices(columns):
-    """Each column's cells as repr strings, ``CHUNK_ROWS`` rows at a time.
-
-    Slices are converted with ``tolist()``, so numpy floats print as the
-    shortest repr that round-trips and integers print plainly.
-    """
+def _row_slices(columns):
+    """The columns, as arrays, ``CHUNK_ROWS`` rows at a time."""
     columns = [np.asarray(column) for column in columns]
     rows = len(columns[0]) if columns else 0
     for lo in range(0, rows, CHUNK_ROWS):
-        yield [map(repr, column[lo : lo + CHUNK_ROWS].tolist()) for column in columns]
+        yield [column[lo : lo + CHUNK_ROWS] for column in columns]
 
 
 def _write_csv(out: Optional[str], header, columns) -> None:
     """CSV, one column per sequence, one line per row; every cell is the repr of its value."""
+    _write_csv_slices(out, header, _row_slices(columns))
+
+
+def _write_csv_slices(out: Optional[str], header, slices) -> None:
+    """:func:`_write_csv` of the columns that ``slices`` yields, a few rows at a time.
+
+    Slices are converted with ``tolist()``, so numpy floats print as the
+    shortest repr that round-trips and integers print plainly.
+    """
     with _open_out(out) as fh:
         fh.write(",".join(header) + "\n")
-        for cells in _cell_slices(columns):
+        for columns in slices:
+            cells = [map(repr, column.tolist()) for column in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -123,8 +129,8 @@ def _write_profile_json(out: Optional[str], xs: np.ndarray, us: np.ndarray) -> N
         for key, values, end in (("u", us, ","), ("x", xs, "")):
             fh.write(f'  "{key}": [')
             lead = "\n    "
-            for (cells,) in _cell_slices([values]):
-                fh.write(lead + ",\n    ".join(cells))
+            for (column,) in _row_slices([values]):
+                fh.write(lead + ",\n    ".join(map(repr, column.tolist())))
                 lead = ",\n    "
             fh.write(("\n  ]" if values.size else "]") + end + "\n")
         fh.write("}\n")
@@ -209,6 +215,15 @@ def _cmd_diverge(cfg: RunConfig) -> int:
     return 0
 
 
+def _cells_at_zero(cells, xs):
+    """Initial data of the cells at ``xs``: a on [A, tau), b on [tau, B], zero elsewhere."""
+    out = np.zeros_like(xs)
+    for c in cells:
+        out = np.where((xs >= c.A) & (xs < c.tau), c.a, out)
+        out = np.where((xs >= c.tau) & (xs <= c.B), c.b, out)
+    return out
+
+
 def _cmd_oracle(cfg: RunConfig) -> int:
     o = cfg.options
     source = parse_alpha(o["alpha"])
@@ -230,13 +245,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         packet = make_packet(flux, source, o["center"], o["dx"], o["delta"])
         pad = 0.5 * o["dx"]
         domain = (o["center"] - o["dx"] - pad, o["center"] + o["dx"] + pad)
-
-        def initial(xs):
-            return np.where(
-                (xs >= o["center"] - o["dx"]) & (xs < o["center"]),
-                o["delta"],
-                np.where((xs >= o["center"]) & (xs <= o["center"] + o["dx"]), -o["delta"], 0.0),
-            )
+        initial = functools.partial(_cells_at_zero, (packet,))
 
         def exact(xs, t):
             return cell_profile(packet, flux, source, t).evaluate(xs)
@@ -248,13 +257,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         hi = family.cells[-1].B
         pad = 0.1 * (hi - lo)
         domain = (lo - pad, hi + pad)
-
-        def initial(xs):
-            out = np.zeros_like(xs)
-            for c in family.cells:
-                out = np.where((xs >= c.A) & (xs < c.tau), c.a, out)
-                out = np.where((xs >= c.tau) & (xs <= c.B), c.b, out)
-            return out
+        initial = functools.partial(_cells_at_zero, family.cells)
 
         def exact(xs, t):
             return family_profile(family, t).evaluate(xs)
@@ -314,6 +317,21 @@ def _cmd_triangular(cfg: RunConfig) -> int:
     return 0
 
 
+def _grid_slices(centers, eta, omega, rows):
+    """Columns x, y, eta, wx, wy of the dense grid, ``CHUNK_ROWS`` rows at a time.
+
+    Rows run over x within each y, as the grid is indexed [iy, ix].  Each
+    slice is cut from the distinct rows ``eta`` and ``omega`` and the grid
+    row index ``rows`` as it is written, so the res^2 columns are never
+    built whole.
+    """
+    cells = centers.size * centers.size
+    for lo in range(0, cells, CHUNK_ROWS):
+        iy, ix = np.divmod(np.arange(lo, min(lo + CHUNK_ROWS, cells)), centers.size)
+        distinct = rows[iy]
+        yield [centers[ix], centers[iy], eta[distinct, ix], omega[distinct, ix, 0], omega[distinct, ix, 1]]
+
+
 def _cmd_kk(cfg: RunConfig) -> int:
     o = cfg.options
     setup = kk.KKSetup(p=o["p"], delta=o["delta"], n=o["n"], i_max=o["imax"])
@@ -333,16 +351,9 @@ def _cmd_kk(cfg: RunConfig) -> int:
             np.max(np.sqrt(np.sum((u0 - b_vec) ** 2, axis=-1)))
         )
         if o["grid_out"]:
-            # rows run over x within each y, as the grid is indexed [iy, ix]
             centers, _ = kk.grid_axes(setup, o["res"])
-            columns = [
-                np.tile(centers, centers.size),
-                np.repeat(centers, centers.size),
-                eta[rows].ravel(),
-                omega[rows, :, 0].ravel(),
-                omega[rows, :, 1].ravel(),
-            ]
-            _write_csv(o["grid_out"], ["x", "y", "eta", "wx", "wy"], columns)
+            slices = _grid_slices(centers, eta, omega, rows)
+            _write_csv_slices(o["grid_out"], ["x", "y", "eta", "wx", "wy"], slices)
     except ValueError as exc:
         payload["grid"] = f"unresolved: {exc}"
     _write_text(cfg.out, _json_text(payload))

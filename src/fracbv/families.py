@@ -31,13 +31,7 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .fanprofile import (
-    FanContext,
-    bisect_increasing,
-    fan_at_time,
-    slope_time_integral,
-    source_time_integral,
-)
+from .fanprofile import bisect_increasing, fan_values, slope_time_integral, source_time_integral
 from .flux import Flux, power_law_flux
 from .source import SourceProfile
 from .waves import PiecewiseProfile, flux_difference_drift
@@ -324,10 +318,9 @@ def _shock_position(cell: ShockCell, F: Flux, S: SourceProfile, t: float) -> flo
     a, b = cell.a, cell.b
     if t <= cell.t0:
         return cell.tau + flux_difference_drift(F, S, a, b, t) / (a - b)
-    fan = fan_at_time(FanContext(flux=F, source=S), t)
 
     def mass(z: float) -> float:
-        w_l, w_r = fan(z - cell.A), fan(z - cell.B)
+        w_l, w_r = fan_values(F, S, (z - cell.A, z - cell.B), t).tolist()
         return (z - cell.A) * w_l + (cell.B - z) * w_r - flux_difference_drift(F, S, w_l, w_r, t)
 
     return bisect_increasing(mass, cell.A, cell.B, a * (cell.tau - cell.A) + b * (cell.B - cell.tau))
@@ -363,9 +356,8 @@ def _cell_layout(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float
     """
     if t <= 0.0:
         raise ConfigError(f"profile needs t > 0, got {t}")
-    ctx = FanContext(flux=F, source=S)
     if not cells:
-        return PiecewiseProfile(ctx, t, (0.0, 1.0), (False,), (0.0,))
+        return PiecewiseProfile(F, S, t, (0.0, 1.0), (False,), (0.0,))
     A, B, a, b, tau, t0 = np.array([(c.A, c.B, c.a, c.b, c.tau, c.t0) for c in cells]).T
     shock = tau.copy()
     p = F.power
@@ -388,7 +380,7 @@ def _cell_layout(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float
     fan = np.tile([True, False, False, True, False], len(cells))
     anchor = np.column_stack((A, a, b, B, np.zeros_like(A))).ravel()
     keep = np.repeat(before, 5) | np.tile([True, False, False, True, True], len(cells))
-    return PiecewiseProfile(ctx, t, ends[keep], fan[keep][:-1], anchor[keep][:-1])
+    return PiecewiseProfile(F, S, t, ends[keep], fan[keep][:-1], anchor[keep][:-1])
 
 
 def cell_profile(

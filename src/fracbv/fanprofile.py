@@ -8,7 +8,10 @@ profile V(x, t) generalizes (f')^{-1}(x/t): it is the unique solution of
 where B is the cumulative source.  Rarefaction regions of exact solutions
 evaluate as V(x - center, t) * exp(B(t)).  For power-law fluxes the profile
 has the closed form sign(x) |x|^(1/p) * G^(-1/p) with G the effective time;
-for general convex fluxes it is found by a bracketed root search.
+for general convex fluxes it is found by a bracketed root search,
+:func:`fan_profile_rootfind`.  :func:`fan_values` is the one evaluator:
+it takes the flux and source, as the other primitives here do, and an
+array of offsets, and range-checks both routes.
 
 The module also holds the two numerical primitives the scalar layers share:
 :func:`bisect_increasing`, the one bracketed root finder for increasing
@@ -19,7 +22,6 @@ function of exp(B(theta)) over [0, t], one Simpson run per source piece.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +40,6 @@ _ITP_N0 = 1
 
 class _Unbracketed(NumericsError):
     """The target of :func:`bisect_increasing` lies outside its bracket."""
-
-
-@dataclass(frozen=True)
-class FanContext:
-    flux: Flux
-    source: SourceProfile
 
 
 def integrate_smooth(g, a: float, b: float, tol: float) -> float:
@@ -178,83 +174,54 @@ def bisect_increasing(fun, lo: float, hi: float, target: float, xtol: float = 0.
     return 0.5 * (lo + hi)
 
 
-def fan_profile(ctx: FanContext, x: float, t: float) -> float:
-    """Evaluate the fan profile V(x, t); strictly increasing in x, V(0, t) = 0.
+def fan_values(flux: Flux, source: SourceProfile, offsets, t: float) -> np.ndarray:
+    """The fan profile V(z, t) at every offset z of ``offsets`` from the center.
 
-    Power-law fluxes use the closed form; others fall back to the root search.
-    Raises NumericsError when the value escapes the flux working interval.
+    V is strictly increasing in z with V(0, t) = 0.  Power-law fluxes take
+    the closed form as one array power; other fluxes take
+    :func:`fan_profile_rootfind` point by point, with the flux limit taken
+    once.  Raises ValueError unless t > 0, and NumericsError when a value
+    escapes the flux limit M exp(-min B).
     """
     if t <= 0.0:
         raise ValueError(f"fan profile needs t > 0, got {t}")
-    if x == 0.0:
-        return 0.0
-    return fan_at_time(ctx, t)(x)
-
-
-def fan_at_time(ctx: FanContext, t: float):
-    """The function x -> :func:`fan_profile` (ctx, x, t), bit for bit.
-
-    The work that depends on t alone is done here, once: the effective time
-    G_p(t) and its power G_p(t)^(-1/p) for power-law fluxes, and the flux
-    limit of :func:`_check_range` and of the root search bracket.  So
-    several offsets at one time pay for it once.
-    """
-    if t <= 0.0:
-        raise ValueError(f"fan profile needs t > 0, got {t}")
-    if ctx.flux.power is None:
-        limit = _flux_limit(ctx, t)
-        return lambda x: 0.0 if x == 0.0 else fan_profile_rootfind(ctx, x, t, limit)
-    p = ctx.flux.power
-    g_root = ctx.source.effective_time(p, t) ** (-1.0 / p)
-    limit = _flux_limit(ctx, t)
-
-    def closed_form(x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        v = math.copysign(abs(x) ** (1.0 / p) * g_root, x)
-        _check_range(v, limit)
-        return v
-
-    return closed_form
-
-
-def fan_values(ctx: FanContext, offsets: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized fan profile over an array of offsets from the center.
-
-    For power-law fluxes the closed form runs as one array power, which may
-    differ from the scalar :func:`fan_profile` in the last bit; other
-    fluxes evaluate :func:`fan_at_time` point by point.  Power-law values
-    are not range-checked.
-    """
     offsets = np.asarray(offsets, dtype=float)
-    if ctx.flux.power is not None:
-        p = ctx.flux.power
-        g = ctx.source.effective_time(p, t)
-        return np.sign(offsets) * np.abs(offsets) ** (1.0 / p) * g ** (-1.0 / p)
-    fan = fan_at_time(ctx, t)
-    return np.array([fan(float(z)) for z in offsets])
+    if flux.power is None:
+        limit = _flux_limit(flux, source, t)
+        return np.array([fan_profile_rootfind(flux, source, z, t, limit) for z in offsets.tolist()])
+    p = flux.power
+    values = np.sign(offsets) * np.abs(offsets) ** (1.0 / p) * source.effective_time(p, t) ** (-1.0 / p)
+    if values.size:
+        # compared as |V| exp(min B) <= M: the limit M exp(-min B) itself
+        # overflows under a strongly decaying source
+        v = max(-values.min(), values.max())
+        if v * math.exp(source.min_cumulative_source(t)) > flux.M * (1.0 + 1e-9):
+            raise NumericsError(
+                f"fan profile value {v} escapes the flux interval (limit {_flux_limit(flux, source, t)})"
+            )
+    return values
 
 
 def fan_profile_rootfind(
-    ctx: FanContext, x: float, t: float, limit: float | None = None
+    flux: Flux, source: SourceProfile, x: float, t: float, limit: float | None = None
 ) -> float:
     """Bracketed root search for the fan profile (any convex flux).
 
-    The bracket is the flux limit M exp(-min B) that :func:`_check_range`
-    enforces, so an offset the fan cannot reach fails the bracket check,
-    after its two evaluations, with the "escapes the flux interval" error.
-    ``limit`` is that flux limit at t when the caller has it already, as
-    :func:`fan_at_time` does; by default it is computed here.
+    The bracket is the flux limit M exp(-min B), so an offset the fan
+    cannot reach fails the bracket check, after its two evaluations, with
+    the "escapes the flux interval" error.  ``limit`` is that flux limit at
+    t when the caller has it already, as :func:`fan_values` does; by
+    default it is computed here.
     """
     if t <= 0.0:
         raise ValueError(f"fan profile needs t > 0, got {t}")
     if x == 0.0:
         return 0.0
     if limit is None:
-        limit = _flux_limit(ctx, t)
+        limit = _flux_limit(flux, source, t)
     try:
         return bisect_increasing(
-            lambda w: slope_time_integral(ctx.flux, ctx.source, w, t), -limit, limit, x, _ROOT_TOL
+            lambda w: slope_time_integral(flux, source, w, t), -limit, limit, x, _ROOT_TOL
         )
     except _Unbracketed as exc:
         raise NumericsError(
@@ -262,13 +229,6 @@ def fan_profile_rootfind(
         ) from exc
 
 
-def _flux_limit(ctx: FanContext, t: float) -> float:
+def _flux_limit(flux: Flux, source: SourceProfile, t: float) -> float:
     """Bound M exp(-min of B over [0, t]) on |V|, the fan's flux interval."""
-    return ctx.flux.M * math.exp(-ctx.source.min_cumulative_source(t))
-
-
-def _check_range(v: float, limit: float) -> None:
-    if abs(v) > limit * (1.0 + 1e-9):
-        raise NumericsError(
-            f"fan profile value {v} escapes the flux interval (limit {limit})"
-        )
+    return flux.M * math.exp(-source.min_cumulative_source(t))

@@ -78,7 +78,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .fanprofile import FanContext, fan_profile, fan_values
+from .families import PowerLawFamily, ShockCellFamily, packet_width
+from .fanprofile import fan_values
 from .flux import Flux
 from .source import SourceProfile
 from .waves import PiecewiseProfile, speed_bound
@@ -406,9 +407,8 @@ def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFu
     """
     if fan_points < 2:
         raise ValueError(f"need at least 2 samples per fan region, got {fan_points}")
-    ctx = profile.ctx
     t = profile.time
-    scale = math.exp(ctx.source.cumulative_source(t))
+    scale = math.exp(profile.source.cumulative_source(t))
     fan = profile.fan
     const = ~fan
     lefts, rights = profile.ends[:-1], profile.ends[1:]
@@ -432,7 +432,7 @@ def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFu
     centers = profile.anchor[fan]
     at = (starts[fan][:, None] + np.arange(fan_points)).ravel()
     xs[at] = grid.ravel()
-    vs[at] = fan_values(ctx, (grid - centers[:, None]).ravel(), t) * scale
+    vs[at] = fan_values(profile.flux, profile.source, (grid - centers[:, None]).ravel(), t) * scale
 
     # each region's right endpoint is its one-sided limit at the shared
     # breakpoint; nudge it one ulp left so abscissae stay strictly ordered.
@@ -476,8 +476,6 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     two-state cell families it is the min of the construction-time and
     evolution-time degeneracy bounds.
     """
-    from .families import PowerLawFamily, ShockCellFamily, packet_width
-
     if t <= 0.0:
         raise ConfigError(f"need t > 0, got {t}")
     _check_order(s)
@@ -485,12 +483,13 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     cum = 0.0
     scale = math.exp(family.source.cumulative_source(t))
     if isinstance(family, PowerLawFamily):
-        ctx = FanContext(flux=family.flux, source=family.source)
+        p = family.flux.power
+        g_root = family.source.effective_time(p, t) ** (-1.0 / p)
         for cell in family.cells[:N]:
             if t < cell.t0:
                 jump = 2.0 * cell.a * scale
-            else:  # the fan value at the packet's half-width
-                jump = 2.0 * fan_profile(ctx, packet_width(cell.index), t) * scale
+            else:  # the fan value w_n^(1/p) G_p(t)^(-1/p) at the packet's half-width w_n
+                jump = 2.0 * (packet_width(cell.index) ** (1.0 / p) * g_root) * scale
             bound = jump ** (1.0 / s)
             cum += bound
             rows.append((cell.index, bound, cum))

@@ -2,8 +2,10 @@
 
 Solutions of u_t + f(u)_x = alpha(t) u built from structured initial data
 are stored as three arrays: k + 1 region ends, k fan flags and k anchors
-(the level of a constant region, the center of a fan).  They evaluate
-pointwise without any discretization.  Jumps stay sharp; sampling for
+(the level of a constant region, the center of a fan), under the flux
+and source that the fans need.  They evaluate pointwise without any
+discretization, every fan point through the one fan evaluator
+:func:`fracbv.fanprofile.fan_values`.  Jumps stay sharp; sampling for
 variation measurements happens elsewhere.  Two-state cells, packets
 among them, and their layout into profiles live in :mod:`fracbv.families`;
 this module holds the profile, the flux drift and the single shock.
@@ -18,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .fanprofile import FanContext, fan_values, source_time_integral
+from .fanprofile import fan_values, source_time_integral
 from .flux import Flux
 from .source import SourceProfile
 
@@ -41,6 +43,8 @@ class FanRegion:
 class PiecewiseProfile:
     """Exact solution at a fixed time as k contiguous ordered regions.
 
+    ``flux`` and ``source`` are the f and alpha of the balance law, which
+    the fan regions need: V is :func:`fracbv.fanprofile.fan_values`.
     Region i spans [ends[i], ends[i + 1]].  Where ``fan[i]`` is false its
     value is anchor[i] * exp(B(t)); where it is true the region is a fan
     centered at anchor[i], valued V(x - anchor[i], t) * exp(B(t)).  Outside
@@ -49,7 +53,8 @@ class PiecewiseProfile:
     ValueError unless there are k >= 1 flags and anchors and k + 1 ends.
     """
 
-    ctx: FanContext
+    flux: Flux
+    source: SourceProfile
     time: float
     ends: np.ndarray
     fan: np.ndarray
@@ -77,10 +82,10 @@ class PiecewiseProfile:
 
     def _values(self, xs: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Value at each point of ``xs`` taken in the region of the same place in ``idx``."""
-        scale = math.exp(self.ctx.source.cumulative_source(self.time))
+        scale = math.exp(self.source.cumulative_source(self.time))
         values = self.anchor[idx] * scale
         fan = self.fan[idx]
-        values[fan] = fan_values(self.ctx, xs[fan] - self.anchor[idx[fan]], self.time) * scale
+        values[fan] = fan_values(self.flux, self.source, xs[fan] - self.anchor[idx[fan]], self.time) * scale
         return values
 
     def __call__(self, x: float) -> float:

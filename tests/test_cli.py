@@ -354,3 +354,32 @@ def test_csv_writer_memory_does_not_grow_with_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_kk_grid_is_written_in_slices(tmp_path):
+    # the dense grid, built as whole columns, is the reference; slicing it
+    # from the distinct rows keeps the writer's peak below their 2.5 MiB
+    from fracbv import keyfitz_kranzer as kk
+
+    setup = kk.KKSetup(p=2.0, delta=0.1, n=1, i_max=1)
+    eta, omega, rows = kk.build_initial_data(setup, 256)
+    centers, _ = kk.grid_axes(setup, 256)
+    dense = [
+        np.tile(centers, centers.size),
+        np.repeat(centers, centers.size),
+        eta[rows].ravel(),
+        omega[rows, :, 0].ravel(),
+        omega[rows, :, 1].ravel(),
+    ]
+    header = ["x", "y", "eta", "wx", "wy"]
+    want = csv_text(header, dense).encode()
+    del dense
+    path = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv_slices(str(path), header, cli._grid_slices(centers, eta, omega, rows))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == want
+    assert peak < 2**20

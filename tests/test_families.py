@@ -21,7 +21,7 @@ from fracbv import (
 )
 from fracbv import ConfigError, NumericsError, families
 from fracbv.families import ShockCell, packet_amplitude, packet_width
-from fracbv.fanprofile import FanContext, fan_profile_rootfind
+from fracbv.fanprofile import fan_profile_rootfind
 from fracbv.waves import flux_difference_drift
 from fracbv.flux import Decay
 
@@ -223,13 +223,12 @@ def rk4_shock_position(cell, F, S, t, steps=256):
     dz/dt = (f(u_l) - f(u_r)) / (u_l - u_r), with the source and both fans
     evaluated afresh at every stage: an independent route to the
     conservation identity that ``cell_profile`` solves."""
-    ctx = FanContext(flux=F, source=S)
 
     def fan(x, tt):
         if x == 0.0:
             return 0.0
         if F.power is None:
-            return fan_profile_rootfind(ctx, x, tt)
+            return fan_profile_rootfind(F, S, x, tt)
         p = F.power
         g = S.effective_time(p, tt)
         v = math.copysign(abs(x) ** (1.0 / p) * g ** (-1.0 / p), x)
@@ -312,7 +311,7 @@ def test_post_meeting_cost_does_not_grow_with_time(monkeypatch):
     rootfind = fanprofile.fan_profile_rootfind
 
     def counted(*args, **kwargs):
-        calls[args[2]] += 1
+        calls[args[3]] += 1  # (flux, source, x, t, limit)
         return rootfind(*args, **kwargs)
 
     monkeypatch.setattr(fanprofile, "fan_profile_rootfind", counted)

@@ -6,13 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracbv import (
-    FanContext,
     NumericsError,
+    PiecewiseProfile,
     SourceProfile,
-    fan_profile,
     fan_profile_rootfind,
+    fan_values,
     parse_alpha,
     power_law_flux,
+    sample_profile,
     slope_time_integral,
     slope_time_integral_numeric,
     user_flux,
@@ -23,70 +24,70 @@ from fracbv.fanprofile import bisect_increasing, source_time_integral
 ZERO = SourceProfile.zero()
 
 
-def make_ctx(p, source=ZERO, M=3.0):
-    return FanContext(flux=power_law_flux(p, M=M), source=source)
+def fan(flux, source, x, t):
+    """V(x, t) at one offset, through :func:`fan_values`."""
+    return float(fan_values(flux, source, [x], t)[0])
 
 
 def test_power_law_closed_form_examples():
-    ctx = make_ctx(2.0)
-    assert fan_profile(ctx, 4.0, 1.0) == pytest.approx(2.0, abs=1e-15)
-    assert fan_profile(ctx, 0.0, 1.0) == 0.0
+    F = power_law_flux(2.0, M=3.0)
+    assert fan(F, ZERO, 4.0, 1.0) == pytest.approx(2.0, abs=1e-15)
+    assert fan(F, ZERO, 0.0, 1.0) == 0.0
     src = SourceProfile.constant(-1.0)
-    ctx2 = make_ctx(2.0, src)
     t_star = math.log(2.0) / 2.0  # effective time 0.25
-    assert fan_profile(ctx2, 0.25, t_star) == pytest.approx(1.0, rel=1e-13)
+    assert fan(F, src, 0.25, t_star) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_rootfind_agrees_with_closed_form():
     rng = np.random.default_rng(11)
     for p in (1.0, 2.0, 3.0):
         for source in (ZERO, SourceProfile.constant(-1.0), SourceProfile.piecewise([0, 0.5], [1, -1])):
-            ctx = FanContext(flux=power_law_flux(p, M=2.0), source=source)
+            F = power_law_flux(p, M=2.0)
             for _ in range(20):
                 t = rng.uniform(0.05, 2.0)
                 w = rng.uniform(-1.9, 1.9)
-                x = slope_time_integral(ctx.flux, source, w, t)
-                assert fan_profile_rootfind(ctx, x, t) == pytest.approx(
-                    fan_profile(ctx, x, t), abs=1e-10
+                x = slope_time_integral(F, source, w, t)
+                assert fan_profile_rootfind(F, source, x, t) == pytest.approx(
+                    fan(F, source, x, t), abs=1e-10
                 )
 
 
 def test_residual_small():
     rng = np.random.default_rng(5)
     src = SourceProfile.piecewise([0, 0.5], [1, -1])
-    ctx = FanContext(flux=power_law_flux(2.0, M=2.0), source=src)
+    F = power_law_flux(2.0, M=2.0)
     for _ in range(50):
         t = rng.uniform(0.05, 2.0)
         w = rng.uniform(-1.9, 1.9)
-        x = slope_time_integral(ctx.flux, src, w, t)
-        v = fan_profile(ctx, x, t)
-        assert abs(x - slope_time_integral_numeric(ctx.flux, src, v, t)) < 1e-10 * (1.0 + abs(x))
+        x = slope_time_integral(F, src, w, t)
+        v = fan(F, src, x, t)
+        assert abs(x - slope_time_integral_numeric(F, src, v, t)) < 1e-10 * (1.0 + abs(x))
 
 
 def test_monotone_in_position():
     rng = np.random.default_rng(9)
-    ctx = make_ctx(2.0)
+    F = power_law_flux(2.0, M=3.0)
     for _ in range(200):
         t = rng.uniform(0.05, 3.0)
-        xmax = (0.9 * ctx.flux.M) ** 2 * ctx.source.effective_time(2.0, t)
+        xmax = (0.9 * F.M) ** 2 * ZERO.effective_time(2.0, t)
         x1, x2 = np.sort(rng.uniform(-xmax, xmax, size=2))
         if x1 == x2:
             continue
-        assert fan_profile(ctx, x1, t) < fan_profile(ctx, x2, t)
+        assert fan(F, ZERO, x1, t) < fan(F, ZERO, x2, t)
 
 
 def test_holder_bound_random_triples():
     # |V(z1) - V(z2)| <= (|z1 - z2| / (c0 G_p(t)))^(1/p), G_p the effective time
     rng = np.random.default_rng(23)
     for p, source in ((2.0, ZERO), (3.0, SourceProfile.constant(-0.5))):
-        ctx = FanContext(flux=power_law_flux(p, M=2.0), source=source)
-        c0 = ctx.flux.degeneracy.c0
+        F = power_law_flux(p, M=2.0)
+        c0 = F.degeneracy.c0
         for _ in range(2500):
             t = rng.uniform(0.05, 2.0)
             g = source.effective_time(p, t)
-            zmax = (0.9 * ctx.flux.M) ** p * g
+            zmax = (0.9 * F.M) ** p * g
             z1, z2 = rng.uniform(-zmax, zmax, size=2)
-            lhs = abs(fan_profile(ctx, z1, t) - fan_profile(ctx, z2, t))
+            lhs = abs(fan(F, source, z1, t) - fan(F, source, z2, t))
             rhs = (abs(z1 - z2) / (c0 * g)) ** (1.0 / p)
             assert lhs <= rhs + 1e-12
 
@@ -94,30 +95,55 @@ def test_holder_bound_random_triples():
 def test_user_flux_path_and_residual():
     # smooth strictly convex non-power-law flux
     F = user_flux(lambda u: np.cosh(u) - 1.0, np.sinh, M=2.0)
-    ctx = FanContext(flux=F, source=SourceProfile.constant(-0.5))
+    src = SourceProfile.constant(-0.5)
     t = 0.8
-    x = slope_time_integral_numeric(F, ctx.source, 0.9, t)
-    v = fan_profile(ctx, x, t)
+    x = slope_time_integral_numeric(F, src, 0.9, t)
+    v = fan(F, src, x, t)
     assert v == pytest.approx(0.9, abs=1e-9)
-    assert abs(x - slope_time_integral_numeric(F, ctx.source, v, t)) < 1e-9
+    assert abs(x - slope_time_integral_numeric(F, src, v, t)) < 1e-9
 
 
 def test_time_domain_errors():
-    ctx = make_ctx(2.0)
+    F = power_law_flux(2.0, M=3.0)
     with pytest.raises(ValueError):
-        fan_profile(ctx, 1.0, 0.0)
+        fan(F, ZERO, 1.0, 0.0)
     with pytest.raises(ValueError):
-        fan_profile(ctx, 1.0, -0.5)
+        fan(F, ZERO, 1.0, -0.5)
 
 
 def test_range_escape_raises():
-    ctx = make_ctx(2.0, M=1.0)
+    F = power_law_flux(2.0, M=1.0)
     # value would be (100)^{1/2} / 1 = 10 >> M
     with pytest.raises(NumericsError):
-        fan_profile(ctx, 100.0, 1.0)
+        fan(F, ZERO, 100.0, 1.0)
     F = user_flux(lambda u: np.cosh(u) - 1.0, np.sinh, M=1.0)
     with pytest.raises(NumericsError):
-        fan_profile_rootfind(FanContext(flux=F, source=ZERO), 1e6, 1.0)
+        fan_profile_rootfind(F, ZERO, 1e6, 1.0)
+
+
+@pytest.mark.parametrize("source", [ZERO, SourceProfile.constant(-0.5)], ids=["zero", "decaying"])
+def test_power_law_profile_past_the_flux_limit_raises(source):
+    # a fan centered at 0 on [0, 4] reaches V(4, 1) = 2 G^(-1/2) > M exp(-min B):
+    # both the evaluator and the sampler refuse it instead of returning it
+    F = power_law_flux(2.0, M=1.0)
+    profile = PiecewiseProfile(flux=F, source=source, time=1.0, ends=(0.0, 4.0), fan=(True,), anchor=(0.0,))
+    with pytest.raises(NumericsError, match="escapes the flux interval"):
+        profile.evaluate(np.linspace(0.0, 4.0, 5))
+    with pytest.raises(NumericsError, match="escapes the flux interval"):
+        sample_profile(profile)
+    # the part of the fan within the flux interval evaluates
+    assert profile(0.25) == pytest.approx(0.5 * source.effective_time(2.0, 1.0) ** -0.5 * math.exp(source.cumulative_source(1.0)))
+
+
+@pytest.mark.parametrize("alpha", ["zero", "pw:0:-0.3,0.5:0.2"])
+def test_general_flux_values_are_the_root_search(alpha):
+    source = parse_alpha(alpha)
+    offsets = np.array([-0.02, -1e-3, -0.0, 0.0, 1e-9, 4e-3, 0.02])
+    got = fan_values(ASYM, source, offsets, 1.5)
+    want = np.array([fan_profile_rootfind(ASYM, source, z, 1.5) for z in offsets.tolist()])
+    assert got.tobytes() == want.tobytes()
+    assert got[2] == got[3] == 0.0
+    assert fan_values(ASYM, source, np.empty(0), 1.5).shape == (0,)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.9, 2.5])  # first piece, last piece, past the last breakpoint
@@ -196,7 +222,6 @@ def test_rootfind_evaluation_count(source, monkeypatch):
         return slope_time_integral(*args)
 
     monkeypatch.setattr(fanprofile, "slope_time_integral", counted)
-    ctx = FanContext(flux=ASYM, source=source)
     counts = []
     for t in (0.3, 1.0, 1.4):
         limit = ASYM.M * math.exp(-source.min_cumulative_source(t))  # the bracket is [-limit, limit]
@@ -204,7 +229,7 @@ def test_rootfind_evaluation_count(source, monkeypatch):
         for x in np.linspace(-0.3, 0.3, 24):
             calls.clear()
             try:
-                v = fan_profile_rootfind(ctx, float(x), t)
+                v = fan_profile_rootfind(ASYM, source, float(x), t)
             except NumericsError:  # offsets the fan cannot reach at this time
                 pass
             else:
@@ -226,5 +251,5 @@ def test_unreachable_offset_fails_at_the_bracket(alpha, monkeypatch):
 
     monkeypatch.setattr(fanprofile, "slope_time_integral", counted)
     with pytest.raises(NumericsError, match=r"offset -0.3 escapes the flux interval \(limit 0.9\)"):
-        fan_profile_rootfind(FanContext(flux=ASYM, source=parse_alpha(alpha)), -0.3, 0.3)
+        fan_profile_rootfind(ASYM, parse_alpha(alpha), -0.3, 0.3)
     assert len(calls) <= 2

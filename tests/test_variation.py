@@ -38,7 +38,7 @@ from fracbv.families import (
     initial_shock_position,
     solve_cell_states,
 )
-from fracbv.fanprofile import FanContext, fan_values
+from fracbv.fanprofile import fan_values
 from fracbv.flux import Decay, user_flux
 from fracbv.waves import ConstantRegion, FanRegion, PiecewiseProfile
 
@@ -494,11 +494,11 @@ class TestSampling:
             assert np.array_equal(f.vs, g.vs)
 
 
-def per_region_sample_profile(ctx, t, regions, fan_points):
+def per_region_sample_profile(flux, source, t, regions, fan_points):
     """``sample_profile`` as it was before it sampled all regions in one pass:
     one ``np.linspace`` and one ``fan_values`` call per region object.  The
     oracle for the one-pass sampling, which must match it bit for bit."""
-    scale = math.exp(ctx.source.cumulative_source(t))
+    scale = math.exp(source.cumulative_source(t))
     xs_parts, vs_parts = [], []
     for region in regions:
         if isinstance(region, ConstantRegion):
@@ -506,7 +506,7 @@ def per_region_sample_profile(ctx, t, regions, fan_points):
             vs = np.array([region.w * scale, region.w * scale])
         else:
             xs = np.linspace(region.left, region.right, max(2, fan_points))
-            vs = fan_values(ctx, xs - region.center, t) * scale
+            vs = fan_values(flux, source, xs - region.center, t) * scale
         xs = xs.copy()
         xs[-1] = np.nextafter(xs[-1], -np.inf)
         xs_parts.append(xs)
@@ -543,9 +543,9 @@ def sampling_profiles():
     yield "general-flux-after", cell_profile(cell, ASYM, ZERO, 1.3)
     # a trailing fan of zero width next to fans of nonzero width: numpy's
     # linspace takes another formula for a whole call once any step is zero
-    ctx = FanContext(flux=power_law_flux(2.0, M=1.0), source=pw)
     yield "flat-fan", PiecewiseProfile(
-        ctx=ctx,
+        flux=power_law_flux(2.0, M=1.0),
+        source=pw,
         time=1.0,
         ends=(-0.2, -0.1, 0.0, 0.1, 0.1),
         fan=(True, False, True, True),
@@ -561,7 +561,7 @@ SAMPLING_PROFILES = dict(sampling_profiles())
 def test_one_pass_sampling_is_bit_identical(name, fan_points):
     profile = SAMPLING_PROFILES[name]
     got = sample_profile(profile, fan_points=fan_points)
-    want = per_region_sample_profile(profile.ctx, profile.time, profile.regions, fan_points)
+    want = per_region_sample_profile(profile.flux, profile.source, profile.time, profile.regions, fan_points)
     assert got.xs.tobytes() == want.xs.tobytes()
     assert got.vs.tobytes() == want.vs.tobytes()
 
@@ -600,19 +600,19 @@ def region_assembly(family, t):
     return out
 
 
-def region_evaluate(ctx, t, regions, xs):
+def region_evaluate(flux, source, t, regions, xs):
     """``PiecewiseProfile.evaluate`` as it was on region objects."""
     out = np.zeros(xs.shape)
     inside = (xs >= regions[0].left) & (xs <= regions[-1].right)
     pts = xs[inside]
     idx = np.searchsorted([r.left for r in regions], pts, side="right") - 1
-    scale = math.exp(ctx.source.cumulative_source(t))
+    scale = math.exp(source.cumulative_source(t))
     is_fan = np.array([isinstance(r, FanRegion) for r in regions])
     level = np.array([0.0 if f else r.w * scale for r, f in zip(regions, is_fan)])
     centers = np.array([r.center if f else 0.0 for r, f in zip(regions, is_fan)])
     values = level[idx]
     fan = is_fan[idx]
-    values[fan] = fan_values(ctx, pts[fan] - centers[idx[fan]], t) * scale
+    values[fan] = fan_values(flux, source, pts[fan] - centers[idx[fan]], t) * scale
     out[inside] = values
     return out
 
@@ -664,9 +664,9 @@ def test_family_layout_matches_region_assembly(name):
     lo, hi = profile.span
     rng = np.random.default_rng(5)
     xs = np.concatenate((rng.uniform(lo - 0.1, hi + 0.1, size=4000), ends, [lo - 0.1, hi + 0.1]))
-    assert profile.evaluate(xs).tobytes() == region_evaluate(profile.ctx, t, regions, xs).tobytes()
+    assert profile.evaluate(xs).tobytes() == region_evaluate(profile.flux, profile.source, t, regions, xs).tobytes()
     got = sample_profile(profile, fan_points=8)
-    want = per_region_sample_profile(profile.ctx, t, regions, 8)
+    want = per_region_sample_profile(profile.flux, profile.source, t, regions, 8)
     assert got.xs.tobytes() == want.xs.tobytes()
     assert got.vs.tobytes() == want.vs.tobytes()
 

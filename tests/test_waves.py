@@ -5,11 +5,10 @@ import pytest
 
 from fracbv import (
     ConstantRegion,
-    FanContext,
     SourceProfile,
     cell_profile,
     fan_edges,
-    fan_profile,
+    fan_profile_rootfind,
     make_packet,
     power_law_flux,
     riemann_shock,
@@ -180,7 +179,7 @@ def test_speed_bound_power_law():
 def test_profile_shape_validation():
     from fracbv import PiecewiseProfile
 
-    ctx = FanContext(flux=power_law_flux(2.0, M=1.0), source=ZERO)
+    F = power_law_flux(2.0, M=1.0)
     bad = [
         ((0.0, 1.0, 2.0), (False,), (0.1,)),  # k + 2 ends
         ((0.0, 1.0), (False, True), (0.1, 0.0)),  # k ends
@@ -191,8 +190,8 @@ def test_profile_shape_validation():
     ]
     for ends, fan, anchor in bad:
         with pytest.raises(ValueError, match="k >= 1"):
-            PiecewiseProfile(ctx=ctx, time=1.0, ends=ends, fan=fan, anchor=anchor)
-    profile = PiecewiseProfile(ctx=ctx, time=1.0, ends=(0.0, 1.0, 2.0), fan=(False, True), anchor=(0.1, 2.0))
+            PiecewiseProfile(flux=F, source=ZERO, time=1.0, ends=ends, fan=fan, anchor=anchor)
+    profile = PiecewiseProfile(flux=F, source=ZERO, time=1.0, ends=(0.0, 1.0, 2.0), fan=(False, True), anchor=(0.1, 2.0))
     assert profile.span == (0.0, 2.0)
 
 
@@ -205,6 +204,15 @@ def evaluation_points(profile, rng, n_random=400):
     return np.concatenate((rng.uniform(lo - pad, hi + pad, size=n_random), profile.ends, outside))
 
 
+def scalar_fan(flux, source, z, t):
+    """V(z, t) one offset at a time: the power-law closed form in scalar
+    arithmetic, or the root search of a general flux."""
+    if flux.power is None:
+        return fan_profile_rootfind(flux, source, z, t)
+    p = flux.power
+    return math.copysign(abs(z) ** (1.0 / p) * source.effective_time(p, t) ** (-1.0 / p), z)
+
+
 def scalar_values(profile, xs):
     """Values region by region through the scalar fan profile, each point in
     the region to its right at a shared end: the pointwise evaluator that
@@ -212,7 +220,7 @@ def scalar_values(profile, xs):
     lo, hi = profile.span
     regions = profile.regions
     lefts = [r.left for r in regions]
-    scale = math.exp(profile.ctx.source.cumulative_source(profile.time))
+    scale = math.exp(profile.source.cumulative_source(profile.time))
     out = []
     for x in xs.tolist():
         region = regions[int(np.searchsorted(lefts, x, side="right")) - 1]
@@ -221,7 +229,7 @@ def scalar_values(profile, xs):
         elif isinstance(region, ConstantRegion):
             out.append(region.w * scale)
         else:
-            out.append(fan_profile(profile.ctx, x - region.center, profile.time) * scale)
+            out.append(scalar_fan(profile.flux, profile.source, x - region.center, profile.time) * scale)
     return np.array(out)
 
 
@@ -262,9 +270,9 @@ class TestProfileEvaluate:
         from fracbv import PiecewiseProfile, user_flux
 
         F = user_flux(lambda u: np.cosh(u) - 1.0, np.sinh, M=2.0)
-        ctx = FanContext(flux=F, source=self.SRC)
         profile = PiecewiseProfile(
-            ctx=ctx,
+            flux=F,
+            source=self.SRC,
             time=1.0,
             ends=(-1.0, -0.4, 0.0, 0.4, 1.0),
             fan=(True, False, False, True),
