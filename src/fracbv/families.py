@@ -362,6 +362,7 @@ def _cell_layout(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float
     shock = tau.copy()
     p = F.power
     if p is None:
+        _check_flux_interval(F, S, cells, t)
         zeta_minus, zeta_plus = np.array([fan_edges(F, S, c, t) for c in cells]).T
         moving = range(len(cells))
     else:
@@ -381,6 +382,23 @@ def _cell_layout(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float
     anchor = np.column_stack((A, a, b, B, np.zeros_like(A))).ravel()
     keep = np.repeat(before, 5) | np.tile([True, False, False, True, True], len(cells))
     return PiecewiseProfile(F, S, t, ends[keep], fan[keep][:-1], anchor[keep][:-1])
+
+
+def _check_flux_interval(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float) -> None:
+    """Require |w| e^{max B} <= M up to t for both states w of every cell.
+
+    A state w is the value w e^{B} at time t, so past this limit it leaves
+    [-M, M], where a general flux is not defined.  Compared as
+    |w| <= M e^{-max B}, which cannot overflow.
+    """
+    limit = F.M * math.exp(-S.max_cumulative_source(t))
+    for c in cells:
+        for name, w in (("a", c.a), ("b", c.b)):
+            if abs(w) > limit:
+                raise ConfigError(
+                    f"state {name} = {w} of cell {c.index} leaves the flux interval "
+                    f"[{-F.M}, {F.M}] by t = {t}: it needs |{name}| <= M e^(-max B) = {limit}"
+                )
 
 
 def cell_profile(

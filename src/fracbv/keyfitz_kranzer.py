@@ -199,6 +199,9 @@ def build_initial_data(setup: KKSetup, resolution: int):
     elementwise operations as in the dense grid, so the expansion is bit
     for bit the dense grid.  Raises ValueError when the grid cannot resolve
     the finest strips and checker cells, where grid norms lose meaning.
+    :func:`bv_grid_norm` takes the rows as they are, so even the least
+    resolved res at the default i_max = 4 (32,256 at p = 2, delta = 0.1)
+    costs O(k * res) memory.
     """
     check_resolution(setup, resolution)
     centers, _ = grid_axes(setup, resolution)
@@ -206,6 +209,28 @@ def build_initial_data(setup: KKSetup, resolution: int):
     _, first, rows = np.unique(keys, axis=1, return_index=True, return_inverse=True)
     X, Y = np.meshgrid(centers, centers[first])
     return modulus_at(setup, X, Y), direction_at(setup, X, Y), rows
+
+
+# Veltkamp's splitting constant for float64: 2^27 + 1 cuts a double into two
+# halves of at most 26 significant bits each, so a count below 2^26 times
+# either half is exact.
+_SPLIT = 2.0**27 + 1.0
+_MAX_ROWS = 2**26
+
+
+def _weighted_sum(values: np.ndarray, counts: np.ndarray) -> float:
+    """sum(counts * values), correctly rounded, for integer counts < 2^26.
+
+    Each nonzero value v is split into hi + lo (Veltkamp), so count * hi and
+    count * lo are exact, and ``math.fsum`` rounds their sum once.
+    """
+    keep = values != 0.0
+    v = values[keep]
+    c = np.broadcast_to(counts, values.shape)[keep].astype(float)
+    scaled = _SPLIT * v
+    hi = scaled - (scaled - v)
+    lo = v - hi
+    return math.fsum((c * hi).tolist() + (c * lo).tolist())
 
 
 def bv_grid_norm(
@@ -221,25 +246,32 @@ def bv_grid_norm(
     constant on strips as the grid refines.  Vector-valued grids (trailing
     length-2 axis) use the Euclidean norm of the differences.
 
-    The jumps are taken once per distinct row (x) and once per distinct
-    pair of adjacent rows (y), then expanded to the (ny, nx - 1) and
-    (ny - 1, nx) arrays of the dense grid and summed there, so the sums,
-    pairwise summation order included, are bit for bit those of the dense
-    grid.
+    The x-jumps are taken once per distinct row and the y-jumps once per
+    distinct pair of adjacent rows, each weighted by how often it occurs in
+    the grid, so the cost is O(k * nx) for k distinct rows and no dense
+    (ny, nx) array is formed.  Each direction's jump sum is correctly
+    rounded (exact products of counts and split jumps, added by
+    ``math.fsum``), so it does not depend on summation order or on the
+    machine; the result is sum_x * dy + sum_y * dx.  Raises ValueError for
+    2^26 rows or more, where the counts would no longer multiply exactly.
     """
     grid = np.asarray(grid, dtype=float)
-    rows = np.asarray(rows)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size >= _MAX_ROWS:
+        raise ValueError(f"grid of {rows.size} rows; the exact norm takes fewer than 2^26")
     x_lo, x_hi, y_lo, y_hi = box
     if grid.ndim == 2:
         grid = grid[..., None]
+    k = grid.shape[0]
     ny, nx = rows.size, grid.shape[1]
     dx = (x_hi - x_lo) / nx
     dy = (y_hi - y_lo) / ny
     jumps_x = np.sqrt(np.sum(np.diff(grid, axis=1) ** 2, axis=-1))
-    sum_x = np.take(jumps_x, rows, axis=0).sum()
-    pairs, pair_of = np.unique(np.stack([rows[:-1], rows[1:]]), axis=1, return_inverse=True)
-    jumps_y = np.sqrt(np.sum((grid[pairs[1]] - grid[pairs[0]]) ** 2, axis=-1))
-    sum_y = np.take(jumps_y, pair_of, axis=0).sum()
+    sum_x = _weighted_sum(jumps_x, np.bincount(rows, minlength=k)[:, None])
+    pairs, pair_counts = np.unique(rows[:-1] * k + rows[1:], return_counts=True)
+    above, below = np.divmod(pairs, k)
+    jumps_y = np.sqrt(np.sum((grid[below] - grid[above]) ** 2, axis=-1))
+    sum_y = _weighted_sum(jumps_y, pair_counts[:, None])
     return float(sum_x * dy + sum_y * dx)
 
 

@@ -82,11 +82,21 @@ class SourceProfile:
         return b_left + value * (t - left)
 
     def min_cumulative_source(self, t: float) -> float:
-        """min of B over [0, t]; attained at 0, t, or a breakpoint."""
+        """min of B over [0, t]."""
+        return min(self._corner_values(t))
+
+    def max_cumulative_source(self, t: float) -> float:
+        """max of B over [0, t]."""
+        return max(self._corner_values(t))
+
+    def _corner_values(self, t: float) -> Tuple[float, ...]:
+        """B at 0, at t and at the breakpoints in between.
+
+        B is piecewise linear, so its extremes over [0, t] are among these.
+        """
         _check_time(t)
         inner = bisect_left(self.breakpoints, t)
-        inner_b = (b_left for _, _, _, b_left in self.pieces[1:inner])
-        return min(0.0, self.cumulative_source(t), *inner_b)
+        return (0.0, self.cumulative_source(t), *(b_left for _, _, _, b_left in self.pieces[1:inner]))
 
     def effective_time(self, p: float, t: float) -> float:
         """integral of exp(p B(theta)) over [0, t]; strictly increasing in t.

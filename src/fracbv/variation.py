@@ -451,7 +451,9 @@ def smoothing_upper_bound(
 
     exp(p B(t)) / (c0 * effective_time(p, t)) * (2 (b - a) + 2 C(T) t) with
     (p, c0) the flux degeneracy and C(T) the propagation speed bound.
-    Diverges as t -> 0 (no smoothing at time zero).
+    Diverges as t -> 0 (no smoothing at time zero).  Raises NumericsError
+    naming the quantity that overflows float64, with sup|alpha| T, when the
+    bound is not representable.
     """
     if not 0.0 < t <= T:
         raise ConfigError("need 0 < t <= T")
@@ -460,11 +462,29 @@ def smoothing_upper_bound(
     deg = F.degeneracy
     if deg is None:
         raise ValueError("flux carries no degeneracy metadata (p, c0)")
-    g = S.effective_time(deg.p, t)
+    reach = S.sup_norm * T
+    g = _finite("the effective time G_p(t), the integral of e^(p B) over [0, t]", reach,
+                lambda: S.effective_time(deg.p, t))
     if g == 0.0:
         return math.inf
-    scale = math.exp(deg.p * S.cumulative_source(t))
-    return scale / (deg.c0 * g) * (2.0 * (b - a) + 2.0 * speed_bound(F, S, T) * t)
+    scale = _finite("e^(p B(t))", reach, lambda: math.exp(deg.p * S.cumulative_source(t)))
+    speed = _finite("the speed bound max |f'| on [-M e^(sup|alpha| T), M e^(sup|alpha| T)]", reach,
+                    lambda: speed_bound(F, S, T))
+    return _finite("the bound", reach, lambda: scale / (deg.c0 * g) * (2.0 * (b - a) + 2.0 * speed * t))
+
+
+def _finite(quantity: str, reach: float, compute) -> float:
+    """compute(), or NumericsError naming ``quantity`` when it overflows float64."""
+    try:
+        with np.errstate(over="ignore"):  # a numpy overflow gives inf, refused below
+            value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericsError(
+            f"{quantity} overflows float64 at sup|alpha| T = {reach:g}, so the bound is not representable"
+        )
+    return value
 
 
 def family_variation_lower_bounds(family, t: float, s: float, N: int):

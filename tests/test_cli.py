@@ -85,7 +85,10 @@ def test_non_finite_result_is_not_written_as_json(capsys):
 def test_bound_overflow_exits_numerical(capsys):
     code = main(["bound", "--p", "2", "--alpha", "constant:1000", "--t", "1", "--a", "0", "--b", "1", "--T", "1"])
     assert code == 3
-    assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical"
+    assert err["error"].startswith("the effective time G_p(t)")
+    assert "overflows float64 at sup|alpha| T = 1000" in err["error"]
 
 
 def test_variation_of_empty_file_exits_numerical(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from decimal import Decimal, localcontext
 
@@ -320,6 +321,20 @@ def test_post_meeting_cost_does_not_grow_with_time(monkeypatch):
         cell_profile(cell, ASYM, ZERO, t)
     assert set(calls) == {1.3, 5.0}
     assert calls[1.3] == calls[5.0] <= 64
+
+
+def test_general_flux_state_leaving_the_flux_interval_is_refused():
+    # B(t) = -0.15 + 0.2 (t - 0.5) grows past the cell's state a = 0.229:
+    # a e^{B} = 0.485 at t = 5, 1.32 at t = 10 and 9.74 at t = 20, with M = 0.9
+    source = SourceProfile.piecewise([0.0, 0.5], [-0.3, 0.2])
+    cell = shock_cell_family(ASYM, source, 1.0, 13, n_start=13).cells[0]
+    cell_profile(cell, ASYM, source, 5.0)
+    for t in (10.0, 20.0):
+        message = f"state a = {cell.a} of cell 13 leaves the flux interval [-0.9, 0.9] by t = {t}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cell_profile(cell, ASYM, source, t)
+        with pytest.raises(ConfigError, match="leaves the flux interval"):
+            family_profile(shock_cell_family(ASYM, source, 1.0, 13, n_start=12), t)
 
 
 class TestCellMeetingTime:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ def dense_grids(setup, res):
 
 
 def dense_bv_norm(grid, box):
-    """The grid BV seminorm differenced over the whole dense grid."""
+    """The grid BV seminorm differenced over the whole dense grid, each sum exactly rounded."""
     x_lo, x_hi, y_lo, y_hi = box
     if grid.ndim == 2:
         grid = grid[..., None]
     ny, nx = grid.shape[:2]
     jumps_x = np.sqrt(np.sum(np.diff(grid, axis=1) ** 2, axis=-1))
     jumps_y = np.sqrt(np.sum(np.diff(grid, axis=0) ** 2, axis=-1))
-    return float(jumps_x.sum() * ((y_hi - y_lo) / ny) + jumps_y.sum() * ((x_hi - x_lo) / nx))
+    sum_x, sum_y = math.fsum(jumps_x.ravel().tolist()), math.fsum(jumps_y.ravel().tolist())
+    return float(sum_x * ((y_hi - y_lo) / ny) + sum_y * ((x_hi - x_lo) / nx))
 
 
 def resolved_res(setup):
@@ -92,6 +94,47 @@ def test_dense_grid_is_the_identity_row_index():
     rows = np.arange(grid.shape[0])
     area = (-1.0, 2.0, -0.5, 0.25)
     assert kk.bv_grid_norm(grid, rows, area) == dense_bv_norm(grid, area)
+
+
+def test_unevenly_repeated_rows_equal_the_dense_grid():
+    rng = np.random.default_rng(11)
+    grid = rng.normal(size=(6, 41, 2))
+    # 30 runs of 1 to 40 equal rows: rows and adjacent pairs occur 1 to 237 times
+    rows = np.repeat(rng.integers(0, 6, size=30), rng.integers(1, 41, size=30))
+    area = (-3.0, 1.5, 0.0, 7.0)
+    assert kk.bv_grid_norm(grid, rows, area) == dense_bv_norm(grid[rows], area)
+    assert kk.bv_grid_norm(grid[..., 0], rows, area) == dense_bv_norm(grid[rows][..., 0], area)
+
+
+def test_norm_memory_does_not_grow_with_the_dense_grid():
+    setup = kk.KKSetup(p=2.0, delta=0.1, n=1, i_max=2)
+    eta, omega, rows = kk.build_initial_data(setup, 2048)
+    u0 = eta[..., None] * omega - np.asarray(setup.b, dtype=float)
+    tracemalloc.start()
+    try:
+        kk.bv_grid_norm(u0, rows, box(setup))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense (2048, 2047) float array alone is 32 MiB
+    assert peak < 4 * 2**20
+
+
+def test_grid_of_2_to_the_26_rows_is_refused():
+    rows = np.broadcast_to(np.int64(0), (2**26,))
+    with pytest.raises(ValueError, match="fewer than 2\\^26"):
+        kk.bv_grid_norm(np.zeros((1, 3)), rows, (0.0, 1.0, 0.0, 1.0))
+
+
+def test_cli_norm_at_the_default_imax(tmp_path):
+    setup = kk.KKSetup(p=2.0, delta=0.1, n=1, i_max=4)
+    res = resolved_res(setup)
+    out = tmp_path / "kk.json"
+    argv = ["kk", "--p", "2", "--delta", "0.1", "--n", "1", "--t", "0.5", "--Ni", "20"]
+    assert main([*argv, "--res", str(res), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert "grid" not in payload
+    assert math.isfinite(payload["bv_norm_u0_minus_b"]) and payload["bv_norm_u0_minus_b"] > 0.0
 
 
 def test_unresolved_grid_is_refused(tmp_path):

@@ -197,6 +197,14 @@ def old_min_cumulative_source(src, t):
     return min(candidates)
 
 
+def old_max_cumulative_source(src, t):
+    candidates = [0.0, old_cumulative_source(src, t)]
+    for b in src.breakpoints:
+        if 0.0 < b < t:
+            candidates.append(old_cumulative_source(src, b))
+    return max(candidates)
+
+
 def old_effective_time(src, p, t):
     if math.isinf(t):
         return old_effective_time_limit(src, p)
@@ -274,6 +282,7 @@ def test_piece_table_matches_generator_primitives(src):
     for t in table_times(src):
         assert same_float(src.cumulative_source(t), old_cumulative_source(src, t)), t
         assert same_float(src.min_cumulative_source(t), old_min_cumulative_source(src, t)), t
+        assert same_float(src.max_cumulative_source(t), old_max_cumulative_source(src, t)), t
         for p in (1.0, 1.5, 2.0, 3.7):
             assert same_float(src.effective_time(p, t), old_effective_time(src, p, t)), (p, t)
     for p in (1.0, 1.5, 2.0, 3.7):
@@ -323,6 +332,7 @@ def test_piece_table_leaves_equality_and_hash_alone():
 
 @pytest.mark.parametrize("t", [-1.0, math.nan])
 def test_time_outside_the_domain_rejected(t):
-    for method in (PW.cumulative_source, PW.min_cumulative_source, lambda t: PW.effective_time(2.0, t)):
+    methods = (PW.cumulative_source, PW.min_cumulative_source, PW.max_cumulative_source)
+    for method in (*methods, lambda t: PW.effective_time(2.0, t)):
         with pytest.raises(ValueError, match="non-negative"):
             method(t)

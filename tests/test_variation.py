@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -739,6 +740,23 @@ class TestUpperBound:
         F = power_law_flux(2.0, M=1.0)
         vals = [smoothing_upper_bound(F, ZERO, t, 0.0, 1.0, 1.0) for t in (0.1, 0.01, 0.001)]
         assert vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize(
+        "source, t, quantity",
+        [
+            (SourceProfile.constant(1000.0), 1.0, "the effective time G_p(t)"),
+            # B(0.4) = 0, but states may reach M e^800 by T = 1
+            (SourceProfile.piecewise([0.0, 0.5], [0.0, 800.0]), 0.4, "the speed bound"),
+            # each factor is finite (e^709 at most); their product is not
+            (SourceProfile.constant(354.5), 1.0, "the bound"),
+        ],
+    )
+    def test_overflow_names_its_cause(self, source, t, quantity):
+        F = power_law_flux(2.0, M=1.0)
+        reach = source.sup_norm * 1.0
+        message = rf"^{re.escape(quantity)}.* overflows float64 at sup\|alpha\| T = {reach:g},"
+        with pytest.raises(NumericsError, match=message):
+            smoothing_upper_bound(F, source, t, 0.0, 1.0, 1.0)
 
     def test_measured_variation_below_bound(self):
         fam = power_law_family(2.0, ZERO, 30)
