@@ -69,7 +69,6 @@ from .keyfitz_kranzer import (
     build_initial_data,
     bv_grid_norm,
     direction_at,
-    direction_at_time,
     jump_sum_lower_bound,
     modulus_at,
 )

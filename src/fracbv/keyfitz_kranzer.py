@@ -89,79 +89,56 @@ class KKSetup:
         return self.b_norm * float(self.n) ** (-1.0 - self.delta) + 2.0 ** (-self.n + 1)
 
 
-def band_index(setup: KKSetup, ys: np.ndarray) -> np.ndarray:
-    """Dyadic band index i with y in [2^-i, 2^-i+1); 0 where y is outside.
+def _cells(setup: KKSetup, xs, ys) -> np.ndarray:
+    """Table row, strip parity and checker parity of every point (x, y), stacked.
 
-    Only bands n..i_max count; everything else maps to 0.
+    Row 0 holds the points outside the bands n..i_max or with |x| > M, row
+    i - n + 1 those of band i.  The band is exact: for y = m 2^e with m in
+    [1/2, 1), y lies in [2^-i, 2^-i+1) for i = 1 - e.  Band i is cut into
+    m_i strips j = 1..m_i, strip j where (y - 2^-i) m_i / 2^-i lies in
+    [j - 1, j); ``strip`` is 1 on even j.  ``checker`` is 1 where
+    floor(x 2^i) is odd.  Both parities are 0 on row 0.
     """
-    ys = np.asarray(ys, dtype=float)
-    idx = np.zeros(ys.shape, dtype=np.int64)
-    inside = (ys > 0.0) & (ys < 2.0 ** (-setup.n + 1))
-    if np.any(inside):
-        i = np.ceil(-np.log2(ys[inside])).astype(np.int64)
-        i = np.where(2.0 ** (-i) > ys[inside], i + 1, i)
-        i = np.where(2.0 ** (-i + 1) <= ys[inside], i - 1, i)
-        i = np.where((i >= setup.n) & (i <= setup.i_max), i, 0)
-        idx[inside] = i
-    return idx
+    xs, ys = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(xs, dtype=float)),
+        np.atleast_1d(np.asarray(ys, dtype=float)),
+    )
+    band = 1 - np.frexp(ys)[1]
+    active = (ys > 0.0) & (ys < np.ldexp(1.0, 1 - setup.n)) & (band <= setup.i_max)
+    active &= np.abs(xs) <= setup.M
+    i = band[active]
+    strips = [setup.strip_count_int(k) for k in range(setup.n, setup.i_max + 1)]
+    m = np.array(strips, dtype=float)[i - setup.n]
+    base = np.ldexp(1.0, -i)
+    cells = np.zeros((3,) + xs.shape, dtype=np.intp)
+    cells[0, active] = i - (setup.n - 1)
+    cells[1, active] = np.clip(np.floor((ys[active] - base) * m / base), 0.0, m - 1.0) % 2.0
+    cells[2, active] = np.floor(np.ldexp(xs[active], i)) % 2.0
+    return cells
+
+
+def _modulus_table(setup: KKSetup) -> np.ndarray:
+    """|b| + bump by (row, strip): r_(i+1) on odd strips, r_i on even ones."""
+    levels = [setup.b_norm + setup.bump(i) for i in range(setup.n, setup.i_max + 2)]
+    return np.array([(setup.b_norm, setup.b_norm)] + list(zip(levels[1:], levels)))
+
+
+def _direction_table(setup: KKSetup) -> np.ndarray:
+    """Direction by (row, checker): the rotated one on odd checker cells."""
+    rotated = [setup.rotated_direction(i) for i in range(setup.n, setup.i_max + 1)]
+    return np.array([(setup.beta, setup.beta)] + [(setup.beta, r) for r in rotated])
 
 
 def modulus_at(setup: KKSetup, xs, ys) -> np.ndarray:
     """Initial modulus |b| + Lambda(x, y), vectorized over a point set."""
-    xs, ys = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(xs, dtype=float)),
-        np.atleast_1d(np.asarray(ys, dtype=float)),
-    )
-    out = np.full(xs.shape, setup.b_norm)
-    idx = band_index(setup, ys)
-    active = (idx > 0) & (np.abs(xs) <= setup.M)
-    for i in np.unique(idx[active]):
-        sel = active & (idx == i)
-        m_int = setup.strip_count_int(int(i))
-        base = 2.0 ** (-int(i))
-        j = np.floor((ys[sel] - base) * m_int / base).astype(np.int64) + 1
-        j = np.clip(j, 1, m_int)
-        bump = np.where(j % 2 == 0, setup.bump(int(i)), setup.bump(int(i) + 1))
-        out[sel] = setup.b_norm + bump
-    return out
+    row, strip, _ = _cells(setup, xs, ys)
+    return _modulus_table(setup)[row, strip]
 
 
 def direction_at(setup: KKSetup, xs, ys) -> np.ndarray:
     """Initial direction field (..., 2): rotated on odd x-checker cells in bands."""
-    xs, ys = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(xs, dtype=float)),
-        np.atleast_1d(np.asarray(ys, dtype=float)),
-    )
-    out = np.empty(xs.shape + (2,))
-    out[...] = setup.beta
-    idx = band_index(setup, ys)
-    active = (idx > 0) & (np.abs(xs) <= setup.M)
-    for i in np.unique(idx[active]):
-        sel = active & (idx == i)
-        odd = np.floor(xs[sel] * 2.0 ** int(i)).astype(np.int64) % 2 != 0
-        rotated = setup.rotated_direction(int(i))
-        block = out[sel]
-        block[odd] = rotated
-        out[sel] = block
-    return out
-
-
-def direction_at_time(setup: KKSetup, xs, ys, t: float) -> np.ndarray:
-    """Direction field at time t: rows shift by t * (row modulus - |b|).
-
-    Rows whose modulus equals |b| are frozen; rows inside band i move with
-    speed 2^-i (even strips) or 2^-i-1 (odd strips).  Valid while the
-    observation window stays inside the frozen-modulus cone, which the
-    default M guarantees on t in [0, 1].
-    """
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"evolution window is t in [0, 1), got {t}")
-    xs, ys = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(xs, dtype=float)),
-        np.atleast_1d(np.asarray(ys, dtype=float)),
-    )
-    speed = modulus_at(setup, np.zeros_like(ys), ys) - setup.b_norm
-    return direction_at(setup, xs - t * speed, ys)
+    row, _, checker = _cells(setup, xs, ys)
+    return _direction_table(setup)[row, checker]
 
 
 def grid_axes(setup: KKSetup, resolution: int):
@@ -193,22 +170,22 @@ def build_initial_data(setup: KKSetup, resolution: int):
     (k, res, 2) hold the k distinct grid rows, and ``rows`` (length res)
     gives the distinct row of each grid row, so the dense grids indexed
     [iy, ix] are ``eta[rows]`` and ``omega[rows]``.  Both fields depend on
-    y only through the band index and the strip parity, which the band
-    index and the row modulus at x = 0 identify, so grid rows with equal
-    (band, modulus) are equal.  Each distinct row is evaluated by the same
-    elementwise operations as in the dense grid, so the expansion is bit
-    for bit the dense grid.  Raises ValueError when the grid cannot resolve
-    the finest strips and checker cells, where grid norms lose meaning.
+    y only through the band and the strip parity, so grid rows with equal
+    (band, strip parity) are equal.  Each distinct row is looked up by the
+    same elementwise operations as in the dense grid, so the expansion is
+    bit for bit the dense grid.  Raises ValueError when the grid cannot
+    resolve the finest strips and checker cells, where grid norms lose
+    meaning.
     :func:`bv_grid_norm` takes the rows as they are, so even the least
     resolved res at the default i_max = 4 (32,256 at p = 2, delta = 0.1)
     costs O(k * res) memory.
     """
     check_resolution(setup, resolution)
     centers, _ = grid_axes(setup, resolution)
-    keys = np.stack([band_index(setup, centers), modulus_at(setup, 0.0, centers)])
-    _, first, rows = np.unique(keys, axis=1, return_index=True, return_inverse=True)
-    X, Y = np.meshgrid(centers, centers[first])
-    return modulus_at(setup, X, Y), direction_at(setup, X, Y), rows
+    row, strip, _ = _cells(setup, 0.0, centers)
+    _, first, rows = np.unique(2 * row + strip, return_index=True, return_inverse=True)
+    row, strip, checker = _cells(setup, *np.meshgrid(centers, centers[first]))
+    return _modulus_table(setup)[row, strip], _direction_table(setup)[row, checker], rows
 
 
 # Veltkamp's splitting constant for float64: 2^27 + 1 cuts a double into two

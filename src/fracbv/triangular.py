@@ -174,14 +174,8 @@ def alternating_initial_data() -> Callable:
 
     def v0(x):
         x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        inside = (x > 0.0) & (x < 0.5)
-        if np.any(inside):
-            n = np.floor(-np.log2(x[inside])) + 1.0
-            # guard the dyadic boundaries against log rounding
-            n = np.where(2.0 ** (-n) > x[inside], n + 1.0, n)
-            n = np.where(2.0 ** (-n + 1.0) <= x[inside], n - 1.0, n)
-            out[inside] = np.where(n % 2.0 == 0.0, -1.0, 1.0)
+        n = 1 - np.frexp(x)[1]  # x = m 2^e with m in [1/2, 1) lies in [2^-n, 2^-n+1)
+        out = np.where((x > 0.0) & (x < 0.5) & (n % 2 == 0), -1.0, 1.0)
         return out if out.ndim else float(out)
 
     return v0

@@ -468,7 +468,7 @@ def smoothing_upper_bound(
     if g == 0.0:
         return math.inf
     scale = _finite("e^(p B(t))", reach, lambda: math.exp(deg.p * S.cumulative_source(t)))
-    speed = _finite("the speed bound max |f'| on [-M e^(sup|alpha| T), M e^(sup|alpha| T)]", reach,
+    speed = _finite("the speed bound max |f'| on [-M e^(max B), M e^(max B)] over [0, T]", reach,
                     lambda: speed_bound(F, S, T))
     return _finite("the bound", reach, lambda: scale / (deg.c0 * g) * (2.0 * (b - a) + 2.0 * speed * t))
 

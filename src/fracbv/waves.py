@@ -156,8 +156,8 @@ def riemann_shock(
 def speed_bound(F: Flux, S: SourceProfile, T: float) -> float:
     """Propagation speed bound max |f'| over the reachable state interval.
 
-    States stay within [-M e^{sup B}, M e^{sup B}] up to time T; for convex
-    f' the extreme slopes sit at the interval ends.
+    States stay within [-M e^{max B}, M e^{max B}] up to time T, max B over
+    [0, T]; for convex f' the extreme slopes sit at the interval ends.
     """
-    reach = F.M * math.exp(S.sup_norm * T)
+    reach = F.M * math.exp(S.max_cumulative_source(T))
     return max(abs(float(F.df(-reach))), abs(float(F.df(reach))))

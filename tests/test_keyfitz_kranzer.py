@@ -16,6 +16,42 @@ def dense_grids(setup, res):
     return kk.modulus_at(setup, X, Y), kk.direction_at(setup, X, Y)
 
 
+def reference_point(setup, x, y):
+    """(modulus, direction) at one point, from the construction as documented.
+
+    Band i holds y in [2^-i, 2^-i+1), i = n..i_max; it is cut into m_i strips
+    j = 1..m_i of height 2^-i / m_i, odd strips carrying the bump r_(i+1) and
+    even ones r_i; the direction is rotated on the odd x-checker cells
+    floor(x 2^i).  Outside the bands, and where |x| > M, the data is b.
+    """
+    if not (abs(x) <= setup.M and 0.0 < y):
+        return setup.b_norm, setup.beta
+    i = 1 - math.frexp(y)[1]
+    base = math.ldexp(1.0, -i)
+    if not (setup.n <= i <= setup.i_max and base <= y < 2.0 * base):
+        return setup.b_norm, setup.beta
+    m = setup.strip_count_int(i)
+    j = min(max(math.floor((y - base) * m / base) + 1, 1), m)
+    modulus = setup.b_norm + setup.bump(i if j % 2 == 0 else i + 1)
+    odd_cell = math.floor(math.ldexp(x, i)) % 2 == 1
+    return modulus, setup.rotated_direction(i) if odd_cell else setup.beta
+
+
+def assert_matches_reference(setup, xs, ys):
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    want = [reference_point(setup, x, y) for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())]
+    eta = np.array([w[0] for w in want]).reshape(xs.shape)
+    omega = np.array([w[1] for w in want]).reshape(xs.shape + (2,))
+    assert np.array_equal(kk.modulus_at(setup, xs, ys), eta)
+    assert np.array_equal(kk.direction_at(setup, xs, ys), omega)
+
+
+def around(values):
+    """Each value and its float neighbours on both sides."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
 def dense_bv_norm(grid, box):
     """The grid BV seminorm differenced over the whole dense grid, each sum exactly rounded."""
     x_lo, x_hi, y_lo, y_hi = box
@@ -87,6 +123,50 @@ def test_norms_from_rows_equal_the_dense_norms(setup, res):
     assert kk.bv_grid_norm(eta, rows, box(setup)) == dense_bv_norm(eta_dense, box(setup))
     sup = lambda u: float(np.max(np.sqrt(np.sum(u**2, axis=-1))))
     assert sup(u0) == sup(u0_dense)
+
+
+SMALL_B = kk.KKSetup(p=2.0, delta=0.1, b=(0.6, 0.0), n=2, i_max=3)
+
+
+@pytest.mark.parametrize("setup", [c.values[0] for c in CASES] + [SMALL_B])
+def test_lookup_equals_the_reference_at_random_points(setup):
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-1.2 * setup.M, 1.2 * setup.M, 3000)
+    ys = np.concatenate([rng.uniform(-0.1, 1.1, 1500), 2.0 ** rng.uniform(-setup.i_max - 2, 1.0, 1500)])
+    assert_matches_reference(setup, xs, ys)
+
+
+@pytest.mark.parametrize("setup", [c.values[0] for c in CASES] + [SMALL_B])
+def test_lookup_equals_the_reference_on_edges(setup):
+    rng = np.random.default_rng(8)
+    bands = range(setup.n, setup.i_max + 1)
+    # |x| = M, the checker lines k 2^-i, every 2^-i, the strip ends, subnormal y
+    reach = [math.ceil(setup.M * 2**i) for i in bands]
+    checker = [math.ldexp(k, -i) for i, r in zip(bands, reach) for k in range(-r, r + 1)]
+    edge_xs = around([setup.M, -setup.M, 0.0, *checker])
+    counts = [setup.strip_count_int(i) for i in bands]
+    strip_ends = [math.ldexp(1.0 + j / m, -i) for i, m in zip(bands, counts) for j in range(m + 1)]
+    powers = [math.ldexp(1.0, -i) for i in range(setup.i_max + 3)]
+    edge_ys = np.concatenate([around(strip_ends + powers), [5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0]])
+    band_ys = np.ldexp(rng.uniform(1.0, 2.0, (3, len(bands))), -np.array(bands)).ravel()
+    assert_matches_reference(setup, edge_xs[:, None], band_ys)
+    assert_matches_reference(setup, np.append(rng.uniform(-setup.M, setup.M, 5), 0.0)[:, None], edge_ys)
+
+
+def test_non_finite_and_huge_points_take_b():
+    setup = kk.KKSetup(p=2.0, delta=0.1, n=1, i_max=3)
+    far_xs = np.array([1e300, -1e300, np.inf, -np.inf, np.nan])[:, None]
+    off_ys = np.array([1e300, np.inf, np.nan, -1.0, 0.0])
+    for xs, ys in ((far_xs, np.append(off_ys, 0.75)), (0.5, off_ys)):
+        eta, omega = kk.modulus_at(setup, xs, ys), kk.direction_at(setup, xs, ys)
+        assert np.all(eta == setup.b_norm)
+        assert np.all(omega == setup.beta)
+        assert_matches_reference(setup, xs, ys)
+
+
+def test_lookup_needs_only_the_bumps_of_bands_n_to_i_max_plus_1():
+    # bump(1) = 1/2 would exceed |b|/2 = 0.3, but band 1 is not in the data
+    assert kk.modulus_at(SMALL_B, [0.1], [0.2]).tolist() == [0.6625]
 
 
 def test_dense_grid_is_the_identity_row_index():

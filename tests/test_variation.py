@@ -758,6 +758,13 @@ class TestUpperBound:
         with pytest.raises(NumericsError, match=message):
             smoothing_upper_bound(F, source, t, 0.0, 1.0, 1.0)
 
+    def test_decaying_source_bound_is_finite(self):
+        # sup|alpha| T = 1000, but B <= 0, so the speed bound is 1
+        F = power_law_flux(2.0, M=1.0)
+        value = smoothing_upper_bound(F, SourceProfile.constant(-50.0), 1.0, 0.0, 1.0, 20.0)
+        g = -math.expm1(-100.0) / 100.0
+        assert value == pytest.approx(math.exp(-100.0) / (0.5 * g) * (2.0 + 2.0), rel=1e-13)
+
     def test_measured_variation_below_bound(self):
         fam = power_law_family(2.0, ZERO, 30)
         from fracbv import family_profile

@@ -176,6 +176,15 @@ def test_speed_bound_power_law():
     assert speed_bound(F, src, 2.0) == pytest.approx(math.exp(1.0) ** 2)
 
 
+def test_speed_bound_takes_its_reach_from_max_B():
+    F = power_law_flux(2.0, M=1.0)
+    # B falls to -0.15 at t = 0.5 and climbs back to 0.15 at T = 2
+    src = SourceProfile.piecewise([0.0, 0.5], [-0.3, 0.2])
+    assert speed_bound(F, src, 2.0) == pytest.approx(math.exp(0.15) ** 2, rel=1e-15)
+    # a decaying source never lifts the states above M
+    assert speed_bound(F, SourceProfile.constant(-1000.0), 1.0) == 1.0
+
+
 def test_profile_shape_validation():
     from fracbv import PiecewiseProfile
 
