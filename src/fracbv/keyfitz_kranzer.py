@@ -16,6 +16,7 @@ components) with the affine g(u) = u - |b|.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -195,19 +196,27 @@ _SPLIT = 2.0**27 + 1.0
 _MAX_ROWS = 2**26
 
 
-def _weighted_sum(values: np.ndarray, counts: np.ndarray) -> float:
-    """sum(counts * values), correctly rounded, for integer counts < 2^26.
+def _weighted_sum(parts) -> float:
+    """sum of count * |d| over the (d, count) of ``parts``, correctly rounded.
 
-    Each nonzero value v is split into hi + lo (Veltkamp), so count * hi and
-    count * lo are exact, and ``math.fsum`` rounds their sum once.
+    |d| is the Euclidean norm over the trailing axis, and counts are
+    integers below 2^26.  Each nonzero |d| is split into hi + lo
+    (Veltkamp), so count * hi and count * lo are exact, and one
+    ``math.fsum`` rounds their sum once.  The parts are taken one at a
+    time, so memory stays that of one part.
     """
-    keep = values != 0.0
-    v = values[keep]
-    c = np.broadcast_to(counts, values.shape)[keep].astype(float)
-    scaled = _SPLIT * v
-    hi = scaled - (scaled - v)
-    lo = v - hi
-    return math.fsum((c * hi).tolist() + (c * lo).tolist())
+
+    def terms():
+        for d, count in parts:
+            norms = np.sqrt(np.sum(d**2, axis=-1))
+            v = norms[norms != 0.0]
+            scaled = _SPLIT * v
+            hi = scaled - (scaled - v)
+            c = float(count)
+            yield (c * hi).tolist()
+            yield (c * (v - hi)).tolist()
+
+    return math.fsum(itertools.chain.from_iterable(terms()))
 
 
 def bv_grid_norm(
@@ -225,12 +234,14 @@ def bv_grid_norm(
 
     The x-jumps are taken once per distinct row and the y-jumps once per
     distinct pair of adjacent rows, each weighted by how often it occurs in
-    the grid, so the cost is O(k * nx) for k distinct rows and no dense
-    (ny, nx) array is formed.  Each direction's jump sum is correctly
-    rounded (exact products of counts and split jumps, added by
-    ``math.fsum``), so it does not depend on summation order or on the
-    machine; the result is sum_x * dy + sum_y * dx.  Raises ValueError for
-    2^26 rows or more, where the counts would no longer multiply exactly.
+    the grid, so the cost is O(k * nx) for k distinct rows.  Rows and pairs
+    are differenced one at a time, so memory beyond the distinct rows is
+    O(nx), and no dense (ny, nx) array is formed.  Each direction's jump
+    sum is correctly rounded (exact products of counts and split jumps,
+    added by ``math.fsum``), so it does not depend on summation order or on
+    the machine; the result is sum_x * dy + sum_y * dx.  Raises ValueError
+    for 2^26 rows or more, where the counts would no longer multiply
+    exactly.
     """
     grid = np.asarray(grid, dtype=float)
     rows = np.asarray(rows, dtype=np.int64)
@@ -243,12 +254,11 @@ def bv_grid_norm(
     ny, nx = rows.size, grid.shape[1]
     dx = (x_hi - x_lo) / nx
     dy = (y_hi - y_lo) / ny
-    jumps_x = np.sqrt(np.sum(np.diff(grid, axis=1) ** 2, axis=-1))
-    sum_x = _weighted_sum(jumps_x, np.bincount(rows, minlength=k)[:, None])
+    counts = np.bincount(rows, minlength=k)
+    sum_x = _weighted_sum((np.diff(row, axis=0), count) for row, count in zip(grid, counts))
     pairs, pair_counts = np.unique(rows[:-1] * k + rows[1:], return_counts=True)
     above, below = np.divmod(pairs, k)
-    jumps_y = np.sqrt(np.sum((grid[below] - grid[above]) ** 2, axis=-1))
-    sum_y = _weighted_sum(jumps_y, pair_counts[:, None])
+    sum_y = _weighted_sum((grid[b] - grid[a], count) for a, b, count in zip(above, below, pair_counts))
     return float(sum_x * dy + sum_y * dx)
 
 

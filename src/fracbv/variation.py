@@ -7,65 +7,66 @@ v_0, ..., v_{k-1}, so the supremum is the dynamic program
 
     best[j] = max over i < j of best[i] + |v_j - v_i|^p,
 
-whose last entry is the variation.  The fractional variation of order s in
+whose last entry is the variation (the route of Butkus & Norvaisa,
+*Lith. Math. J.* 58 (2018)).  The fractional variation of order s in
 (0, 1] is the p-variation with p = 1/s.
 
 Scoring every pair (i, j) is quadratic in k.  :func:`p_variation` scores
-each extremum against the few predecessors that can still win, in two
-passes, and returns bit for bit what the full dynamic program returns.
+each extremum only against the predecessors that can still win, and
+returns bit for bit what the full dynamic program returns.  It scores a
+predecessor as the full program does, ``best[i] + np.abs(v[j] - v[i]) ** p``:
+the same ufunc on the same inputs, and numpy gives each element the same
+power wherever it sits in the array.  So ``best`` holds the full
+program's own floats, and a predecessor may leave the live set once it
+loses every later query in float arithmetic.  Ties go to fewer links
+(points of the subdivision), then to the earlier index, as in the full
+program.
 
-* The candidate pass keeps a live set of predecessors in a list and
-  scores them with approximate powers, Python ``**``.  For p >= 1 the
-  difference |v - v_i|^p - |v - v_j|^p is monotone in v, so once j beats i
-  by more than a margin at both ends of the range of the values still to
-  come (their min and max), i wins no later query and leaves the live set.
-  For each j the pass records every predecessor whose score comes within
-  the margin of the top score.  Where this pruning fails, the live set
-  grows past ``_SCALAR_LIVE`` predecessors and a fixed share of all of
-  them; the pass then gives up and the full dynamic program, which scores
-  every pair with numpy, runs instead.
-* The exact pass takes the power of every recorded pair in one numpy call,
-  ``np.abs(v[J] - v[I]) ** p``: the ufunc and inputs of the full dynamic
-  program, and numpy gives each element the same power wherever it sits in
-  the array.  Scalar ``**`` goes through libm ``pow``, which disagrees with
-  numpy's vectorised power in the last bit on about 5 % of float64
-  results, so only the exact pass decides.  It then reruns the dynamic
-  program over the recorded pairs, ties broken the same way.
+The margin.  Let lo and hi be the min and max of the values after
+extremum j, so every later query value x lies in [lo, hi], and let i < j
+be live.  Write u = 2^-53 for the unit roundoff (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed. (2002), ch. 4).
 
-The margin.  A score is a sum of at most k - 1 powers added left to right.
-Each link of that chain adds the rounding of one addition and the error of
-one power, a unit of roundoff or two for libm and numpy alike, so over a
-run every computed score stays within a few units of roundoff per link of
-its real value, relative to the largest quantity compared.  The margin is
-``_MARGIN_PER_LINK * (k + 1)`` times that quantity, 128 units of roundoff
-per link: 32 for each of the four computed scores (approximate and exact,
-on either side) a comparison rests on.  So a predecessor that the
-candidate pass drops or leaves unrecorded also loses in exact arithmetic,
-and every exact tie is recorded.  The bound is relative, so it needs every
-score and power in the normal float range; for data outside it (powers
-that may overflow, or differences whose powers underflow) the full
-dynamic program runs instead.
+* For p >= 1 the difference of two scores,
+  (best[j] + |x - v_j|^p) - (best[i] + |x - v_i|^p), is monotone in x,
+  and each score is convex in x.  So over [lo, hi] both take their
+  extremes at lo and hi.
+* Relative to the largest score S compared, a float score lies within
+  (p + 3) u of its real value: p units for the rounded difference raised
+  to p, about 2 for the power and 1 for the addition.  ``best[i]`` enters
+  as the float it is, not as an approximation of a real best, so no error
+  builds up along a chain of k links.
+* Say j's float scores beat i's by more than 4 (p + 3) u S at both lo and
+  hi.  Then the real difference exceeds 2 (p + 3) u S at both ends, hence
+  on all of [lo, hi], and S bounds both scores there.  So at every later
+  query j's float score exceeds i's: i can neither attain best nor tie it,
+  and it leaves the live set.  Float comparisons are transitive, so this
+  still holds after j leaves in turn.
+
+The margin is tol = (p + 2) 2^-48 of the larger of j's two end scores,
+8 (p + 2) u, twice 4 (p + 3) u.  That leaves room for the rounding of the
+test itself, and for powers that err by up to p + 3 units instead of 2.
+The bound is relative, so it needs every score and nonzero power in the
+normal float range.  For data outside it (powers that may overflow or
+underflow) nothing leaves the live set, and the loop is the full dynamic
+program.
 
 The chain.  On inputs such as the sampled triangular sawtooth the best
 subdivision is every extremum in order, and a check in numpy proves that
-before the candidate pass runs.  It takes the chain sums
-C = cumsum(|v[1:] - v[:-1]|^p): the numpy power of each neighbour pair, the
-ufunc and inputs of the exact pass, added left to right as the exact pass
-adds them, so C is the exact pass's best bit for bit whenever each
-extremum's one recorded predecessor is its neighbour.  With C standing in
-for the approximate best, the check applies the candidate pass's rules to
-every extremum at once, one predecessor offset d = 2, 3, ... at a time: a
-predecessor leaves the live set once a later extremum beats it by the
-margin at both ends of the values still to come, and a live one whose score
-reaches top - tol * top, top the neighbour's score, is a second candidate.
-C is a sum of computed powers like any approximate best, within the same
-few units of roundoff per link of its real value, so the check is the
-candidate pass with other approximate powers and the margin argument above
-holds for it unchanged: a predecessor it drops or leaves below the cut loses
-in exact arithmetic too.  If no predecessor is live by offset
-``_CHAIN_OFFSETS`` and none came near the top, C is the dynamic program and
-the subdivision is the extrema up to the earliest index attaining the
-value; otherwise the candidate and exact passes run.
+before the dynamic program runs.  It takes the chain sums
+C = cumsum(|v[1:] - v[:-1]|^p): the numpy power of each neighbour pair,
+added left to right as the full program adds them, so C[j] is the full
+program's score of j's neighbour.  One predecessor offset d = 2, 3, ... at
+a time, and for every extremum at once, it applies the pruning rule with C
+for best: a predecessor leaves once the extremum just before the query
+beats it by the margin at both ends of the values after that extremum.
+It scores each live predecessor exactly.  A score >= C[j] ends the check:
+it beats the neighbour, or ties it and the tie goes to the shorter
+subdivision.  By induction on j, every C used is then the full program's
+best, so the margin argument holds unchanged.  If no predecessor is live
+by offset ``_CHAIN_OFFSETS``, C is the dynamic program and the
+subdivision is the extrema up to the earliest index attaining the value;
+otherwise the pruned dynamic program runs.
 """
 
 from __future__ import annotations
@@ -133,14 +134,6 @@ def _candidate_indices(vs: np.ndarray) -> np.ndarray:
     return starts[keep]
 
 
-# Margin of the candidate pass per link of the longest chain, relative to
-# the largest quantity compared: 2^-46 is 128 units of roundoff.
-_MARGIN_PER_LINK = 2.0 ** -46
-# The candidate pass hands a live set of more than _SCALAR_LIVE predecessors,
-# and more than one in _HANDOFF_SHARE of them, to the full dynamic program:
-# numpy scores a pair about _HANDOFF_SHARE times faster than the Python loop.
-_SCALAR_LIVE = 48
-_HANDOFF_SHARE = 64
 # The chain check follows predecessors up to this many extrema back.
 _CHAIN_OFFSETS = 16
 
@@ -153,13 +146,12 @@ def _check_exponent(p: float) -> None:
 def p_variation(f: SampledFunction, p: float) -> VariationReport:
     """Exact supremum of sum |dv|^p over subdivisions of the sample points.
 
-    The dynamic program over local extrema (lossless for p >= 1), pruned to
-    the predecessors that can still win and finished exactly over the pairs
-    that come within the rounding margin of the top score (see the module
-    docstring).  Value and subdivision equal those of the full dynamic
-    program bit for bit.  Ties break toward subdivisions with fewer points,
-    then earliest indices.  Raises ValueError unless p is finite and >= 1,
-    and NumericsError when the value overflows float64.
+    The dynamic program over local extrema (lossless for p >= 1), each
+    extremum scored exactly against the predecessors that can still win
+    (see the module docstring).  Value and subdivision equal those of the
+    full dynamic program bit for bit.  Ties break toward subdivisions with
+    fewer points, then earliest indices.  Raises ValueError unless p is
+    finite and >= 1, and NumericsError when the value overflows float64.
     """
     _check_exponent(p)
     if len(f) < 2:
@@ -169,18 +161,24 @@ def p_variation(f: SampledFunction, p: float) -> VariationReport:
     total = float(best[-1])
     if not math.isfinite(total):
         raise NumericsError(f"the {p}-variation is not finite in float64")
-    end = best.index(total)  # earliest attaining index
+    end = int(np.argmax(best == total))  # earliest attaining index
     if prev is None:  # the chain: every extremum follows its neighbour
         sub = cand[: end + 1].tolist()
     else:
         path = [end]
         while prev[path[-1]] >= 0:
-            path.append(prev[path[-1]])
+            path.append(int(prev[path[-1]]))
         path.reverse()
-        sub = [int(cand[i]) for i in path]
+        sub = cand[path].tolist()
     if len(sub) == 1:  # constant data: report the trivial 2-point subdivision
         sub = [int(cand[0]), int(cand[-1])]
     return VariationReport(p=float(p), value=total, subdivision=tuple(sub))
+
+
+def _tolerance(p: float) -> float:
+    """The pruning margin relative to the larger end score, (p + 2) 2^-48:
+    8 (p + 2) units of roundoff, twice the 4 (p + 3) the proof needs."""
+    return (p + 2.0) * 2.0**-48
 
 
 def _in_normal_range(v: np.ndarray, p: float) -> bool:
@@ -196,62 +194,46 @@ def _in_normal_range(v: np.ndarray, p: float) -> bool:
 def _best_predecessors(v: np.ndarray, p: float):
     """(best, prev, scored) of the dynamic program over the extrema ``v``.
 
-    ``best`` and ``prev`` are lists, ``prev`` None when every extremum's
+    ``best`` and ``prev`` are arrays, ``prev`` None when every extremum's
     predecessor is its neighbour; ``scored`` counts the (j, i) pairs the
-    chain check and candidate pass scored, plus all k (k - 1) / 2 when the
-    full dynamic program runs: the work the pruning saves.
+    chain check and the dynamic program scored, all k (k - 1) / 2 when
+    nothing is pruned: the work the pruning saves.
     """
-    k = v.size
-    if not _in_normal_range(v, p):
-        best, prev = _full_dynamic_program(v, p)
-        return best, prev, k * (k - 1) // 2
-    chain, scored = _chain_best(v, p)
-    if chain is not None:
-        return chain, None, scored
-    pairs, candidates = _candidate_pairs(v, p)
-    scored += candidates
-    if pairs is None:  # the live set grew large: score every pair
-        best, prev = _full_dynamic_program(v, p)
-        return best, prev, scored + k * (k - 1) // 2
-    pairs_j, pairs_i, starts = pairs
-    powers = (np.abs(v[np.array(pairs_j)] - v[np.array(pairs_i)]) ** p).tolist()
-    best = [0.0] * k
-    prev = [-1] * k
-    chain = [1] * k
-    for j in range(1, k):
-        lo, hi = starts[j], starts[j + 1]
-        i = pairs_i[lo]
-        top = best[i] + powers[lo]
-        for r in range(lo + 1, hi):
-            cand = pairs_i[r]
-            score = best[cand] + powers[r]
-            if score > top or (score == top and chain[cand] < chain[i]):
-                top, i = score, cand
-        best[j] = top
-        prev[j] = i
-        chain[j] = chain[i] + 1
-    return best, prev, scored
+    prune = _in_normal_range(v, p)
+    scored = 0
+    if prune:
+        chain, scored = _chain_best(v, p)
+        if chain is not None:
+            return chain, None, scored
+    best, prev, pairs = _dynamic_program(v, p, prune)
+    return best, prev, scored + pairs
+
+
+def _ends_after(v: np.ndarray):
+    """(lo, hi): the min and max of the values after each j < k - 1."""
+    lo = np.minimum.accumulate(v[::-1])[::-1][1:]
+    hi = np.maximum.accumulate(v[::-1])[::-1][1:]
+    return lo, hi
 
 
 def _chain_best(v: np.ndarray, p: float):
-    """Chain check: (best, scored), ``best`` the chain sums as a list when
-    every extremum's one candidate is its neighbour, else None.
+    """Chain check: (best, scored), ``best`` the chain sums when every
+    extremum's predecessor is its neighbour, else None.
 
-    The candidate pass's rules with the chain sums for its approximate best,
-    applied at each predecessor offset 2, 3, ... to every extremum at once,
-    until no predecessor is live or the offsets pass ``_CHAIN_OFFSETS``.
-    ``scored`` counts the (j, i) pairs compared.
+    The pruning rule with the chain sums for best, applied at each
+    predecessor offset 2, 3, ... to every extremum at once; a live
+    predecessor whose exact score reaches the neighbour's ends the check,
+    and so does one still live past ``_CHAIN_OFFSETS``.  ``scored`` counts
+    the (j, i) pairs compared.
     """
     k = v.size
     chain = np.concatenate(([0.0], np.cumsum(np.abs(v[1:] - v[:-1]) ** p)))
-    tol = _MARGIN_PER_LINK * (k + 1)
-    cut = chain - tol * chain
-    # the ends of the values after each j < k - 1, and j's scores there
-    lo = np.minimum.accumulate(v[::-1])[::-1][1:]
-    hi = np.maximum.accumulate(v[::-1])[::-1][1:]
+    tol = _tolerance(p)
+    # j's scores at the ends of the values after each j < k - 1
+    lo, hi = _ends_after(v)
     score_lo = chain[:-1] + np.abs(lo - v[:-1]) ** p
     score_hi = chain[:-1] + np.abs(hi - v[:-1]) ** p
-    margin = tol * (chain[:-1] + np.maximum(score_lo, score_hi))
+    margin = tol * np.maximum(score_lo, score_hi)
     beat_lo = score_lo - margin
     beat_hi = score_hi - margin
     scored = k - 1
@@ -264,98 +246,82 @@ def _chain_best(v: np.ndarray, p: float):
         keep = (base + np.abs(lo[by] - at) ** p >= beat_lo[by]) | (base + np.abs(hi[by] - at) ** p >= beat_hi[by])
         live = live[keep]
         if live.size == 0:
-            return chain.tolist(), scored
+            return chain, scored
         j = live + d
         scored += live.size
-        if np.any(chain[live] + np.abs(v[j] - v[live]) ** p >= cut[j]):
+        # a tie goes to the shorter subdivision, so it ends the chain too
+        if np.any(chain[live] + np.abs(v[j] - v[live]) ** p >= chain[j]):
             return None, scored
         live = live[j + 1 < k]
     return None, scored
 
 
-def _candidate_pairs(v: np.ndarray, p: float):
-    """Candidate pass: the predecessors that may attain best[j], for every j.
+def _dynamic_program(v: np.ndarray, p: float, prune: bool):
+    """(best, prev, scored) of the dynamic program over the extrema ``v``.
 
-    Returns (pairs, scored): ``pairs`` is (pairs_j, pairs_i, starts), the
-    pairs in order of j, then of i, those of j at ``starts[j]:starts[j + 1]``,
-    and ``scored`` the number of pairs scored.  Live predecessors carry their
-    approximate best and their scores at the two ends [lo, hi] of the values
-    still to come, refreshed whenever the ends narrow.  ``pairs`` is None
-    when the pass gives up: once the live set holds more than
-    ``_SCALAR_LIVE`` predecessors and more than one in ``_HANDOFF_SHARE`` of
-    them, scoring every pair with numpy costs less.
+    Each extremum j is scored against a live set of predecessors, kept
+    compacted in index order, one row per field: index, value, best, links
+    (points of the best subdivision ending there), and the scores at the
+    ends lo, hi of the values after j.  The scores are the full program's
+    own floats; ties go to fewer links, then to the earlier index.  With
+    ``prune`` a predecessor leaves the set once j beats it by the margin at
+    both ends.  Without, nothing leaves and this is the full dynamic
+    program, run for data outside the normal float range.  ``scored``
+    counts the pairs scored.
     """
     k = v.size
     vals = v.tolist()
-    lo_after = np.minimum.accumulate(v[::-1])[::-1].tolist() + [vals[-1]]
-    hi_after = np.maximum.accumulate(v[::-1])[::-1].tolist() + [vals[-1]]
-    tol = _MARGIN_PER_LINK * (k + 1)
-    approx = [0.0] * k
-    lo, hi = lo_after[1], hi_after[1]
-    at_lo = [0.0] * k
-    at_hi = [0.0] * k
-    at_lo[0] = abs(lo - vals[0]) ** p
-    at_hi[0] = abs(hi - vals[0]) ** p
-    live = [0]
-    pairs_j: List[int] = []
-    pairs_i: List[int] = []
-    starts = [0, 0]
-    scored = 0
-    for j in range(1, k):
-        vj = vals[j]
-        scored += len(live)
-        scores = [approx[i] + abs(vj - vals[i]) ** p for i in live]
-        top = max(scores)
-        cut = top - tol * top
-        for i, score in zip(live, scores):
-            if score >= cut:
-                pairs_j.append(j)
-                pairs_i.append(i)
-        if lo_after[j + 1] != lo or hi_after[j + 1] != hi:
-            lo, hi = lo_after[j + 1], hi_after[j + 1]
-            for i in live:
-                at_lo[i] = approx[i] + abs(lo - vals[i]) ** p
-                at_hi[i] = approx[i] + abs(hi - vals[i]) ** p
-        approx[j] = top
-        starts.append(len(pairs_i))
-        # j's scores at the ends; it beats i for every later value once it
-        # beats i by the margin at both
-        score_lo = top + abs(lo - vj) ** p
-        score_hi = top + abs(hi - vj) ** p
-        margin = tol * (top + max(score_lo, score_hi))
-        live = [i for i in live if at_lo[i] >= score_lo - margin or at_hi[i] >= score_hi - margin]
-        live.append(j)
-        at_lo[j] = score_lo
-        at_hi[j] = score_hi
-        if len(live) > _SCALAR_LIVE and _HANDOFF_SHARE * len(live) > j:
-            return None, scored
-    return (pairs_j, pairs_i, starts), scored
-
-
-def _full_dynamic_program(v: np.ndarray, p: float):
-    """Every predecessor scored with numpy: the reference loop, run for data
-    whose scores leave the normal float range and for live sets the
-    candidate pass gives up on."""
-    k = v.size
+    lo_after, hi_after = (ends.tolist() for ends in _ends_after(v))
+    tol = _tolerance(p)
     best = np.zeros(k)
     prev = np.full(k, -1, dtype=np.int64)
-    chain = np.ones(k, dtype=np.int64)
-    buf = np.empty(k)
+    # index and links are whole numbers below 2^53, exact as floats
+    live = np.empty((6, k))
+    index, value, base, links, at_lo, at_hi = live
+    live[:4, 0] = 0.0, vals[0], 0.0, 1.0
+    n = 1
+    lo = hi = None
+    scored = 0
     with np.errstate(over="ignore"):  # p_variation reports an infinite value
         for j in range(1, k):
-            scores = np.subtract(v[j], v[:j], out=buf[:j])
-            np.abs(scores, out=scores)
+            vj = vals[j]
+            scored += n
+            scores = np.abs(vj - value[:n])
             scores **= p
-            scores += best[:j]
-            m = int(np.argmax(scores))
-            top = scores[m]
-            ties = np.nonzero(scores == top)[0]
-            if ties.size > 1:
-                m = int(ties[np.argmin(chain[ties])])
+            scores += base[:n]
+            m = int(scores.argmax())
+            top = scores.item(m)
+            if n - 1 - int(scores[::-1].argmax()) != m:  # the first and last maxima differ
+                ties = np.flatnonzero(scores == top)
+                m = int(ties[links[ties].argmin()])
             best[j] = top
-            prev[j] = m
-            chain[j] = chain[m] + 1
-    return best.tolist(), prev.tolist()
+            prev[j] = index[m]
+            chain = links[m] + 1.0
+            if prune and j < k - 1:
+                if lo_after[j] != lo:
+                    lo = lo_after[j]
+                    at_lo[:n] = base[:n] + np.abs(lo - value[:n]) ** p
+                if hi_after[j] != hi:
+                    hi = hi_after[j]
+                    at_hi[:n] = base[:n] + np.abs(hi - value[:n]) ** p
+                score_lo = top + abs(lo - vj) ** p
+                score_hi = top + abs(hi - vj) ** p
+                margin = tol * max(score_lo, score_hi)
+                keep = at_lo[:n] >= score_lo - margin
+                keep |= at_hi[:n] >= score_hi - margin
+                kept = np.count_nonzero(keep)
+                if kept < n:  # shift the kept ones after the first to leave
+                    first = int(keep.argmin())
+                    live[:, first:kept] = live[:, first:n].compress(keep[first:], axis=1)
+                    n = kept
+                at_lo[n] = score_lo
+                at_hi[n] = score_hi
+            index[n] = j
+            value[n] = vj
+            base[n] = top
+            links[n] = chain
+            n += 1
+    return best, prev, scored
 
 
 def p_variation_reference(f: SampledFunction, p: float) -> float:
@@ -452,8 +418,9 @@ def smoothing_upper_bound(
     exp(p B(t)) / (c0 * effective_time(p, t)) * (2 (b - a) + 2 C(T) t) with
     (p, c0) the flux degeneracy and C(T) the propagation speed bound.
     Diverges as t -> 0 (no smoothing at time zero).  Raises NumericsError
-    naming the quantity that overflows float64, with sup|alpha| T, when the
-    bound is not representable.
+    naming the quantity that overflows float64, with max B over [0, T], when
+    the bound is not representable: that one exponent bounds G_p(t),
+    e^(p B(t)) and the speed bound alike.
     """
     if not 0.0 < t <= T:
         raise ConfigError("need 0 < t <= T")
@@ -462,18 +429,18 @@ def smoothing_upper_bound(
     deg = F.degeneracy
     if deg is None:
         raise ValueError("flux carries no degeneracy metadata (p, c0)")
-    reach = S.sup_norm * T
-    g = _finite("the effective time G_p(t), the integral of e^(p B) over [0, t]", reach,
+    max_b = S.max_cumulative_source(T)
+    g = _finite("the effective time G_p(t), the integral of e^(p B) over [0, t]", max_b,
                 lambda: S.effective_time(deg.p, t))
     if g == 0.0:
         return math.inf
-    scale = _finite("e^(p B(t))", reach, lambda: math.exp(deg.p * S.cumulative_source(t)))
-    speed = _finite("the speed bound max |f'| on [-M e^(max B), M e^(max B)] over [0, T]", reach,
+    scale = _finite("e^(p B(t))", max_b, lambda: math.exp(deg.p * S.cumulative_source(t)))
+    speed = _finite("the speed bound max |f'| on [-M e^(max B), M e^(max B)] over [0, T]", max_b,
                     lambda: speed_bound(F, S, T))
-    return _finite("the bound", reach, lambda: scale / (deg.c0 * g) * (2.0 * (b - a) + 2.0 * speed * t))
+    return _finite("the bound", max_b, lambda: scale / (deg.c0 * g) * (2.0 * (b - a) + 2.0 * speed * t))
 
 
-def _finite(quantity: str, reach: float, compute) -> float:
+def _finite(quantity: str, max_b: float, compute) -> float:
     """compute(), or NumericsError naming ``quantity`` when it overflows float64."""
     try:
         with np.errstate(over="ignore"):  # a numpy overflow gives inf, refused below
@@ -482,7 +449,7 @@ def _finite(quantity: str, reach: float, compute) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise NumericsError(
-            f"{quantity} overflows float64 at sup|alpha| T = {reach:g}, so the bound is not representable"
+            f"{quantity} overflows float64 at max B = {max_b:g}, so the bound is not representable"
         )
     return value
 

@@ -88,7 +88,7 @@ def test_bound_overflow_exits_numerical(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "numerical"
     assert err["error"].startswith("the effective time G_p(t)")
-    assert "overflows float64 at sup|alpha| T = 1000" in err["error"]
+    assert "overflows float64 at max B = 1000" in err["error"]
 
 
 def test_variation_of_empty_file_exits_numerical(capsys, tmp_path):

@@ -275,11 +275,9 @@ def test_powers_near_half_an_ulp_of_the_sum(p, scale, wiggles):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_handoff_to_the_full_dynamic_program_is_bit_identical(seed, monkeypatch):
-    # a tiny threshold makes the candidate pass hand its live set to the full
-    # dynamic program on short inputs; the large final swing keeps most
-    # predecessors live, the drift narrows the range of values to come
-    monkeypatch.setattr(variation, "_SCALAR_LIVE", 4)
+def test_large_live_sets_are_bit_identical(seed):
+    # the large final swing keeps most predecessors live, the drift narrows
+    # the range of values to come
     rng = np.random.default_rng(seed)
     for k in (30, 120, 400):
         shapes = (
@@ -288,16 +286,12 @@ def test_handoff_to_the_full_dynamic_program_is_bit_identical(seed, monkeypatch)
             np.cumsum(rng.standard_normal(k) + 0.3),
             np.append(rng.standard_normal(k), [1e3, -1e3]),
             # nonzero integer steps: exact ties, but no plateau runs, which
-            # collapse to one extremum and leave too few to hand off
+            # collapse to one extremum
             np.cumsum(rng.choice([-3, -2, -1, 1, 2, 3], k)).astype(float),
         )
         for vs in shapes:
-            vs = np.asarray(vs, dtype=float)
-            v = vs[variation._candidate_indices(vs)]
             for p in (1.0, 1.5, 2.0, 3.0, float(rng.uniform(1.0, 5.0))):
                 assert_matches_quadratic(vs, p)
-                if k == 400 and p > 1.0:  # the hand-off ran
-                    assert variation._best_predecessors(v, p)[2] >= v.size * (v.size - 1) // 2
 
 
 def family_samples(N, t, alpha="zero"):
@@ -305,31 +299,29 @@ def family_samples(N, t, alpha="zero"):
     return sample_profile(family_profile(power_law_family(2.0, parse_alpha(alpha), N), t), fan_points=2).vs
 
 
-def test_family_beyond_the_pruning_takes_little_memory():
-    # at order 1/4 the pairwise test keeps most of a family's extrema live;
-    # the full dynamic program then holds O(k) floats, not O(k^2) pairs
-    vs = family_samples(2000, 0.5)
-    f = sampled(vs)
-    tracemalloc.start()
-    try:
-        rep = p_variation(f, 4.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (rep.value, rep.subdivision) == quadratic_p_variation(vs, 4.0)
-    assert peak < 16 * 2**20
+def test_large_live_sets_take_little_memory():
+    # the drifting walk keeps hundreds of predecessors live, and the dynamic
+    # program holds O(k) floats for them, not O(k^2) pairs
+    walk = np.cumsum(np.random.default_rng(2).standard_normal(15000) + 0.3)
+    assert not takes_the_chain(walk, 2.0)
+    for vs, p in ((family_samples(2000, 0.5), 4.0), (walk, 2.0)):
+        f = sampled(vs)
+        tracemalloc.start()
+        try:
+            rep = p_variation(f, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.value, rep.subdivision) == quadratic_p_variation(vs, p)
+        assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("alpha", ["zero", "constant:0.3", "pw:0:-0.3,0.5:0.2"])
 @pytest.mark.parametrize("t", [0.5, 2.0])
-def test_family_profiles_at_orders_one_half_and_one_third_never_hand_off(alpha, t, monkeypatch):
-    def handed_off(v, p):
-        raise AssertionError("the candidate pass handed off")
-
-    monkeypatch.setattr(variation, "_full_dynamic_program", handed_off)
+def test_family_profiles_at_orders_one_half_and_one_third_take_the_chain(alpha, t):
     vs = family_samples(2000, t, alpha)
     for p in (2.0, 3.0):
-        p_variation(sampled(vs), p)
+        assert takes_the_chain(vs, p)
 
 
 def test_extreme_ranges_take_the_full_dynamic_program():
@@ -402,8 +394,9 @@ def test_sawtooth_takes_the_chain(sawtooth_values, order):
     assert takes_the_chain(sawtooth_values, 1.0 / order)
 
 
-# absorbed(...) runs whose offset-2 scores come within the margin of the
-# neighbour's (about 1e-14 relative) without tying it
+# absorbed(...) runs whose offset-2 scores come within about 1e-14 of the
+# neighbour's, relative, without tying it: chain-optimal, so the check,
+# which scores exactly, takes the chain
 NEAR_TIES = [
     (2.0, 1.081, [1.08, 2.14, 0.68, 0.84, 0.32]),
     (2.5, 0.645, [2.74, 1.53, 0.85]),
@@ -412,10 +405,26 @@ NEAR_TIES = [
 
 
 @pytest.mark.parametrize("p, scale, wiggles", NEAR_TIES)
-def test_chain_check_turns_down_near_ties(p, scale, wiggles):
+def test_chain_check_takes_near_ties(p, scale, wiggles):
     vs = absorbed(p, scale, wiggles)
-    assert not takes_the_chain(vs, p)
+    assert takes_the_chain(vs, p)
     assert_matches_quadratic(vs, p)
+
+
+def test_exact_tie_with_the_chain_goes_to_the_shorter_subdivision():
+    # 4 + 1 + 4 = 3^2: the chain ties the jump from the first extremum to
+    # the last, and the tie goes to fewer points, so the check declines
+    vs = [-3.0, -1.0, -2.0, 0.0]
+    assert variation._chain_best(np.array(vs), 2.0)[0] is None
+    rep = p_variation(sampled(vs), 2.0)
+    assert (rep.value, rep.subdivision) == (9.0, (0, 3))
+    assert_matches_quadratic(vs, 2.0)
+
+
+def test_order_one_quarter_family_takes_the_chain():
+    vs = family_samples(2000, 0.5)
+    assert takes_the_chain(vs, 4.0)
+    assert_matches_quadratic(vs, 4.0)
 
 
 def test_drifting_walk_falls_back_and_family_profile_takes_the_chain():
@@ -745,7 +754,7 @@ class TestUpperBound:
         "source, t, quantity",
         [
             (SourceProfile.constant(1000.0), 1.0, "the effective time G_p(t)"),
-            # B(0.4) = 0, but states may reach M e^800 by T = 1
+            # B(0.4) = 0, but states may reach M e^400 by T = 1
             (SourceProfile.piecewise([0.0, 0.5], [0.0, 800.0]), 0.4, "the speed bound"),
             # each factor is finite (e^709 at most); their product is not
             (SourceProfile.constant(354.5), 1.0, "the bound"),
@@ -753,8 +762,9 @@ class TestUpperBound:
     )
     def test_overflow_names_its_cause(self, source, t, quantity):
         F = power_law_flux(2.0, M=1.0)
-        reach = source.sup_norm * 1.0
-        message = rf"^{re.escape(quantity)}.* overflows float64 at sup\|alpha\| T = {reach:g},"
+        # max B over [0, T]: the exponent each quantity overflows at
+        max_b = {"the effective time G_p(t)": 1000, "the speed bound": 400, "the bound": 354.5}[quantity]
+        message = rf"^{re.escape(quantity)}.* overflows float64 at max B = {max_b:g},"
         with pytest.raises(NumericsError, match=message):
             smoothing_upper_bound(F, source, t, 0.0, 1.0, 1.0)
 
