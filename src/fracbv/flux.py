@@ -12,6 +12,7 @@ Two optional pieces of metadata drive the regularity machinery downstream:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,6 +46,7 @@ class Flux:
     domain checks.
     ``power`` is the power-law exponent p when the flux is
     |u|^(p+1)/(p+1), else None.
+    ``f_zero`` is f(0), evaluated on first use and kept.
     """
 
     f: Callable
@@ -53,6 +55,11 @@ class Flux:
     power: Optional[float] = None
     degeneracy: Optional[Degeneracy] = None
     decay: Optional[Decay] = None
+
+    @functools.cached_property
+    def f_zero(self) -> float:
+        """f(0) from an array evaluation, like every other value of f."""
+        return float(self.f(np.zeros(1))[0])
 
 
 def power_law_flux(p: float, M: float = 1.0, decay: Optional[Decay] = None) -> Flux:

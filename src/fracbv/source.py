@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,9 @@ class SourceProfile:
         """integral of exp(p B(theta)) over [0, t]; strictly increasing in t.
 
         ``t = math.inf`` returns :meth:`effective_time_limit`.  Each piece is
-        integrated exactly (exp of a linear function).
+        integrated exactly (exp of a linear function).  Raises NumericsError,
+        naming t and max B over [0, t], when a finite t gives a value past
+        float64.
         """
         if p < 1.0:
             raise ValueError(f"exponent must satisfy p >= 1, got {p}")
@@ -112,12 +114,18 @@ class SourceProfile:
         total = 0.0
         for left, value, right, b_left in self.pieces[: bisect_left(self.breakpoints, t)]:
             total += _exp_linear_integral(p, b_left, value, min(t, right) - left)
+        if math.isinf(total):
+            raise NumericsError(
+                f"the effective time G_p(t), the integral of e^(p B) over [0, t], overflows float64 "
+                f"at p = {p:g}, t = {t:g}, max B = {self.max_cumulative_source(t):g}"
+            )
         return total
 
     def effective_time_limit(self, p: float) -> float:
         """Limit of effective_time as t -> infinity; may be math.inf.
 
-        Finite exactly when the last piece has a strictly negative value.
+        Finite exactly when the last piece has a strictly negative value
+        (math.inf also when the tail's value passes float64).
         """
         if p < 1.0:
             raise ValueError(f"exponent must satisfy p >= 1, got {p}")
@@ -125,8 +133,7 @@ class SourceProfile:
         if last_value >= 0.0:
             return math.inf
         head = self.effective_time(p, last_left) if last_left > 0.0 else 0.0
-        # integral over [last_left, inf) of exp(p (b_last + a theta')) dtheta'
-        return head + math.exp(p * b_last) / (p * abs(last_value))
+        return head + _exp_linear_integral(p, b_last, last_value, math.inf)
 
     def effective_time_inverse(self, p: float, target: float) -> float:
         """The unique t with effective_time(p, t) = target, or math.inf.
@@ -169,15 +176,21 @@ def _check_time(t: float) -> None:
 
 
 def _exp_linear_integral(p: float, b0: float, slope: float, span: float) -> float:
-    """integral over [0, span] of exp(p (b0 + slope*theta)) dtheta."""
+    """integral over [0, span] of exp(p (b0 + slope*theta)) dtheta.
+
+    math.inf when the integral diverges or its value passes float64.
+    """
     if span <= 0.0:
         return 0.0
-    scale = math.exp(p * b0)
-    if math.isinf(span):
-        return math.inf if slope >= 0.0 else scale / (p * abs(slope))
-    if slope == 0.0:
-        return scale * span
-    return scale * math.expm1(p * slope * span) / (p * slope)
+    try:
+        scale = math.exp(p * b0)
+        if math.isinf(span):
+            return math.inf if slope >= 0.0 else scale / (p * abs(slope))
+        if slope == 0.0:
+            return scale * span
+        return scale * math.expm1(p * slope * span) / (p * slope)
+    except OverflowError:
+        return math.inf
 
 
 def parse_alpha(spec: str) -> SourceProfile:

@@ -445,7 +445,7 @@ def _finite(quantity: str, max_b: float, compute) -> float:
     try:
         with np.errstate(over="ignore"):  # a numpy overflow gives inf, refused below
             value = compute()
-    except OverflowError:
+    except (OverflowError, NumericsError):  # effective_time's overflow is a NumericsError
         value = math.inf
     if not math.isfinite(value):
         raise NumericsError(
@@ -468,10 +468,10 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     _check_order(s)
     rows: List[Tuple[int, float, float]] = []
     cum = 0.0
-    scale = math.exp(family.source.cumulative_source(t))
     if isinstance(family, PowerLawFamily):
         p = family.flux.power
         g_root = family.source.effective_time(p, t) ** (-1.0 / p)
+        scale = math.exp(family.source.cumulative_source(t))
         for cell in family.cells[:N]:
             if t < cell.t0:
                 jump = 2.0 * cell.a * scale
@@ -486,6 +486,7 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
         q, C = decay.q, decay.C
         c0 = C * family.source.effective_time(q, family.t0)
         rho = C * family.source.effective_time(q, t)
+        scale = math.exp(family.source.cumulative_source(t))
         for cell in family.cells:
             if cell.index > N:
                 break

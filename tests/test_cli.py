@@ -91,6 +91,27 @@ def test_bound_overflow_exits_numerical(capsys):
     assert "overflows float64 at max B = 1000" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--p", "2", "--N", "3", "--t", "1"],
+        ["packet", "--p", "2", "--dx", "0.1", "--delta", "0.5", "--t", "1"],
+        ["diverge", "--p", "2", "--s", "0.5", "--N", "3"],
+        ["riemann", "--p", "2", "--wl", "1", "--wr", "0", "--t", "1"],
+        ["assp", "--p", "2", "--N", "3"],
+        ["oracle", "--p", "2", "--init", "packet", "--cells", "100", "--t", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_effective_time_overflow_exits_numerical(argv, capsys, tmp_path):
+    out = str(tmp_path / "out")
+    assert main([*argv, "--alpha", "constant:1000", "--out", out]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical"
+    assert err["error"].startswith("the effective time G_p(t)")
+    assert "overflows float64 at p = 2, t = 1, max B = 1000" in err["error"]
+
+
 def test_variation_of_empty_file_exits_numerical(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

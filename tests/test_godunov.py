@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracbv import (
+    ConfigError,
     MeshRun,
     NumericsError,
     SourceProfile,
@@ -12,8 +13,11 @@ from fracbv import (
     godunov_solve,
     l1_distance,
     make_packet,
+    power_law_family,
     power_law_flux,
+    user_flux,
 )
+from fracbv import godunov
 from fracbv.godunov import godunov_flux
 
 ZERO = SourceProfile.zero()
@@ -217,3 +221,109 @@ def test_solve_matches_reference_loop_riemann():
 def test_mesh_rejects_non_finite(domain, t_end):
     with pytest.raises(ValueError, match="finite"):
         MeshRun(domain=domain, cells=64, cfl=0.5, t_end=t_end)
+
+
+def test_solve_matches_reference_loop_table_flux_with_nonzero_minimum():
+    # f(0) = 0.25: every clipped one-sided state takes this value
+    us = np.linspace(-1.0, 1.0, 17)
+    F = flux_from_config({"kind": "table", "u": list(us), "f": list(0.25 + 0.5 * us**2 + 0.1 * us**4)})
+    assert F.f_zero == 0.25
+    run = MeshRun(domain=(-0.5, 0.5), cells=300, cfl=0.45, t_end=0.4, snapshots=(0.1, 0.4))
+    u0 = step_cell_averages(run, [(-0.3, -0.05, 0.7), (-0.05, 0.2, -0.4)])
+    src = SourceProfile.piecewise([0.0, 0.2], [0.5, -0.5])
+    assert_same_snapshots(godunov_solve(F, src, u0, run), reference_solve(F, src, u0, run))
+
+
+def test_solve_matches_reference_loop_six_packet_family_mid_interaction():
+    src = SourceProfile.piecewise([0.0, 0.3, 0.9], [0.4, -0.3, 0.2])
+    family = power_law_family(2.2, src, 6)
+    t0s = [cell.t0 for cell in family.cells]
+    t = 0.5 * (t0s[1] + t0s[2])  # packets 1 and 2 have interacted, 3 to 6 not yet
+    assert t0s[1] < t < t0s[2] < t0s[-1]
+    lo, hi = family.cells[0].A, family.cells[-1].B
+    pad = 0.1 * (hi - lo)
+    run = MeshRun(domain=(lo - pad, hi + pad), cells=800, cfl=0.45, t_end=t, snapshots=(0.5 * t, t))
+    u0 = step_cell_averages(run, [piece for c in family.cells for piece in ((c.A, c.tau, c.a), (c.tau, c.B, c.b))])
+    got = godunov_solve(family.flux, src, u0, run)
+    assert_same_snapshots(got, reference_solve(family.flux, src, u0, run))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("cell", [0, -1], ids=["first", "last"])
+def test_non_finite_end_cell_raises(value, cell):
+    F = power_law_flux(2.0, M=1.0)
+    run = MeshRun(domain=(-1, 1), cells=64, cfl=0.5, t_end=0.1, snapshots=())
+    u0 = np.zeros(64)
+    u0[20:30] = 0.3
+    u0[cell] = value
+    with pytest.raises(NumericsError, match="non-finite state at t=0.0$"):
+        godunov_solve(F, ZERO, u0, run)
+
+
+def test_nan_wave_speed_raises():
+    # f' is NaN at the finite states |u| > 0.4; without the check the NaN
+    # speed takes one step straight to t_end, and this data, in [0, 0.5],
+    # comes back in [-1.5, 2.0]
+    F = user_flux(lambda u: 0.5 * u**2, lambda u: np.where(np.abs(u) > 0.4, np.nan, u), M=1.0)
+    run = MeshRun(domain=(-1, 1), cells=64, cfl=0.45, t_end=0.5, snapshots=())
+    u0 = np.where(np.abs(run.centers()) < 0.3, 0.5, 0.0)
+    with pytest.raises(NumericsError, match="wave speed"):
+        godunov_solve(F, ZERO, u0, run)
+
+
+# convex, minimum at 0, different branches on the two sides of 0
+ASYM = user_flux(
+    lambda u: np.where(u >= 0, u**4 / 4.0 + u**5 / 5.0, u**4 / 4.0),
+    lambda u: np.where(u >= 0, u**3 + u**4, u**3),
+    M=0.9,
+)
+
+
+@pytest.mark.parametrize(
+    "F", [power_law_flux(1.0), power_law_flux(2.37, M=0.5), table_flux(), ASYM], ids=["p1", "p2.37", "table", "asym"]
+)
+def test_flux_with_minimum_at_zero_is_accepted(F):
+    run = MeshRun(domain=(-1, 1), cells=32, cfl=0.45, t_end=0.05)
+    u0 = np.where(np.abs(run.centers()) < 0.2, 0.4, 0.0)
+    assert np.all(np.isfinite(godunov_solve(F, ZERO, u0, run)[-1][1]))
+
+
+def test_flux_with_minimum_off_zero_is_refused():
+    us = np.linspace(-1.0, 1.0, 21)
+    F = flux_from_config({"kind": "table", "u": list(us), "f": list((us - 0.3) ** 2 / 2.0)})
+    run = MeshRun(domain=(-1, 1), cells=32, cfl=0.45, t_end=0.05)
+    with pytest.raises(ConfigError, match=r"min f = f\(0\)"):
+        godunov_solve(F, ZERO, np.zeros(32), run)
+
+
+def test_work_counters(monkeypatch):
+    """f at 0 once per flux, f on the unclipped one-sided states only, f' at two points a step."""
+    f_points, df_points, unclipped = [], [], []
+    F = user_flux(
+        lambda u: f_points.append(np.array(u, copy=True)) or np.abs(u) ** 3 / 3.0,
+        lambda u: df_points.append(np.array(u, copy=True)) or u * np.abs(u),
+        M=1.0,
+        convexity_samples=0,
+    )
+
+    def counted_flux(flux, u_left, u_right):
+        unclipped.append(int(np.count_nonzero(u_left > 0.0) + np.count_nonzero(u_right < 0.0)))
+        return godunov_flux(flux, u_left, u_right)
+
+    monkeypatch.setattr(godunov, "godunov_flux", counted_flux)
+    _, _, run, u0 = packet_run(256, 0.2, (0.1, 0.2))
+    h = F.M * 2.0**-26
+    for solve in range(2):
+        del f_points[:], df_points[:], unclipped[:]
+        godunov_solve(F, ZERO, u0, run)
+        steps = len(unclipped)
+        assert steps > 10
+        # the minimum check evaluates f at -h and h, then F.f_zero at 0 on the first solve only
+        assert np.array_equal(f_points[0], [-h, h])
+        if solve == 0:
+            assert np.array_equal(f_points[1], [0.0])
+        per_step = f_points[2:] if solve == 0 else f_points[1:]
+        assert len(per_step) == 2 * steps  # one call per side and step
+        assert sum(f.size for f in per_step) == sum(unclipped)
+        assert not any(np.any(f == 0.0) for f in per_step)
+        assert [d.size for d in df_points] == [2] * steps

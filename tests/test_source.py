@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracbv import ConfigError, SourceProfile, parse_alpha
+from fracbv import ConfigError, NumericsError, SourceProfile, parse_alpha
 
 ZERO = SourceProfile.zero()
 CONST_M1 = SourceProfile.constant(-1.0)
@@ -336,3 +336,24 @@ def test_time_outside_the_domain_rejected(t):
     for method in (*methods, lambda t: PW.effective_time(2.0, t)):
         with pytest.raises(ValueError, match="non-negative"):
             method(t)
+
+
+@pytest.mark.parametrize(
+    "src, t, max_b",
+    [
+        (SourceProfile.constant(1000.0), 1.0, 1000),  # e^(p B) past float64 inside the piece
+        (SourceProfile.piecewise([0.0, 1.0], [354.0, 0.0]), 11.0, 354),  # e^(708) (t - 1) passes float64
+        (SourceProfile.piecewise([0.0, 1.0, 4.0], [354.0, 0.0, 0.0]), 7.0, 354),  # each term finite, their sum not
+    ],
+)
+def test_effective_time_overflow_names_t_and_max_b(src, t, max_b):
+    with pytest.raises(NumericsError, match=rf"^the effective time G_p\(t\).* at p = 2, t = {t:g}, max B = {max_b}$"):
+        src.effective_time(2.0, t)
+
+
+def test_inverse_reaches_a_target_before_the_overflow():
+    # G_2 passes float64 before t = 1, but the target lies far below that
+    src = SourceProfile.piecewise([0.0, 1.0], [1000.0, 0.0])
+    t = src.effective_time_inverse(2.0, 1e-3)
+    assert 0.0 < t < 1.0
+    assert src.effective_time(2.0, t) == pytest.approx(1e-3, rel=1e-12)
