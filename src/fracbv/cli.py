@@ -279,22 +279,19 @@ def _cmd_oracle(cfg: RunConfig) -> int:
             )
     else:
         reach = 0.0
-    snaps = godunov.godunov_solve(flux, source, initial(centers), run)
+    # the reference first, so data whose reference cannot be built is
+    # refused before the solve rather than after it
+    reference = exact(centers, o["t"])
+    [(t_snap, u)] = godunov.godunov_solve(flux, source, initial(centers), run)
     window = (centers >= domain[0] + reach) & (centers <= domain[1] - reach)
     errors = [
         {
             "t": t_snap,
-            "l1_error": godunov.l1_distance(u[window], exact(centers, t_snap)[window], run.dx),
+            "l1_error": godunov.l1_distance(u[window], reference[window], run.dx),
             "window": [float(domain[0] + reach), float(domain[1] - reach)],
         }
-        for t_snap, u in snaps
     ]
-    columns = [
-        np.repeat([t_snap for t_snap, _ in snaps], run.cells),
-        np.tile(centers, len(snaps)),
-        np.concatenate([u for _, u in snaps]),
-    ]
-    _write_csv(cfg.out, ["t", "x", "u"], columns)
+    _write_csv(cfg.out, ["t", "x", "u"], [np.full(run.cells, t_snap), centers, u])
     if cfg.out is not None:
         sys.stdout.write(_json_text({"errors": errors}))
     return 0

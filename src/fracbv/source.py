@@ -1,15 +1,18 @@
 """Piecewise-constant source coefficients and their exact primitives.
 
 The balance law u_t + f(u)_x = alpha(t) u is driven by a bounded coefficient
-alpha.  Everything downstream needs three derived quantities, all available
+alpha.  Everything downstream needs four derived quantities, all available
 in closed form when alpha is piecewise constant:
 
 * cumulative_source(t)            B(t) = integral of alpha over [0, t]
-* effective_time(p, t)            integral of exp(p B) over [0, t]
-* effective_time_limit(p)         the t -> infinity limit of the above
+* growth(t, q)                    exp(q B(t)), the factor states grow by
+* effective_time(p, t)            G_p(t) = integral of exp(p B) over [0, t]
+* effective_time_limit(p)         the t -> infinity limit of G_p
 
 ``effective_time`` plays the role of a rescaled time: it equals t when
 alpha = 0 and saturates at a finite value when alpha is eventually negative.
+``SourceProfile`` is the one place these exponentials of B are formed, and
+each is refused (NumericsError) only when its value passes float64.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Tuple
 
 from .errors import ConfigError, NumericsError
@@ -30,7 +34,8 @@ class SourceProfile:
     must be 0 and the last piece extends to infinity.  ``pieces``, built once
     from them, holds one row (left, value, right, B(left)) per piece, with
     right = inf on the last piece and B(left) summed piece by piece from the
-    left; every primitive reads it.
+    left; every primitive reads it.  G_p at the piece ends is tabulated once
+    per p, on first use (:meth:`_effective_time_table`).
     """
 
     breakpoints: Tuple[float, ...]
@@ -38,6 +43,7 @@ class SourceProfile:
     pieces: Tuple[Tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # p -> G_p table
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or not self.breakpoints:
@@ -68,10 +74,6 @@ class SourceProfile:
     def piecewise(cls, breakpoints, values) -> "SourceProfile":
         return cls(tuple(float(b) for b in breakpoints), tuple(float(v) for v in values))
 
-    @property
-    def sup_norm(self) -> float:
-        return max(abs(v) for v in self.values)
-
     def cumulative_source(self, t: float) -> float:
         """B(t): piecewise-linear primitive of alpha, B(0) = 0."""
         _check_time(t)
@@ -80,6 +82,17 @@ class SourceProfile:
             return 0.0
         left, value, _, b_left = self.pieces[k]
         return b_left + value * (t - left)
+
+    def growth(self, t: float, q: float = 1.0) -> float:
+        """exp(q B(t)); NumericsError naming t and B(t) when it passes float64."""
+        b = self.cumulative_source(t)
+        try:
+            return math.exp(q * b)
+        except OverflowError:
+            factor = "e^(B(t))" if q == 1.0 else f"e^({q:g} B(t))"
+            raise NumericsError(
+                f"the growth factor {factor} overflows float64 at t = {t:g}, B(t) = {b:g}"
+            ) from None
 
     def min_cumulative_source(self, t: float) -> float:
         """min of B over [0, t]."""
@@ -101,19 +114,18 @@ class SourceProfile:
     def effective_time(self, p: float, t: float) -> float:
         """integral of exp(p B(theta)) over [0, t]; strictly increasing in t.
 
-        ``t = math.inf`` returns :meth:`effective_time_limit`.  Each piece is
-        integrated exactly (exp of a linear function).  Raises NumericsError,
-        naming t and max B over [0, t], when a finite t gives a value past
-        float64.
+        ``t = math.inf`` returns :meth:`effective_time_limit`.  G_p at the
+        left end of t's piece, from the table, plus the exact integral over
+        the rest (exp of a linear function).  Raises NumericsError, naming t
+        and max B over [0, t], when a finite t gives a value past float64.
         """
-        if p < 1.0:
-            raise ValueError(f"exponent must satisfy p >= 1, got {p}")
         _check_time(t)
+        table = self._effective_time_table(p)
         if math.isinf(t):
-            return self.effective_time_limit(p)
-        total = 0.0
-        for left, value, right, b_left in self.pieces[: bisect_left(self.breakpoints, t)]:
-            total += _exp_linear_integral(p, b_left, value, min(t, right) - left)
+            return table[-1]
+        k = max(bisect_left(self.breakpoints, t), 1)  # t = 0 takes the first piece's empty span
+        left, value, _, b_left = self.pieces[k - 1]
+        total = table[k - 1] + _exp_linear_integral(p, b_left, value, t - left)
         if math.isinf(total):
             raise NumericsError(
                 f"the effective time G_p(t), the integral of e^(p B) over [0, t], overflows float64 "
@@ -125,15 +137,9 @@ class SourceProfile:
         """Limit of effective_time as t -> infinity; may be math.inf.
 
         Finite exactly when the last piece has a strictly negative value
-        (math.inf also when the tail's value passes float64).
+        (math.inf also when the limit passes float64).
         """
-        if p < 1.0:
-            raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-        last_left, last_value, _, b_last = self.pieces[-1]
-        if last_value >= 0.0:
-            return math.inf
-        head = self.effective_time(p, last_left) if last_left > 0.0 else 0.0
-        return head + _exp_linear_integral(p, b_last, last_value, math.inf)
+        return self._effective_time_table(p)[-1]
 
     def effective_time_inverse(self, p: float, target: float) -> float:
         """The unique t with effective_time(p, t) = target, or math.inf.
@@ -145,29 +151,34 @@ class SourceProfile:
             raise ValueError(f"target must be non-negative, got {target}")
         if target == 0.0:
             return 0.0
-        if p < 1.0:
-            raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-        # Locate the piece containing the target, then invert in closed form.
-        acc = 0.0
-        for left, value, right, b_left in self.pieces:
-            # the last end is the limit bit for bit (the same terms in the same
-            # order); an earlier end is it only if later pieces add nothing
-            end = acc + _exp_linear_integral(p, b_left, value, right - left)
-            last = math.isinf(right)
-            if target >= end and (last or target == end and target >= self.effective_time_limit(p)):
-                return math.inf
-            if end >= target or last:
-                remainder = target - acc
-                scale = math.exp(p * b_left)
-                if value == 0.0:
-                    return left + remainder / scale
-                # remainder = scale * (exp(p a tau) - 1) / (p a)
-                arg = remainder * p * value / scale
-                if arg <= -1.0:  # the target rounds onto the piece's end
-                    return right
-                return left + math.log1p(arg) / (p * value)
-            acc = end
-        raise AssertionError("unreachable: last piece is unbounded")
+        table = self._effective_time_table(p)
+        if target >= table[-1]:
+            return math.inf
+        # the piece whose end first reaches the target; invert it in closed form
+        k = bisect_left(table, target)
+        left, value, right, b_left = self.pieces[k - 1]
+        remainder = target - table[k - 1]
+        try:
+            scale = math.exp(p * b_left)
+        except OverflowError:  # e^(p B) passes float64 here: divide by it in log space
+            remainder, scale = math.exp(math.log(remainder) - p * b_left), 1.0
+        if value == 0.0:
+            return left + remainder / scale
+        # remainder = scale * (exp(p a tau) - 1) / (p a)
+        arg = remainder * p * value / scale
+        if arg <= -1.0:  # the target rounds onto the piece's end
+            return right
+        return left + math.log1p(arg) / (p * value)
+
+    def _effective_time_table(self, p: float) -> Tuple[float, ...]:
+        """G_p at each breakpoint, summed from the left, then the limit (entry k is G_p(breakpoints[k]))."""
+        table = self._tables.get(p)
+        if table is None:
+            if not p >= 1.0:
+                raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+            terms = (_exp_linear_integral(p, b, value, right - left) for left, value, right, b in self.pieces)
+            table = self._tables[p] = tuple(accumulate(terms, initial=0.0))
+        return table
 
 
 def _check_time(t: float) -> None:
@@ -178,17 +189,33 @@ def _check_time(t: float) -> None:
 def _exp_linear_integral(p: float, b0: float, slope: float, span: float) -> float:
     """integral over [0, span] of exp(p (b0 + slope*theta)) dtheta.
 
-    math.inf when the integral diverges or its value passes float64.
+    math.inf when the integral diverges or its value passes float64.  Where
+    the product e^(p b0) expm1(x) / (p slope), x = p slope span, overflows
+    although the integral fits, every factor is folded into one exponent
+    at the piece's larger end: e^(p max B) (1 - e^(-|x|)) / |p slope|, or
+    e^(p b0) span when x is 0.
     """
     if span <= 0.0:
         return 0.0
+    rate = p * slope
+    if math.isinf(span) and slope >= 0.0:
+        return math.inf
     try:
         scale = math.exp(p * b0)
         if math.isinf(span):
-            return math.inf if slope >= 0.0 else scale / (p * abs(slope))
-        if slope == 0.0:
-            return scale * span
-        return scale * math.expm1(p * slope * span) / (p * slope)
+            value = scale / -rate
+        elif slope == 0.0:
+            value = scale * span
+        else:
+            value = scale * math.expm1(rate * span) / rate
+    except OverflowError:
+        value = math.inf
+    if value < math.inf:
+        return value
+    x = abs(rate) * span
+    factor = -math.expm1(-x) / abs(rate) if x > 0.0 else span
+    try:
+        return math.exp(p * max(b0, b0 + slope * span) + math.log(factor))
     except OverflowError:
         return math.inf
 

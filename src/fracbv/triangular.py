@@ -262,7 +262,7 @@ def u_variation_lower_bounds(setup: TriangularSetup, eps: float) -> np.ndarray:
     return 4.0 * (setup.widths / setup.t_form) ** expo
 
 
-def continuity_defect(setup: TriangularSetup, t: float, n: Optional[int] = None) -> float:
+def continuity_defect(setup: TriangularSetup, t: float) -> float:
     """Max one-sided limit mismatch of u at the branch seams.
 
     Adjacent branch formulas are evaluated exactly at the seam coordinates
@@ -271,9 +271,8 @@ def continuity_defect(setup: TriangularSetup, t: float, n: Optional[int] = None)
     """
     if not 0.0 < t <= setup.T:
         raise ConfigError(f"need 0 < t <= T={setup.T}, got {t}")
-    idx = np.arange(setup.N) if n is None else np.array([n - 1])
-    w = setup.widths[idx]
-    tn = setup.t_form[idx]
+    w = setup.widths
+    tn = setup.t_form
     r = w / tn * t
 
     def u(branch, x):

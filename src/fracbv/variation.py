@@ -374,7 +374,7 @@ def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFu
     if fan_points < 2:
         raise ValueError(f"need at least 2 samples per fan region, got {fan_points}")
     t = profile.time
-    scale = math.exp(profile.source.cumulative_source(t))
+    scale = profile.source.growth(t)
     fan = profile.fan
     const = ~fan
     lefts, rights = profile.ends[:-1], profile.ends[1:]
@@ -434,7 +434,7 @@ def smoothing_upper_bound(
                 lambda: S.effective_time(deg.p, t))
     if g == 0.0:
         return math.inf
-    scale = _finite("e^(p B(t))", max_b, lambda: math.exp(deg.p * S.cumulative_source(t)))
+    scale = _finite("e^(p B(t))", max_b, lambda: S.growth(t, deg.p))
     speed = _finite("the speed bound max |f'| on [-M e^(max B), M e^(max B)] over [0, T]", max_b,
                     lambda: speed_bound(F, S, T))
     return _finite("the bound", max_b, lambda: scale / (deg.c0 * g) * (2.0 * (b - a) + 2.0 * speed * t))
@@ -471,7 +471,7 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     if isinstance(family, PowerLawFamily):
         p = family.flux.power
         g_root = family.source.effective_time(p, t) ** (-1.0 / p)
-        scale = math.exp(family.source.cumulative_source(t))
+        scale = family.source.growth(t)
         for cell in family.cells[:N]:
             if t < cell.t0:
                 jump = 2.0 * cell.a * scale
@@ -486,7 +486,7 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
         q, C = decay.q, decay.C
         c0 = C * family.source.effective_time(q, family.t0)
         rho = C * family.source.effective_time(q, t)
-        scale = math.exp(family.source.cumulative_source(t))
+        scale = family.source.growth(t)
         for cell in family.cells:
             if cell.index > N:
                 break

@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .fanprofile import fan_values, source_time_integral
 from .flux import Flux
 from .source import SourceProfile
@@ -82,7 +82,7 @@ class PiecewiseProfile:
 
     def _values(self, xs: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Value at each point of ``xs`` taken in the region of the same place in ``idx``."""
-        scale = math.exp(self.source.cumulative_source(self.time))
+        scale = self.source.growth(self.time)
         values = self.anchor[idx] * scale
         fan = self.fan[idx]
         values[fan] = fan_values(self.flux, self.source, xs[fan] - self.anchor[idx[fan]], self.time) * scale
@@ -149,7 +149,7 @@ def riemann_shock(
     if w_minus <= w_plus:
         raise ConfigError("shock needs w_minus > w_plus (otherwise it is a fan)")
     drift = flux_difference_drift(F, S, w_plus, w_minus, t) / (w_plus - w_minus)
-    scale = math.exp(S.cumulative_source(t))
+    scale = S.growth(t)
     return x0 + drift, w_minus * scale, w_plus * scale
 
 
@@ -158,6 +158,17 @@ def speed_bound(F: Flux, S: SourceProfile, T: float) -> float:
 
     States stay within [-M e^{max B}, M e^{max B}] up to time T, max B over
     [0, T]; for convex f' the extreme slopes sit at the interval ends.
+    Raises NumericsError naming max B when the bound passes float64.
     """
-    reach = F.M * math.exp(S.max_cumulative_source(T))
-    return max(abs(float(F.df(-reach))), abs(float(F.df(reach))))
+    max_b = S.max_cumulative_source(T)
+    try:
+        reach = F.M * math.exp(max_b)
+        with np.errstate(over="ignore"):  # an overflowing f' gives inf, refused below
+            speed = max(abs(float(F.df(-reach))), abs(float(F.df(reach))))
+    except OverflowError:
+        speed = math.inf
+    if not speed < math.inf:
+        raise NumericsError(
+            f"the speed bound max |f'| on [-M e^(max B), M e^(max B)] overflows float64 at max B = {max_b:g}"
+        )
+    return speed

@@ -112,6 +112,57 @@ def test_effective_time_overflow_exits_numerical(argv, capsys, tmp_path):
     assert "overflows float64 at p = 2, t = 1, max B = 1000" in err["error"]
 
 
+def test_oracle_builds_its_reference_before_the_solve(capsys, tmp_path, monkeypatch):
+    # G_2(1) overflows at alpha = 1000; the solve would step for minutes first
+    def solve(*args):
+        raise AssertionError("godunov_solve ran before the reference was built")
+
+    monkeypatch.setattr(cli.godunov, "godunov_solve", solve)
+    argv = ["oracle", "--p", "2", "--alpha", "constant:1000", "--init", "packet", "--t", "1", "--cells", "4000"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"].startswith("the effective time G_p(t)")
+
+
+def test_effective_time_past_expm1_range_is_finite(capsys, tmp_path):
+    # G_2(0.895) at alpha = 400 is about e^716 / 1600: expm1(716) overflows, G_2 does not
+    out = tmp_path / "rows.csv"
+    argv = ["diverge", "--p", "2", "--alpha", "constant:400", "--s", "0.6", "--N", "3", "--t", "0.895"]
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,bound,cumulative" and len(lines) == 4
+    assert all(math.isfinite(float(cell)) for line in lines[1:] for cell in line.split(","))
+
+
+def test_real_effective_time_overflow_keeps_its_message(capsys, tmp_path):
+    argv = ["diverge", "--p", "2", "--alpha", "constant:720", "--s", "0.5", "--N", "3", "--t", "0.99"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"].startswith("the effective time G_p(t)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--N", "3"],
+        ["packet", "--dx", "0.1", "--delta", "0.5"],
+        ["diverge", "--s", "0.5", "--N", "3"],
+        ["riemann", "--wl", "1", "--wr", "0"],
+        ["oracle", "--init", "packet", "--cells", "100"],
+        ["oracle", "--init", "riemann", "--wl", "1", "--wr", "0", "--cells", "100"],
+    ],
+    ids=["family", "packet", "diverge", "riemann", "oracle-packet", "oracle-riemann"],
+)
+def test_growth_factor_overflow_exits_numerical(argv, capsys, tmp_path):
+    # G_1(0.7125) = (e^712.5 - 1) / 1000 fits in float64, but e^(B(t)) = e^712.5 does not
+    out = str(tmp_path / "out")
+    assert main([*argv, "--p", "1", "--alpha", "constant:1000", "--t", "0.7125", "--out", out]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical"
+    if argv[:3] == ["oracle", "--init", "riemann"]:  # the oracle's domain needs the speed bound, e^(max B) = e^(B(t)) here
+        assert err["error"].startswith("the speed bound") and err["error"].endswith("at max B = 712.5")
+    else:
+        assert err["error"] == "the growth factor e^(B(t)) overflows float64 at t = 0.7125, B(t) = 712.5"
+
+
 def test_variation_of_empty_file_exits_numerical(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

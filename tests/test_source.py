@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,11 +32,12 @@ def test_cumulative_source_lipschitz_and_lower_bound():
     rng = np.random.default_rng(0)
     for src in (ZERO, CONST_M1, PW, SourceProfile.piecewise([0, 0.5, 2], [2, -3, 0.5])):
         ts = rng.uniform(0, 5, size=50)
+        sup_norm = max(abs(v) for v in src.values)
         for t1, t2 in zip(ts[:-1], ts[1:]):
             gap = abs(src.cumulative_source(t1) - src.cumulative_source(t2))
-            assert gap <= src.sup_norm * abs(t1 - t2) + 1e-12
+            assert gap <= sup_norm * abs(t1 - t2) + 1e-12
         for t in ts:
-            assert src.cumulative_source(t) >= -t * src.sup_norm - 1e-12
+            assert src.cumulative_source(t) >= -t * sup_norm - 1e-12
 
 
 def test_effective_time_examples():
@@ -357,3 +359,82 @@ def test_inverse_reaches_a_target_before_the_overflow():
     t = src.effective_time_inverse(2.0, 1e-3)
     assert 0.0 < t < 1.0
     assert src.effective_time(2.0, t) == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_effective_time_past_expm1_range_is_finite():
+    # the second piece's expm1(800) overflows, but G_2(1.8) ~ e^600 / 1000 fits
+    value = SourceProfile.piecewise([0, 1], [-100, 500]).effective_time(2, 1.8)
+    assert math.isfinite(value)
+    assert math.log(value) == pytest.approx(600.0 - math.log(1000.0), rel=1e-13)
+
+
+def _log_exp_linear_integral(p, b0, slope, span):
+    """log of the integral of exp(p (b0 + slope theta)) over [0, span], formed in logs."""
+    x = p * slope * span
+    if slope > 0.0:  # expm1(x) = e^x (1 - e^-x)
+        return p * b0 + x + math.log1p(-math.exp(-x)) - math.log(p * slope)
+    return p * b0 + math.log(-math.expm1(x)) - math.log(-p * slope)
+
+
+X_OVERFLOW = math.log(sys.float_info.max)  # expm1 overflows past about 709.78
+
+
+@pytest.mark.parametrize(
+    "p, b0, slope, span",
+    [
+        # growing pieces, x = p slope span on both sides of expm1's overflow point
+        *((2.0, 0.0, 500.0, x / 1000.0) for x in (709.0, 709.78, X_OVERFLOW - 1e-9, X_OVERFLOW + 1e-9, 709.79, 712.0)),
+        *((2.0, -100.0, 500.0, x / 1000.0) for x in (709.78, X_OVERFLOW + 1e-9, 800.0, 900.0)),
+        (1.0, -3.0, 1000.0, 0.7125),
+        # decaying pieces whose left-end factor e^(p b0) alone passes float64
+        (2.0, 356.0, -500.0, 1.0),
+        (2.0, 356.0, -500.0, 1e-3),
+        (1.5, 476.0, -1e4, math.inf),
+    ],
+)
+def test_exp_linear_integral_near_overflow_matches_log_space(p, b0, slope, span):
+    from fracbv.source import _exp_linear_integral
+
+    value = _exp_linear_integral(p, b0, slope, span)
+    assert 0.0 < value < math.inf
+    if math.isinf(span):
+        expected = p * b0 - math.log(-p * slope)
+    else:
+        expected = _log_exp_linear_integral(p, b0, slope, span)
+    assert math.log(value) == pytest.approx(expected, rel=1e-14)
+    try:
+        fast = _old_exp_linear_integral(p, b0, slope, span)
+    except OverflowError:
+        fast = math.inf
+    if math.isfinite(fast):  # the product form, bit for bit, wherever it is finite
+        assert same_float(value, fast)
+
+
+def test_exp_linear_integral_past_float64_is_inf():
+    from fracbv.source import _exp_linear_integral
+
+    assert _exp_linear_integral(2.0, 0.0, 500.0, 0.72) == math.inf  # e^720 / 1000
+    assert _exp_linear_integral(2.0, 360.0, -500.0, 1.0) == math.inf  # e^720 / 1000 again
+    assert _exp_linear_integral(2.0, 0.0, 1.0, math.inf) == math.inf
+
+
+def test_inverse_past_the_overflow_of_e_to_the_p_b():
+    # G_2(0.356) ~ e^712 / 2000 fits, e^(2 B(0.356)) = e^712 does not; the
+    # inverse divides by it in logs on the second piece
+    src = SourceProfile.piecewise([0.0, 0.356], [1000.0, -1.0])
+    end = src.effective_time(2.0, 0.356)
+    assert math.isfinite(end) and src.effective_time_limit(2.0) == math.inf
+    for target in (1.5 * end, 1e307):
+        t = src.effective_time_inverse(2.0, target)
+        assert 0.356 < t < math.inf
+        assert src.effective_time(2.0, t) == pytest.approx(target, rel=1e-12)
+
+
+def test_growth_names_t_and_b_past_float64():
+    src = SourceProfile.constant(1000.0)
+    assert src.growth(0.5) == math.exp(500.0)
+    assert src.growth(0.25, 2.0) == math.exp(500.0)
+    with pytest.raises(NumericsError, match=r"^the growth factor e\^\(B\(t\)\) overflows float64 at t = 0.7125, B\(t\) = 712.5$"):
+        src.growth(0.7125)
+    with pytest.raises(NumericsError, match=r"e\^\(2 B\(t\)\) .* at t = 0.5, B\(t\) = 500$"):
+        src.growth(0.5, 2.0)

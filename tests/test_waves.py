@@ -5,6 +5,7 @@ import pytest
 
 from fracbv import (
     ConstantRegion,
+    NumericsError,
     SourceProfile,
     cell_profile,
     fan_edges,
@@ -183,6 +184,17 @@ def test_speed_bound_takes_its_reach_from_max_B():
     assert speed_bound(F, src, 2.0) == pytest.approx(math.exp(0.15) ** 2, rel=1e-15)
     # a decaying source never lifts the states above M
     assert speed_bound(F, SourceProfile.constant(-1000.0), 1.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "p, alpha, max_b",
+    [(1.0, 1000.0, 712.5), (4.0, 400.0, 285)],  # e^(max B) itself, and f'(M e^(max B)) = 4 e^855
+    ids=["reach", "slope"],
+)
+def test_speed_bound_overflow_names_max_B(p, alpha, max_b):
+    F = power_law_flux(p, M=1.0)
+    with pytest.raises(NumericsError, match=rf"^the speed bound .* overflows float64 at max B = {max_b}$"):
+        speed_bound(F, SourceProfile.constant(alpha), 0.7125)
 
 
 def test_profile_shape_validation():
