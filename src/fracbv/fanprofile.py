@@ -192,12 +192,14 @@ def fan_values(flux: Flux, source: SourceProfile, offsets, t: float) -> np.ndarr
     p = flux.power
     values = np.sign(offsets) * np.abs(offsets) ** (1.0 / p) * source.effective_time(p, t) ** (-1.0 / p)
     if values.size:
-        # compared as |V| exp(min B) <= M: the limit M exp(-min B) itself
-        # overflows under a strongly decaying source
+        # compared as |V| exp(min B) <= M, and reported by its parts: the
+        # limit M exp(-min B) itself overflows under a strongly decaying source
         v = max(-values.min(), values.max())
-        if v * math.exp(source.min_cumulative_source(t)) > flux.M * (1.0 + 1e-9):
+        min_b = source.min_cumulative_source(t)
+        if v * math.exp(min_b) > flux.M * (1.0 + 1e-9):
             raise NumericsError(
-                f"fan profile value {v} escapes the flux interval (limit {_flux_limit(flux, source, t)})"
+                f"fan profile value {v} escapes the flux interval |V| <= M exp(-min B)"
+                f" (M = {flux.M}, min B = {min_b})"
             )
     return values
 
@@ -230,5 +232,18 @@ def fan_profile_rootfind(
 
 
 def _flux_limit(flux: Flux, source: SourceProfile, t: float) -> float:
-    """Bound M exp(-min of B over [0, t]) on |V|, the fan's flux interval."""
-    return flux.M * math.exp(-source.min_cumulative_source(t))
+    """Bound M exp(-min of B over [0, t]) on |V|, the fan's flux interval.
+
+    Raises NumericsError when the bound is not a finite float, as under a
+    source that decays by more than about e^-709 before t.
+    """
+    min_b = source.min_cumulative_source(t)
+    try:
+        limit = flux.M * math.exp(-min_b)
+    except OverflowError:
+        limit = math.inf
+    if not math.isfinite(limit):
+        raise NumericsError(
+            f"flux interval M exp(-min B) overflows float64 (M = {flux.M}, min B = {min_b} on [0, {t}])"
+        )
+    return limit

@@ -47,20 +47,22 @@ class KKSetup:
     beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.p) and math.isfinite(self.delta)):
+            raise ConfigError(f"need finite p and delta, got p={self.p}, delta={self.delta}")
         if self.p <= 1.0 or self.delta <= 0.0:
             raise ConfigError("need p > 1 and delta > 0")
         if not 1 <= self.n <= self.i_max:
             raise ConfigError("need 1 <= n <= i_max")
         b = np.asarray(self.b, dtype=float)
         b_norm = float(np.hypot(b[0], b[1]))
-        if b_norm == 0.0:
-            raise ConfigError("b must be nonzero")
+        if not 0.0 < b_norm < math.inf:
+            raise ConfigError(f"b must be finite and nonzero, got {self.b}")
         object.__setattr__(self, "b_norm", b_norm)
         object.__setattr__(self, "beta", b / b_norm)
         if self.M is None:
             object.__setattr__(self, "M", 4.0 + 2.0 * b_norm)
-        if self.M <= 1.0:
-            raise ConfigError("support box M must exceed 1")
+        if not 1.0 < self.M < math.inf:
+            raise ConfigError(f"support box M must be finite and exceed 1, got {self.M}")
 
     def strip_count(self, i: int) -> float:
         """m_i = i^(p(1+delta)); the divergence series uses the real value."""

@@ -46,6 +46,8 @@ class TriangularSetup:
     So w_n is the series 1/(n log^2(n+1)) rounded such that the supports tile
     exactly (the edge differences are exact in floating point).  Formation
     time t_n = (log(n+1)/log 2) (T + 1) > T and amplitude (w_n / t_n)^(1/p).
+    p and T must be finite, and T + 1 must exceed T in floating point, so
+    that every pulse forms after the horizon.
     """
 
     p: float
@@ -57,6 +59,8 @@ class TriangularSetup:
     edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.p) and math.isfinite(self.T)):
+            raise ConfigError(f"need finite p and T, got p={self.p}, T={self.T}")
         if self.p < 1.0:
             raise ConfigError(f"need p >= 1, got {self.p}")
         if self.T <= 0.0 or self.N < 1:
@@ -65,6 +69,8 @@ class TriangularSetup:
         edges = np.concatenate(([0.0], np.cumsum(2.0 / (n * np.log(n + 1.0) ** 2))))
         widths = 0.5 * np.diff(edges)
         t_form = np.log(n + 1.0) / math.log(2.0) * (self.T + 1.0)
+        if not t_form[0] > self.T:
+            raise ConfigError(f"need t_1 = T + 1 > T in floating point, got T={self.T}")
         amplitudes = (widths / t_form) ** (1.0 / self.p)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "t_form", t_form)
@@ -84,56 +90,105 @@ class TriangularSetup:
         return -2.0 * float(self.amplitudes[0]) ** self.p
 
 
+def _pulse_index(inner_edges: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``searchsorted(inner_edges, xs, side="right")``: the pulse of each
+    position, with the first and the last pulse for positions outside them.
+
+    Positions in ascending order (no NaN) take one search per edge instead
+    of one per position: the positions from the first one at or right of
+    edge n up to the first one at or right of edge n + 1 lie in pulse n.
+    """
+    if xs.size > inner_edges.size and np.all(xs[1:] >= xs[:-1]):
+        first = np.searchsorted(xs, inner_edges, side="left")
+        counts = np.diff(first, prepend=0, append=xs.size)
+        return np.repeat(np.arange(counts.size), counts)
+    return np.searchsorted(inner_edges, xs, side="right")
+
+
 def _branches(setup: TriangularSetup, xs: np.ndarray, t: float):
     """Local coordinate, w, t_n and branch of each position at time t.
 
     The branch is 1..4 on m1 (left fan), m2, m3 and m4 (right fan), and 0
     outside the supports and at the pulse edges.  This is the one partition
     that u, the flow and its inverse all use.
+
+    Each position gets a pulse from the interior edges
+    (:func:`_pulse_index`); one outside every support gets the first or the
+    last pulse, and its local coordinate falls outside (0, 2w).  Inside
+    (0, 2w) the branch is 1 + [loc >= r] + [loc > w] + [loc > 2w - r], three
+    comparisons with the thresholds of the position's pulse; it is 0
+    elsewhere, NaN included.  The guards min(r, w) and max(2w - r, w) keep
+    the thresholds ordered (every accepted setup has r <= w anyway, since
+    t <= T < t_n).  The thresholds are formed once per pulse and gathered
+    in turn into one buffer, which ends up holding t_n.  The branch is int8.
     """
-    idx = np.searchsorted(setup.edges, xs, side="right") - 1
-    inside = (idx >= 0) & (idx < setup.N)
-    i = np.where(inside, idx, 0)
-    w, tn = setup.widths[i], setup.t_form[i]
-    loc = xs - setup.edges[i]
-    r = (w / tn) * t  # current fan half-extent (amplitude^p * t)
-    branch = np.select(
-        [
-            ~inside,
-            (loc > 0.0) & (loc < np.minimum(r, w)),
-            (loc >= r) & (loc <= w) & (loc > 0.0),
-            (loc > w) & (loc <= 2.0 * w - r),
-            (loc > np.maximum(2.0 * w - r, w)) & (loc < 2.0 * w),
-        ],
-        [0, 1, 2, 3, 4],
-        default=0,
-    )
+    widths, t_form = setup.widths, setup.t_form
+    r = widths / t_form
+    r *= t  # current fan half-extent (amplitude^p * t)
+    two_w = 2.0 * widths
+    far = np.maximum(two_w - r, widths)
+    np.minimum(r, widths, out=r)
+    i = _pulse_index(setup.edges[1:-1], xs)
+    loc, w, buffer = setup.edges[i], widths[i], r[i]
+    np.subtract(xs, loc, out=loc)
+    branch = (loc >= buffer).view(np.int8)
+    branch += loc > w
+    # i is in range; mode "clip" lets np.take write to out= without a copy
+    np.take(far, i, out=buffer, mode="clip")
+    branch += loc > buffer
+    branch += 1
+    np.take(two_w, i, out=buffer, mode="clip")
+    branch *= (loc > 0.0) & (loc < buffer)
+    tn = np.take(t_form, i, out=buffer, mode="clip")
     return loc, w, tn, branch
 
 
-def _branch_u(branch: int, x, w, tn, t: float, s: float):
-    """u on branch 1..4 (m1, m2, m3, m4) at local coordinate x of a pulse
-    with half-width w and formation time tn."""
-    if branch == 1:
-        return (x / t) ** s
-    if branch == 2:
-        return ((w - x) / (tn - t)) ** s
-    if branch == 3:
-        return -((x - w) / (tn - t)) ** s
-    return -((2.0 * w - x) / t) ** s
+def _on_fan(branch):
+    """Whether each branch is a fan, m1 or m4."""
+    return (branch == 1) | (branch == 4)
+
+
+def _anchor_units(branch):
+    """The anchor of each branch's local map in units of w: 0 on m1 (and on
+    branch 0), 1 on m2 and m3, 2 on m4."""
+    return np.add(branch >= 2, branch == 4, dtype=np.int8)
+
+
+def _branch_u(branch, loc, w, tn, t: float, s: float):
+    """u at local coordinates loc of pulses with half-widths w and formation
+    times tn, on the branches 0..4 of the int8 array ``branch``.
+
+    The four branch formulas are one signed power, u = +-(|loc - a| / d)^s:
+    on m1, m2, m3, m4 the anchor a is 0, w, w, 2w, the time scale d is t,
+    t_n - t, t_n - t, t and the sign +, +, -, -.  On each branch |loc - a|
+    is the formula's own difference (x, w - x, x - w, 2w - x), since a
+    difference only changes sign when its operands swap.  Branch 0 gives
+    +0.0.  Works in place: returns loc holding u, and overwrites w and tn.
+    """
+    w *= _anchor_units(branch)
+    np.subtract(loc, w, out=loc)
+    np.abs(loc, out=loc)
+    tn -= t
+    np.putmask(tn, _on_fan(branch), t)
+    loc /= tn
+    np.putmask(loc, branch == 0, 0.0)
+    loc **= s
+    loc *= 1 - 2 * (branch >= 3).view(np.int8)
+    return loc
 
 
 def u_values(setup: TriangularSetup, xs, t: float) -> np.ndarray:
-    """Sawtooth component at time t, vectorized over positions."""
+    """Sawtooth component at time t, vectorized over positions.
+
+    :func:`_branches` partitions the positions by comparisons alone, and
+    :func:`_branch_u` takes one signed power over all of them, in place;
+    outside the supports and at the pulse edges u is +0.0.
+    """
     if not 0.0 <= t <= setup.T:
         raise ConfigError(f"need 0 <= t <= T={setup.T}, got {t}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     loc, w, tn, branch = _branches(setup, xs, t)
-    out = np.zeros_like(xs)
-    for b in (1, 2, 3, 4):
-        m = branch == b
-        out[m] = _branch_u(b, loc[m], w[m], tn[m], t, setup.s)
-    return out
+    return _branch_u(branch, loc, w, tn, t, setup.s)
 
 
 def _flow_map(setup: TriangularSetup, xs: np.ndarray, t_from: float, t_to: float):
@@ -141,15 +196,15 @@ def _flow_map(setup: TriangularSetup, xs: np.ndarray, t_from: float, t_to: float
 
     On each branch the map is affine, X - a = (x - a) k, with the anchor a at
     the pulse edge (m1), its center (m2, m3) or its far edge (m4); k is also
-    the Jacobian dX/dx, and 1 outside the supports.  Either time may be the
-    later one; traced back to t_to = 0 a fan collapses onto its edge (k = 0).
+    the Jacobian dX/dx, and 1 outside the supports (where the anchor is
+    immaterial).  Either time may be the later one; traced back to t_to = 0
+    a fan collapses onto its edge (k = 0).
     """
     loc, w, tn, branch = _branches(setup, xs, t_from)
-    fan = (branch == 1) | (branch == 4)
     fan_k = t_to / t_from if t_from > 0.0 else 1.0  # no fan is open at t_from = 0
-    k = np.where(fan, fan_k, (tn - t_to) / (tn - t_from))
+    k = np.where(_on_fan(branch), fan_k, (tn - t_to) / (tn - t_from))
     k[branch == 0] = 1.0
-    anchor = np.select([branch == 1, branch == 4], [0.0, 2.0 * w], w)
+    anchor = w * _anchor_units(branch)
     return xs + (k - 1.0) * (loc - anchor), k, branch
 
 
@@ -221,7 +276,7 @@ def transported_values(
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     feet, k, branch = _flow_map(setup, xs, t, 0.0)
     vals = np.asarray(v0(feet), dtype=float)
-    vals = np.where((branch == 1) | (branch == 4), np.nan, vals)
+    vals = np.where(_on_fan(branch), np.nan, vals)
     return vals * k if include_dilution else vals  # backward k = 1 / forward Jacobian
 
 
@@ -233,9 +288,12 @@ def transported_variation_sums(
 ) -> float:
     """sum over n <= N of |v(z_n, t) - v(z_{n+1}, t)|^(1/s_prime).
 
-    The transported points z_n are computed by the forward flow; the values
-    there are the initial values at the markers (advective evaluation), so
-    the alternating data gives exactly N * 2^(1/s_prime).
+    The sum does not depend on the flow.  The transported points z_n are
+    computed by the forward flow and then discarded; the values summed are
+    the initial values at the markers y_n (advective evaluation), so the
+    alternating data gives exactly N * 2^(1/s_prime) for any flow.  It
+    measures nothing about the transport until ROADMAP item 6 lands (images
+    carried as offsets from the fan edge, values through the backward map).
     """
     if not 0.0 < s_prime <= 1.0:
         raise ConfigError(f"order must lie in (0, 1], got {s_prime}")
@@ -267,7 +325,8 @@ def continuity_defect(setup: TriangularSetup, t: float) -> float:
 
     Adjacent branch formulas are evaluated exactly at the seam coordinates
     (the fan branches have square-root singularities, so sampling one ulp to
-    the side would measure sqrt(ulp) noise instead of the true limits).
+    the side would measure sqrt(ulp) noise instead of the true limits).  The
+    formulas are those of :func:`u_values`, through :func:`_branch_u`.
     """
     if not 0.0 < t <= setup.T:
         raise ConfigError(f"need 0 < t <= T={setup.T}, got {t}")
@@ -275,8 +334,9 @@ def continuity_defect(setup: TriangularSetup, t: float) -> float:
     tn = setup.t_form
     r = w / tn * t
 
-    def u(branch, x):
-        return _branch_u(branch, x, w, tn, t, setup.s)
+    def u(branch, x):  # _branch_u works in place, so it gets copies
+        on = np.full(w.shape, branch, dtype=np.int8)
+        return _branch_u(on, x.copy(), w.copy(), tn.copy(), t, setup.s)
 
     defects = np.concatenate(
         [

@@ -230,6 +230,8 @@ def test_order_outside_unit_interval_rejected(argv, capsys):
         ["triangular", "--p", "2", "--T", "1", "--t", "-1", "--N", "3", "--sprime", "1"],
         ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "3", "--sprime", "1.5"],
         ["triangular", "--p", "2", "--T", "1", "--t", "0.5", "--N", "3", "--sprime", "0"],
+        # T + 1 rounds to T, so the first pulse would form at the horizon
+        ["triangular", "--p", "2", "--T", "1e17", "--t", "1e17", "--N", "5", "--sprime", "1"],
         ["packet", "--p", "2", "--dx", "0.1", "--delta", "0.5", "--t", "-1"],
         ["oracle", "--p", "2", "--init", "packet", "--cells", "100", "--t", "0"],
         ["packet", "--p", "2", "--dx", "-1", "--delta", "0.5", "--t", "1"],

@@ -253,3 +253,19 @@ def test_unreachable_offset_fails_at_the_bracket(alpha, monkeypatch):
     with pytest.raises(NumericsError, match=r"offset -0.3 escapes the flux interval \(limit 0.9\)"):
         fan_profile_rootfind(ASYM, parse_alpha(alpha), -0.3, 0.3)
     assert len(calls) <= 2
+
+
+def test_flux_limit_past_float64_is_a_numerics_error():
+    # a source decaying by e^-800 puts the bracket M e^800 past float64: the
+    # general-flux fan names min B instead of ending in an OverflowError
+    F = user_flux(lambda u: np.cosh(u) - 1.0, np.sinh, M=1.0)
+    with pytest.raises(NumericsError, match=r"overflows float64 .*min B = -800\.0"):
+        fan_values(F, SourceProfile.constant(-800.0), [0.01], 1.0)
+
+
+def test_power_law_refusal_under_strong_decay_builds_its_message():
+    # |V| e^(min B) = 6e307 e^-710 > M = 1e-3: refused, and the message is
+    # built from M and min B, not from the overflowing limit M e^710
+    F = power_law_flux(1.01, M=1e-3)
+    with pytest.raises(NumericsError, match=r"escapes the flux interval .*min B = -710\.0"):
+        fan_values(F, SourceProfile.constant(-710.0), [1e308], 1.0)

@@ -255,3 +255,23 @@ def test_jump_sum_lower_bound_rejects_bad_arguments(t, N_i):
 
     with pytest.raises(ConfigError):
         kk.jump_sum_lower_bound(kk.KKSetup(p=2.0, delta=0.1), t, N_i)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(p=math.nan, delta=0.1),
+        dict(p=math.inf, delta=0.1),
+        dict(p=2.0, delta=math.nan),
+        dict(p=2.0, delta=math.inf),
+        dict(p=2.0, delta=0.1, b=(math.nan, 0.0)),
+        dict(p=2.0, delta=0.1, b=(math.inf, 0.0)),
+        dict(p=2.0, delta=0.1, M=math.nan),
+        dict(p=2.0, delta=0.1, M=math.inf),
+    ],
+)
+def test_setup_rejects_non_finite_parameters(kwargs):
+    from fracbv import ConfigError
+
+    with pytest.raises(ConfigError, match="finite"):
+        kk.KKSetup(**kwargs)

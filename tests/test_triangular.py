@@ -13,7 +13,8 @@ from fracbv import (
     u_values,
     u_variation_lower_bounds,
 )
-from fracbv import SampledFunction
+from fracbv import ConfigError, SampledFunction
+from fracbv import triangular
 from fracbv.triangular import midpoint_markers, transported_points, transported_values
 
 SETUP = TriangularSetup(p=2.0, T=1.0, N=64)
@@ -87,6 +88,19 @@ class TestSetup:
             TriangularSetup(p=0.5, T=1.0, N=4)
         with pytest.raises(ValueError):
             TriangularSetup(p=2.0, T=-1.0, N=4)
+
+    @pytest.mark.parametrize(
+        "p,T", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)]
+    )
+    def test_non_finite_parameters_refused(self, p, T):
+        with pytest.raises(ConfigError, match="finite"):
+            TriangularSetup(p=p, T=T, N=3)
+
+    def test_horizon_where_t1_rounds_to_T_refused(self):
+        # at T = 1e17, T + 1 == T: the first pulse would form at the horizon
+        with pytest.raises(ConfigError, match="T \\+ 1 > T"):
+            TriangularSetup(p=2.0, T=1e17, N=5)
+        assert TriangularSetup(p=2.0, T=1e15, N=5).t_form[0] > 1e15
 
 
 class TestPulse:
@@ -342,3 +356,207 @@ class TestVariationBounds:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             u_variation_lower_bounds(SETUP, 0.0)
+
+
+
+# ---------------------------------------------------------------------------
+# The pulse partition and the branch values against the np.select partition
+# and the four branch formulas they replaced, kept here as the reference.
+
+
+def reference_branches(setup, xs, t):
+    """Five compound masks in np.select; outside points are anchored at pulse 1."""
+    idx = np.searchsorted(setup.edges, xs, side="right") - 1
+    inside = (idx >= 0) & (idx < setup.N)
+    i = np.where(inside, idx, 0)
+    w, tn = setup.widths[i], setup.t_form[i]
+    loc = xs - setup.edges[i]
+    r = (w / tn) * t
+    branch = np.select(
+        [
+            ~inside,
+            (loc > 0.0) & (loc < np.minimum(r, w)),
+            (loc >= r) & (loc <= w) & (loc > 0.0),
+            (loc > w) & (loc <= 2.0 * w - r),
+            (loc > np.maximum(2.0 * w - r, w)) & (loc < 2.0 * w),
+        ],
+        [0, 1, 2, 3, 4],
+        default=0,
+    )
+    return loc, w, tn, branch
+
+
+def reference_branch_u(branch, x, w, tn, t, s):
+    if branch == 1:
+        return (x / t) ** s
+    if branch == 2:
+        return ((w - x) / (tn - t)) ** s
+    if branch == 3:
+        return -((x - w) / (tn - t)) ** s
+    return -((2.0 * w - x) / t) ** s
+
+
+def reference_u_values(setup, xs, t):
+    loc, w, tn, branch = reference_branches(setup, xs, t)
+    out = np.zeros_like(xs)
+    for b in (1, 2, 3, 4):
+        m = branch == b
+        out[m] = reference_branch_u(b, loc[m], w[m], tn[m], t, setup.s)
+    return out
+
+
+def reference_flow_map(setup, xs, t_from, t_to):
+    loc, w, tn, branch = reference_branches(setup, xs, t_from)
+    fan = (branch == 1) | (branch == 4)
+    fan_k = t_to / t_from if t_from > 0.0 else 1.0
+    k = np.where(fan, fan_k, (tn - t_to) / (tn - t_from))
+    k[branch == 0] = 1.0
+    anchor = np.select([branch == 1, branch == 4], [0.0, 2.0 * w], w)
+    return xs + (k - 1.0) * (loc - anchor), k, branch
+
+
+def reference_transported_values(setup, v0, xs, t, include_dilution):
+    feet, k, branch = reference_flow_map(setup, xs, t, 0.0)
+    vals = np.where((branch == 1) | (branch == 4), np.nan, np.asarray(v0(feet), dtype=float))
+    return vals * k if include_dilution else vals
+
+
+def reference_continuity_defect(setup, t):
+    w, tn = setup.widths, setup.t_form
+    r = w / tn * t
+
+    def u(branch, x):
+        return reference_branch_u(branch, x, w, tn, t, setup.s)
+
+    return float(
+        np.max(
+            np.concatenate(
+                [
+                    np.abs(u(1, np.zeros_like(w))),
+                    np.abs(u(1, r) - u(2, r)),
+                    np.abs(u(2, w) - u(3, w)),
+                    np.abs(u(3, 2.0 * w - r) - u(4, 2.0 * w - r)),
+                    np.abs(u(4, 2.0 * w)),
+                ]
+            )
+        )
+    )
+
+
+def assert_same_bits(got, want):
+    """NaN where the reference has NaN, and the same float64 bits elsewhere
+    (so +0.0 and -0.0 differ)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+# (p, T, N): s = 1/p is 1, an exact square root (the sqrt path of ndarray ** 0.5),
+# a third and generic; N = 1 has no interior edge
+IDENTITY_SETUPS = [(1.0, 1.0, 40), (2.0, 1.0, 64), (3.0, 2.0, 17), (2.37, 0.7, 300), (1.5, 1.3, 1)]
+
+
+def identity_points(setup, t, rng):
+    """Random points, every edge and seam r, w, 2w - r of every pulse with both
+    float neighbours, signed zeros, NaN and +-inf, in no particular order."""
+    e, w = setup.edges, setup.widths
+    r = w / setup.t_form * t
+    seams = np.concatenate([e, e[:-1] + r, e[:-1] + w, e[:-1] + 2.0 * w - r])
+    return np.concatenate(
+        [
+            rng.uniform(-0.5, e[-1] + 0.5, size=2000),
+            seams,
+            np.nextafter(seams, np.inf),
+            np.nextafter(seams, -np.inf),
+            [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf],
+        ]
+    )
+
+
+def identity_cases():
+    for p, T, N in IDENTITY_SETUPS:
+        for t_frac in (0.0, 0.37, 1.0):
+            yield pytest.param(p, T, N, t_frac * T, id=f"p{p}-T{T}-N{N}-t{t_frac}T")
+
+
+class TestSameValuesAsReference:
+    """Bit for bit, signed zeros included, in the given order and sorted (the
+    two ways :func:`triangular._pulse_index` finds the pulses)."""
+
+    @pytest.fixture(params=["given", "sorted"])
+    def order(self, request):
+        return request.param
+
+    @staticmethod
+    def points(setup, t, order):
+        xs = identity_points(setup, t, np.random.default_rng(31))
+        return np.sort(xs[~np.isnan(xs)]) if order == "sorted" else xs
+
+    @pytest.mark.parametrize("p,T,N,t", identity_cases())
+    def test_u_values(self, p, T, N, t, order):
+        setup = TriangularSetup(p=p, T=T, N=N)
+        xs = self.points(setup, t, order)
+        assert_same_bits(u_values(setup, xs, t), reference_u_values(setup, xs, t))
+
+    @pytest.mark.parametrize("p,T,N,t", identity_cases())
+    def test_flow_positions(self, p, T, N, t, order):
+        setup = TriangularSetup(p=p, T=T, N=N)
+        xs = self.points(setup, t, order)
+        with np.errstate(invalid="ignore"):  # 0 * inf at the infinite positions
+            for t_start, t_end in ((0.0, t), (t, T), (t, t)):
+                assert_same_bits(
+                    flow_positions(setup, xs, t_end, t_start=t_start),
+                    reference_flow_map(setup, xs, t_start, t_end)[0],
+                )
+
+    @pytest.mark.parametrize("p,T,N,t", identity_cases())
+    @pytest.mark.parametrize("include_dilution", [False, True])
+    def test_transported_values(self, p, T, N, t, order, include_dilution):
+        setup = TriangularSetup(p=p, T=T, N=N)
+        xs = self.points(setup, t, order)
+        v0 = alternating_initial_data()
+        with np.errstate(invalid="ignore"):
+            got = transported_values(setup, v0, xs, t, include_dilution=include_dilution)
+            want = reference_transported_values(setup, v0, xs, t, include_dilution)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("p,T,N", [case[:3] for case in IDENTITY_SETUPS])
+    def test_continuity_defect(self, p, T, N):
+        setup = TriangularSetup(p=p, T=T, N=N)
+        for t in (1e-3 * T, 0.37 * T, T):
+            got = continuity_defect(setup, t)
+            assert_same_bits(got, reference_continuity_defect(setup, t))
+
+    def test_random_setups(self):
+        # random p, T, N and t; random points only, plus the seams
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            setup = TriangularSetup(
+                p=float(rng.uniform(1.0, 4.0)), T=float(rng.uniform(0.1, 3.0)), N=int(rng.integers(1, 500))
+            )
+            t = float(rng.uniform(0.0, setup.T))
+            xs = identity_points(setup, t, rng)
+            assert_same_bits(u_values(setup, xs, t), reference_u_values(setup, xs, t))
+            finite = np.sort(xs[np.isfinite(xs)])
+            assert_same_bits(u_values(setup, finite, t), reference_u_values(setup, finite, t))
+            assert_same_bits(flow_positions(setup, finite, setup.T, t), reference_flow_map(setup, finite, t, setup.T)[0])
+
+    def test_branch_zero_is_positive_zero(self):
+        # outside, at every edge, NaN and +-inf: exactly +0.0
+        xs = np.concatenate([SETUP.edges, [-1.0, -0.0, SETUP.edges[-1] + 1.0, np.nan, np.inf, -np.inf]])
+        for t in (0.0, 0.5, 1.0):
+            u = u_values(SETUP, xs, t)
+            np.testing.assert_array_equal(u.view(np.uint64), np.zeros(xs.size, dtype=np.uint64))
+
+    def test_pulse_index_is_the_edge_search(self):
+        # ascending positions take the search of the edges in the positions;
+        # either way the index is searchsorted over the interior edges
+        rng = np.random.default_rng(53)
+        inner = SETUP.edges[1:-1]
+        xs = np.sort(np.concatenate([SETUP.edges, np.nextafter(SETUP.edges, -np.inf), rng.uniform(-0.1, 3.0, 500)]))
+        for points in (xs, xs[::-1], np.repeat(xs, 2), np.array([])):
+            np.testing.assert_array_equal(
+                triangular._pulse_index(inner, points), np.searchsorted(inner, points, side="right")
+            )
