@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -215,13 +215,12 @@ def _cmd_diverge(cfg: RunConfig) -> int:
     return 0
 
 
-def _cells_at_zero(cells, xs):
-    """Initial data of the cells at ``xs``: a on [A, tau), b on [tau, B], zero elsewhere."""
-    out = np.zeros_like(xs)
-    for c in cells:
-        out = np.where((xs >= c.A) & (xs < c.tau), c.a, out)
-        out = np.where((xs >= c.tau) & (xs <= c.B), c.b, out)
-    return out
+def _cells_at_zero(columns, xs):
+    """Initial data of the cell columns at ``xs``: a on [A, tau), b on [tau, B], zero elsewhere."""
+    _, A, B, a, b, tau, _ = columns
+    i = np.searchsorted(A, xs, side="right") - 1  # the supports are disjoint and in order
+    out = np.where(xs < tau[i], a[i], np.where(xs <= B[i], b[i], 0.0))
+    return np.where(i >= 0, out, 0.0)
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
@@ -245,7 +244,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         packet = make_packet(flux, source, o["center"], o["dx"], o["delta"])
         pad = 0.5 * o["dx"]
         domain = (o["center"] - o["dx"] - pad, o["center"] + o["dx"] + pad)
-        initial = functools.partial(_cells_at_zero, (packet,))
+        initial = functools.partial(_cells_at_zero, np.array([astuple(packet)]).T)
 
         def exact(xs, t):
             return cell_profile(packet, flux, source, t).evaluate(xs)
@@ -253,11 +252,11 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     else:  # family
         family = _build_family({**o, "kind": "powerlaw"})
         flux = family.flux
-        lo = family.cells[0].A
-        hi = family.cells[-1].B
+        _, A, B, *_ = family.columns
+        lo, hi = float(A[0]), float(B[-1])
         pad = 0.1 * (hi - lo)
         domain = (lo - pad, hi + pad)
-        initial = functools.partial(_cells_at_zero, family.cells)
+        initial = functools.partial(_cells_at_zero, family.columns)
 
         def exact(xs, t):
             return family_profile(family, t).evaluate(xs)

@@ -18,15 +18,18 @@ the same support placement on a convergent sequence of disjoint supports:
   position comes from conservation of the cell's mass, in closed form
   before the fans meet and by one bracketed root search after.
 
-One array layout builds the profile of one cell and of a whole family.
-Families are truncated at a finite index N for desk-scale evaluation.
+A family keeps its cells as the columns of one read-only (7, n) float array,
+rows index, A, B, a, b, tau, t0 as in :class:`ShockCell`; ``cells`` builds
+the records on access.  One array layout builds the profile of one cell and
+of a whole family from these columns.  Families are truncated at a finite
+index N for desk-scale evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -47,17 +50,16 @@ def packet_amplitude(n: int, p: float) -> float:
     return (n * math.log(n + 1.0) ** 3) ** (-1.0 / p)
 
 
-def _supports(n0: int, N: int) -> Iterator[Tuple[int, float, float]]:
-    """(n, center, half-width) of supports n0..N, centers 4 * prefix + 2 * width.
+def _supports(n0: int, N: int):
+    """Arrays (n, center, half-width) of supports n0..N, centers 4 * prefix + 2 * width.
 
-    ``prefix`` is the sum of the half-widths before n, added one by one, so
-    centers cost O(N) overall and the supports stay disjoint.
+    ``prefix`` is the sum of the half-widths before n, accumulated left to
+    right by ``np.cumsum``, so the supports stay disjoint.
     """
-    prefix = sum(packet_width(k) for k in range(1, n0))
-    for n in range(n0, N + 1):
-        width = packet_width(n)
-        yield n, 4.0 * prefix + 2.0 * width, width
-        prefix += width
+    widths = np.array([packet_width(k) for k in range(1, N + 1)])
+    prefix = np.zeros_like(widths)
+    np.cumsum(widths[:-1], out=prefix[1:])
+    return np.arange(n0, N + 1), (4.0 * prefix + 2.0 * widths)[n0 - 1 :], widths[n0 - 1 :]
 
 
 @dataclass(frozen=True)
@@ -80,57 +82,70 @@ class ShockCell:
     t0: float
 
 
-@dataclass(frozen=True)
-class PowerLawFamily:
+def _record(column) -> ShockCell:
+    n, *fields = column  # a family's column: index, A, B, a, b, tau, t0
+    return ShockCell(int(n), *fields)
+
+
+class _CellColumns:
+    """Cells as one read-only float array ``columns`` of shape (7, n), rows in
+    :class:`ShockCell` field order; ``cells`` builds the records from it.
+    Families compare and hash by identity, as an array field cannot hash."""
+
+    def __post_init__(self) -> None:
+        self.columns.setflags(write=False)
+
+    @property
+    def cells(self) -> Tuple[ShockCell, ...]:
+        return tuple(map(_record, zip(*self.columns.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
+class PowerLawFamily(_CellColumns):
     flux: Flux
     source: SourceProfile
     N: int
-    cells: Tuple[ShockCell, ...]
-
-
-def _packet(S: SourceProfile, p: float, n: int, x_n: float, dx: float, delta: float) -> ShockCell:
-    """Packet n: +delta on [x_n - dx, x_n), -delta on [x_n, x_n + dx].
-
-    Its fan edges meet at x_n at the interaction time t_n, where the
-    effective time G_p(t_n) reaches dx / delta^p.
-    """
-    t_n = S.effective_time_inverse(p, dx / delta**p)
-    return ShockCell(index=n, A=x_n - dx, B=x_n + dx, a=delta, b=-delta, tau=x_n, t0=t_n)
+    columns: np.ndarray
 
 
 def make_packet(F: Flux, S: SourceProfile, x_n: float, dx: float, delta: float) -> ShockCell:
-    """A lone antisymmetric packet, as cell 1, for a power-law flux.
+    """Lone packet: +delta on [x_n - dx, x_n), -delta on [x_n, x_n + dx], as cell 1.
 
-    Raises ValueError for another flux and ConfigError unless dx > 0 and
-    delta > 0.
+    Its fan edges meet at x_n when G_p reaches dx / delta^p.  Raises
+    ValueError for a flux other than a power law, and ConfigError unless
+    delta > 0 and x_n - dx < x_n < x_n + dx, both ends finite.
     """
     if F.power is None:
         raise ValueError("packets require a power-law flux")
-    if dx <= 0.0 or delta <= 0.0:
-        raise ConfigError("packet needs dx > 0 and delta > 0")
-    return _packet(S, F.power, 1, float(x_n), float(dx), float(delta))
+    x_n, dx, delta = float(x_n), float(dx), float(delta)
+    A, B = x_n - dx, x_n + dx
+    if not (delta > 0.0 and -math.inf < A < x_n < B < math.inf):
+        raise ConfigError(f"packet needs delta > 0 ({delta}) and a finite support [{A}, {B}] around {x_n}")
+    t_n = S.effective_time_inverse(F.power, dx / delta**F.power)
+    return ShockCell(index=1, A=A, B=B, a=delta, b=-delta, tau=x_n, t0=t_n)
 
 
 def power_law_family(p: float, source: SourceProfile, N: int) -> PowerLawFamily:
-    """First N packets of the power-law counterexample family."""
+    """First N packets of the power-law family: packet n is :func:`make_packet`'s cell on support n."""
     if N < 0:
         raise ValueError("truncation must be non-negative")
     flux = power_law_flux(p, M=packet_amplitude(1, p))  # amplitudes decrease in n
-    cells = tuple(
-        _packet(source, flux.power, n, center, width, packet_amplitude(n, p))
-        for n, center, width in _supports(1, N)
-    )
-    return PowerLawFamily(flux=flux, source=source, N=N, cells=cells)
+    q = flux.power
+    n, center, width = _supports(1, N)
+    delta = np.array([packet_amplitude(k, p) for k in range(1, N + 1)])
+    t_n = [source.effective_time_inverse(q, w / d**q) for w, d in zip(width.tolist(), delta.tolist())]
+    columns = np.array([n, center - width, center + width, delta, -delta, center, t_n])
+    return PowerLawFamily(flux=flux, source=source, N=N, columns=columns)
 
 
-@dataclass(frozen=True)
-class ShockCellFamily:
+@dataclass(frozen=True, eq=False)
+class ShockCellFamily(_CellColumns):
     flux: Flux
     source: SourceProfile
     t0: float
     n0: int
     N: int
-    cells: Tuple[ShockCell, ...]
+    columns: np.ndarray
 
 
 def state_functional(F: Flux, S: SourceProfile, t0: float, a: float) -> float:
@@ -281,25 +296,21 @@ def shock_cell_family(
     if F.decay is None:
         raise ValueError("shock-cell families need flux decay metadata (q, C, r)")
     anchors = _anchors(F, S, t0)
-    widest = anchors[2]
-    n0 = None
-    for n in range(n_start, N + 1):
-        if 2.0 * packet_width(n) <= widest:
-            n0 = n
-            break
+    n0 = next((n for n in range(n_start, N + 1) if 2.0 * packet_width(n) <= anchors[2]), None)
     if n0 is None:
         raise NumericsError(f"no admissible cell index up to N={N}")
     q, C = F.decay.q, F.decay.C
     c0 = C * S.effective_time(q, t0)
-    cells: List[ShockCell] = []
-    for n, center, width in _supports(n0, N):
-        A, B = center - width, center + width
+    index, center, width = _supports(n0, N)
+    columns = np.full((7, index.size), float(t0))
+    columns[:3] = index, center - width, center + width
+    for i, (n, A, B) in enumerate(zip(*columns[:3].tolist())):
         a, b = _solve_states(F, S, t0, B - A, anchors)
         tau = initial_shock_position(F, S, t0, A, B, a, b)
         if a - b < c0 ** (-1.0 / q) * (B - A) ** (1.0 / q) * (1.0 - 1e-9):
-            raise NumericsError(f"degeneracy lower bound violated at cell {n}")
-        cells.append(ShockCell(index=n, A=A, B=B, a=a, b=b, tau=tau, t0=t0))
-    return ShockCellFamily(flux=F, source=S, t0=t0, n0=n0, N=N, cells=tuple(cells))
+            raise NumericsError(f"degeneracy lower bound violated at cell {int(n)}")
+        columns[3:6, i] = a, b, tau
+    return ShockCellFamily(flux=F, source=S, t0=t0, n0=n0, N=N, columns=columns)
 
 
 def _shock_position(cell: ShockCell, F: Flux, S: SourceProfile, t: float) -> float:
@@ -340,31 +351,32 @@ def fan_edges(F: Flux, S: SourceProfile, cell: ShockCell, t: float):
     return cell.A + slope_time_integral(F, S, cell.a, t), cell.B + slope_time_integral(F, S, cell.b, t)
 
 
-def _cell_layout(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float) -> PiecewiseProfile:
+def _cell_layout(F: Flux, S: SourceProfile, columns: np.ndarray, t: float) -> PiecewiseProfile:
     """Cells side by side at time t > 0, in order, zero between them.
 
-    Each cell takes five slots: fan, plateau a, plateau b, fan and the zero
-    gap to the next cell, which the last cell does not take.  From its t0
-    on a cell's plateaus are dropped and its fans meet at the shock; before
-    t0 the shock is clipped to the fan edges.  For a power-law flux G_p(t)
-    is taken once and each state's reach w |w|^(p-1) as a Python float, so
-    the fan edges are those of :func:`fan_edges` bit for bit; a general
-    flux takes :func:`fan_edges` per cell.  The shock is
-    :func:`_shock_position`, except in a cell with b = -a under a power-law
-    flux: its data are odd about tau and the flux is even, so the shock
-    stays at tau.  No cells make a profile that is zero on [0, 1].
+    The cells are the columns of a family's (7, n) array.  Each takes five
+    slots: fan, plateau a, plateau b, fan and the zero gap to the next cell,
+    which the last cell does not take.  From its t0 on a cell's plateaus are
+    dropped and its fans meet at the shock; before t0 the shock is clipped
+    to the fan edges.  A power-law flux takes G_p(t) once and each state's
+    reach w |w|^(p-1) as a Python float, a general flux one slope time
+    integral per state: the fan edges of :func:`fan_edges`, bit for bit.
+    The shock is :func:`_shock_position`, except in a cell with b = -a under
+    a power-law flux: its data are odd about tau and the flux is even, so
+    the shock stays at tau.  No cells make a profile that is zero on [0, 1].
     """
     if t <= 0.0:
         raise ConfigError(f"profile needs t > 0, got {t}")
-    if not cells:
+    _, A, B, a, b, tau, t0 = columns
+    if not A.size:
         return PiecewiseProfile(F, S, t, (0.0, 1.0), (False,), (0.0,))
-    A, B, a, b, tau, t0 = np.array([(c.A, c.B, c.a, c.b, c.tau, c.t0) for c in cells]).T
     shock = tau.copy()
     p = F.power
     if p is None:
-        _check_flux_interval(F, S, cells, t)
-        zeta_minus, zeta_plus = np.array([fan_edges(F, S, c, t) for c in cells]).T
-        moving = range(len(cells))
+        _check_flux_interval(F, S, columns, t)
+        zeta_minus = A + [slope_time_integral(F, S, w, t) for w in a.tolist()]
+        zeta_plus = B + [slope_time_integral(F, S, w, t) for w in b.tolist()]
+        moving = range(A.size)
     else:
         e = p - 1.0
         moving = np.flatnonzero(b != -a)
@@ -374,31 +386,33 @@ def _cell_layout(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float
         g = S.effective_time(p, t)
         zeta_minus, zeta_plus = A + reach_a * g, B + reach_b * g
     for i in moving:
-        shock[i] = _shock_position(cells[i], F, S, t)
+        shock[i] = _shock_position(_record(columns[:, i].tolist()), F, S, t)
     before = t < t0
     inner = np.minimum(np.maximum(shock, zeta_minus), zeta_plus)
     ends = np.column_stack((A, zeta_minus, inner, np.where(before, zeta_plus, shock), B)).ravel()
-    fan = np.tile([True, False, False, True, False], len(cells))
+    fan = np.tile([True, False, False, True, False], A.size)
     anchor = np.column_stack((A, a, b, B, np.zeros_like(A))).ravel()
-    keep = np.repeat(before, 5) | np.tile([True, False, False, True, True], len(cells))
+    keep = np.repeat(before, 5) | np.tile([True, False, False, True, True], A.size)
     return PiecewiseProfile(F, S, t, ends[keep], fan[keep][:-1], anchor[keep][:-1])
 
 
-def _check_flux_interval(F: Flux, S: SourceProfile, cells: Sequence[ShockCell], t: float) -> None:
+def _check_flux_interval(F: Flux, S: SourceProfile, columns: np.ndarray, t: float) -> None:
     """Require |w| e^{max B} <= M up to t for both states w of every cell.
 
     A state w is the value w e^{B} at time t, so past this limit it leaves
     [-M, M], where a general flux is not defined.  Compared as
-    |w| <= M e^{-max B}, which cannot overflow.
+    |w| <= M e^{-max B}, which cannot overflow.  Names the first cell out.
     """
     limit = F.M * math.exp(-S.max_cumulative_source(t))
-    for c in cells:
-        for name, w in (("a", c.a), ("b", c.b)):
-            if abs(w) > limit:
-                raise ConfigError(
-                    f"state {name} = {w} of cell {c.index} leaves the flux interval "
-                    f"[{-F.M}, {F.M}] by t = {t}: it needs |{name}| <= M e^(-max B) = {limit}"
-                )
+    index, _, _, a, b = columns[:5]
+    out = (np.abs(a) > limit) | (np.abs(b) > limit)
+    if out.any():
+        i = int(np.argmax(out))
+        name, w = ("a", float(a[i])) if abs(a[i]) > limit else ("b", float(b[i]))
+        raise ConfigError(
+            f"state {name} = {w} of cell {int(index[i])} leaves the flux interval "
+            f"[{-F.M}, {F.M}] by t = {t}: it needs |{name}| <= M e^(-max B) = {limit}"
+        )
 
 
 def cell_profile(
@@ -412,7 +426,7 @@ def cell_profile(
     ignored: no ODE is integrated.  It is accepted so that existing callers
     keep working.
     """
-    return _cell_layout(F, S, (cell,), t)
+    return _cell_layout(F, S, np.array([astuple(cell)]).T, t)
 
 
 def family_profile(family, t: float) -> PiecewiseProfile:
@@ -421,4 +435,4 @@ def family_profile(family, t: float) -> PiecewiseProfile:
     One array layout for both kinds of family (see :func:`cell_profile`).
     An empty family is zero on [0, 1].
     """
-    return _cell_layout(family.flux, family.source, family.cells, t)
+    return _cell_layout(family.flux, family.source, family.columns, t)

@@ -196,16 +196,21 @@ def _flow_map(setup: TriangularSetup, xs: np.ndarray, t_from: float, t_to: float
 
     On each branch the map is affine, X - a = (x - a) k, with the anchor a at
     the pulse edge (m1), its center (m2, m3) or its far edge (m4); k is also
-    the Jacobian dX/dx, and 1 outside the supports (where the anchor is
-    immaterial).  Either time may be the later one; traced back to t_to = 0
-    a fan collapses onto its edge (k = 0).
+    the Jacobian dX/dx, and 1 outside the supports, where every x (+-inf
+    too) is returned as it is.  Either time may be the later one; traced
+    back to t_to = 0 a fan collapses onto its edge (k = 0).
     """
     loc, w, tn, branch = _branches(setup, xs, t_from)
     fan_k = t_to / t_from if t_from > 0.0 else 1.0  # no fan is open at t_from = 0
     k = np.where(_on_fan(branch), fan_k, (tn - t_to) / (tn - t_from))
-    k[branch == 0] = 1.0
-    anchor = w * _anchor_units(branch)
-    return xs + (k - 1.0) * (loc - anchor), k, branch
+    outside = branch == 0
+    k[outside] = 1.0
+    loc -= w * _anchor_units(branch)
+    with np.errstate(invalid="ignore"):  # 0 * inf at infinite positions, which stay put
+        loc *= k - 1.0
+    loc += xs
+    np.copyto(loc, xs, where=outside)
+    return loc, k, branch
 
 
 def flow_positions(setup: TriangularSetup, x0s, t: float, t_start: float = 0.0) -> np.ndarray:

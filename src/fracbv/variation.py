@@ -472,14 +472,14 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
         p = family.flux.power
         g_root = family.source.effective_time(p, t) ** (-1.0 / p)
         scale = family.source.growth(t)
-        for cell in family.cells[:N]:
-            if t < cell.t0:
-                jump = 2.0 * cell.a * scale
+        for n, _, _, a_n, _, _, t_n in zip(*family.columns[:, :N].tolist()):
+            if t < t_n:
+                jump = 2.0 * a_n * scale
             else:  # the fan value w_n^(1/p) G_p(t)^(-1/p) at the packet's half-width w_n
-                jump = 2.0 * (packet_width(cell.index) ** (1.0 / p) * g_root) * scale
+                jump = 2.0 * (packet_width(int(n)) ** (1.0 / p) * g_root) * scale
             bound = jump ** (1.0 / s)
             cum += bound
-            rows.append((cell.index, bound, cum))
+            rows.append((int(n), bound, cum))
         return rows
     if isinstance(family, ShockCellFamily):
         decay = family.flux.decay
@@ -487,17 +487,17 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
         c0 = C * family.source.effective_time(q, family.t0)
         rho = C * family.source.effective_time(q, t)
         scale = family.source.growth(t)
-        for cell in family.cells:
-            if cell.index > N:
+        for n, A_n, B_n in zip(*family.columns[:3].tolist()):
+            if n > N:
                 break
-            width = cell.B - cell.A
+            width = B_n - A_n
             bound = (
                 min(c0 ** (-1.0 / (q * s)), rho ** (-1.0 / (q * s)))
                 * width ** (1.0 / (q * s))
                 * scale ** (1.0 / s)
             )
             cum += bound
-            rows.append((cell.index, bound, cum))
+            rows.append((int(n), bound, cum))
         return rows
     raise TypeError(f"unsupported family type {type(family).__name__}")
 

@@ -245,6 +245,18 @@ def test_validation_errors_exit_config(argv, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "config"
 
 
+@pytest.mark.parametrize("command", [["packet", "--t", "0.5"], ["oracle", "--init", "packet", "--t", "0.1", "--cells", "100"]])
+@pytest.mark.parametrize("center,dx", [("1e308", "0.1"), ("1e16", "1"), ("1e308", "1e308"), ("-1e308", "1e308")])
+def test_packet_support_lost_to_rounding_or_overflow_exits_config(command, center, dx, capsys):
+    # the ends round onto the center, or past float64: nothing to lay out
+    argv = [command[0], "--p", "2", "--delta", "0.5", f"--center={center}", "--dx", dx, *command[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["kind"] == "config" and "finite support" in error["error"]
+
+
 @pytest.mark.parametrize(
     "text",
     [

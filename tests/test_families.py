@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -13,6 +14,7 @@ from fracbv import (
     edge_travel_plus,
     family_profile,
     initial_shock_position,
+    parse_alpha,
     power_law_family,
     power_law_flux,
     shock_cell_family,
@@ -21,7 +23,7 @@ from fracbv import (
     user_flux,
 )
 from fracbv import ConfigError, NumericsError, families
-from fracbv.families import ShockCell, packet_amplitude, packet_width
+from fracbv.families import ShockCell, ShockCellFamily, packet_amplitude, packet_width
 from fracbv.fanprofile import fan_profile_rootfind
 from fracbv.waves import flux_difference_drift
 from fracbv.flux import Decay
@@ -337,6 +339,36 @@ def test_general_flux_state_leaving_the_flux_interval_is_refused():
             family_profile(shock_cell_family(ASYM, source, 1.0, 13, n_start=12), t)
 
 
+class TestMakePacket:
+    F = power_law_flux(2.0, M=0.5)
+
+    @pytest.mark.parametrize(
+        "center,dx,delta",
+        [
+            # the ends round onto the center, or past float64
+            (1e308, 0.1, 0.5),
+            (1e16, 1.0, 0.5),
+            (1e308, 1e308, 0.5),
+            (-1e308, 1e308, 0.5),
+            (math.inf, 0.1, 0.5),
+            # no width or amplitude
+            (0.0, 0.0, 0.5),
+            (0.0, -1.0, 0.5),
+            (0.0, math.nan, 0.5),
+            (0.0, 0.1, 0.0),
+            (0.0, 0.1, math.nan),
+        ],
+    )
+    def test_support_must_be_finite_around_the_center(self, center, dx, delta):
+        with pytest.raises(ConfigError):
+            families.make_packet(self.F, ZERO, center, dx, delta)
+
+    def test_support_just_wide_enough(self):
+        # dx = 2 is one ulp of 1e16: both ends move off the center
+        packet = families.make_packet(self.F, ZERO, 1e16, 2.0, 0.5)
+        assert packet.A < packet.tau == 1e16 < packet.B
+
+
 class TestCellMeetingTime:
     """Each cell's inner fan edges meet at the family's t0, stored on the cell."""
 
@@ -492,3 +524,142 @@ class TestFamilyProfile:
         prof = family_profile(fam, 0.5)
         gap_x = 0.5 * (fam.cells[0].B + fam.cells[1].A)
         assert prof(gap_x) == 0.0
+
+
+def reference_supports(n0, N):
+    """The supports as records were placed: the prefix of half-widths added one by one."""
+    prefix = sum(packet_width(k) for k in range(1, n0))
+    for n in range(n0, N + 1):
+        width = packet_width(n)
+        yield n, 4.0 * prefix + 2.0 * width, width
+        prefix += width
+
+
+def reference_packet(S, p, n, x_n, dx, delta):
+    t_n = S.effective_time_inverse(p, dx / delta**p)
+    return ShockCell(index=n, A=x_n - dx, B=x_n + dx, a=delta, b=-delta, tau=x_n, t0=t_n)
+
+
+def reference_power_law_cells(p, source, N):
+    """``power_law_family``'s cells built one record per packet."""
+    power = power_law_flux(p, M=packet_amplitude(1, p)).power
+    return [reference_packet(source, power, n, c, w, packet_amplitude(n, p)) for n, c, w in reference_supports(1, N)]
+
+
+def reference_shock_cells(F, S, t0, N):
+    """``shock_cell_family``'s cells built one record per cell."""
+    anchors = families._anchors(F, S, t0)
+    n0 = next(n for n in range(1, N + 1) if 2.0 * packet_width(n) <= anchors[2])
+    cells = []
+    for n, center, width in reference_supports(n0, N):
+        A, B = center - width, center + width
+        a, b = families._solve_states(F, S, t0, B - A, anchors)
+        tau = initial_shock_position(F, S, t0, A, B, a, b)
+        cells.append(ShockCell(index=n, A=A, B=B, a=a, b=b, tau=tau, t0=t0))
+    return cells
+
+
+def reference_cells_at_zero(cells, xs):
+    """Initial data as one ``np.where`` pass per cell, later cells on top."""
+    out = np.zeros_like(xs)
+    for c in cells:
+        out = np.where((xs >= c.A) & (xs < c.tau), c.a, out)
+        out = np.where((xs >= c.tau) & (xs <= c.B), c.b, out)
+    return out
+
+
+def assert_columns_are(family, cells):
+    want = np.array([astuple(c) for c in cells], dtype=float).reshape(-1, 7).T
+    assert family.columns.shape == want.shape
+    np.testing.assert_array_equal(family.columns.view(np.uint64), want.view(np.uint64))
+    assert family.cells == tuple(cells)
+
+
+class TestColumnsMatchRecords:
+    """Every column equals the per-record construction bit for bit."""
+
+    @pytest.mark.parametrize("alpha", ["zero", "constant:-0.2", "pw:0:-0.3,0.5:0.2"])
+    @pytest.mark.parametrize("N", [1, 12, 1000])
+    def test_power_law_family(self, alpha, N):
+        source = parse_alpha(alpha)
+        family = power_law_family(2.0, source, N)
+        cells = reference_power_law_cells(2.0, source, N)
+        assert_columns_are(family, cells)
+        if alpha == "constant:-0.2" and N == 1000:  # G_2 saturates at 5 < log(n + 1) from n = 148
+            assert math.isinf(family.columns[6, -1]) and math.isfinite(family.columns[6, 0])
+
+    def test_power_law_family_other_orders_and_empty(self):
+        for p in (1.5, 2.37, 3.0):
+            assert_columns_are(power_law_family(p, PW3, 300), reference_power_law_cells(p, PW3, 300))
+        empty = power_law_family(2.0, ZERO, 0)
+        assert empty.columns.shape == (7, 0) and empty.cells == ()
+
+    @pytest.mark.parametrize(
+        "F,S,N", [(Q3, PW3, 40), (Q3, parse_alpha("constant:-0.2"), 9), (ASYM, ZERO, 12)], ids=["q3-pw3", "q3-decay", "asym"]
+    )
+    def test_shock_cell_family(self, F, S, N):
+        assert_columns_are(shock_cell_family(F, S, 1.0, N), reference_shock_cells(F, S, 1.0, N))
+
+    def test_columns_are_read_only_and_families_hash(self):
+        family = power_law_family(2.0, ZERO, 3)
+        with pytest.raises(ValueError):
+            family.columns[1, 0] = 0.0
+        assert family in {family} and family != power_law_family(2.0, ZERO, 3)
+
+    @pytest.mark.parametrize(
+        "family",
+        [power_law_family(2.0, ZERO, 50), power_law_family(1.5, PW3, 7), shock_cell_family(Q3, PW3, 1.0, 20)],
+        ids=["powerlaw-50", "powerlaw-7", "assp-20"],
+    )
+    def test_cells_at_zero(self, family):
+        from fracbv.cli import _cells_at_zero
+
+        _, A, B, _, _, tau, _ = family.columns
+        marks = np.concatenate([A, tau, B])
+        xs = np.concatenate(
+            [
+                np.random.default_rng(5).uniform(A[0] - 0.1, B[-1] + 0.1, 5000),
+                marks,
+                np.nextafter(marks, np.inf),
+                np.nextafter(marks, -np.inf),
+                [-np.inf, np.inf, np.nan],
+            ]
+        )
+        got = _cells_at_zero(family.columns, xs)
+        want = reference_cells_at_zero(family.cells, xs)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # a sorted grid of cell centers, as the oracle passes them
+        grid = np.linspace(A[0] - 0.05, B[-1] + 0.05, 4001)
+        np.testing.assert_array_equal(_cells_at_zero(family.columns, grid), reference_cells_at_zero(family.cells, grid))
+
+
+class TestFluxIntervalCheck:
+    """The check names the first cell with a state out of the interval, and
+    the state that is out: a when both are."""
+
+    LIMIT = 0.9  # ASYM's M under a zero source
+
+    @staticmethod
+    def family(a, b):
+        n = len(a)
+        index = np.arange(1.0, n + 1.0)
+        A, B = 0.1 * index, 0.1 * index + 0.05
+        columns = np.array([index, A, B, a, b, 0.5 * (A + B), np.ones(n)])
+        return ShockCellFamily(flux=ASYM, source=ZERO, t0=1.0, n0=1, N=n, columns=columns)
+
+    @pytest.mark.parametrize(
+        "a,b,name,w,cell",
+        [
+            ([0.1, 0.2, 0.95, 0.1], [-0.1, -0.95, -0.97, -0.99], "b", -0.95, 2),
+            ([0.1, 0.2, 0.95, 0.1], [-0.1, -0.2, -0.97, -0.99], "a", 0.95, 3),
+            ([0.1, 0.2, 0.3, 0.1], [-0.1, -0.2, -0.3, -0.99], "b", -0.99, 4),
+            ([0.91, 0.2], [-0.1, -0.2], "a", 0.91, 1),
+        ],
+    )
+    def test_names_the_first_offending_cell(self, a, b, name, w, cell):
+        message = f"state {name} = {w} of cell {cell} leaves the flux interval [-0.9, 0.9] by t = 0.5"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            family_profile(self.family(a, b), 0.5)
+
+    def test_states_at_the_limit_pass(self):
+        families._check_flux_interval(ASYM, ZERO, self.family([self.LIMIT, 0.2], [-0.1, -self.LIMIT]).columns, 0.5)

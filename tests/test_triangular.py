@@ -502,14 +502,14 @@ class TestSameValuesAsReference:
 
     @pytest.mark.parametrize("p,T,N,t", identity_cases())
     def test_flow_positions(self, p, T, N, t, order):
+        # the reference maps +-inf to NaN (0 * inf); the flow fixes them
         setup = TriangularSetup(p=p, T=T, N=N)
         xs = self.points(setup, t, order)
-        with np.errstate(invalid="ignore"):  # 0 * inf at the infinite positions
-            for t_start, t_end in ((0.0, t), (t, T), (t, t)):
-                assert_same_bits(
-                    flow_positions(setup, xs, t_end, t_start=t_start),
-                    reference_flow_map(setup, xs, t_start, t_end)[0],
-                )
+        infinite = np.isinf(xs)
+        for t_start, t_end in ((0.0, t), (t, T), (t, t)):
+            got = flow_positions(setup, xs, t_end, t_start=t_start)
+            assert_same_bits(got[~infinite], reference_flow_map(setup, xs[~infinite], t_start, t_end)[0])
+            assert_same_bits(got[infinite], xs[infinite])
 
     @pytest.mark.parametrize("p,T,N,t", identity_cases())
     @pytest.mark.parametrize("include_dilution", [False, True])
@@ -542,6 +542,15 @@ class TestSameValuesAsReference:
             finite = np.sort(xs[np.isfinite(xs)])
             assert_same_bits(u_values(setup, finite, t), reference_u_values(setup, finite, t))
             assert_same_bits(flow_positions(setup, finite, setup.T, t), reference_flow_map(setup, finite, t, setup.T)[0])
+
+    @pytest.mark.parametrize("t_start,t_end", [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)])
+    def test_flow_fixes_points_outside_the_supports(self, t_start, t_end):
+        # exactly, without a warning (tier-1 turns warnings into errors):
+        # +-inf stay infinite, and -0.0 stays -0.0 as before
+        xs = np.array([np.inf, -np.inf, 7.0, -0.0, 0.0, -1.0, -5e-324, SETUP.edges[-1] + 1.0])
+        got = flow_positions(SETUP, xs, t_end, t_start=t_start)
+        np.testing.assert_array_equal(got.view(np.uint64), xs.view(np.uint64))
+        assert np.isnan(flow_positions(SETUP, [np.nan], t_end, t_start=t_start)[0])
 
     def test_branch_zero_is_positive_zero(self):
         # outside, at every edge, NaN and +-inf: exactly +0.0

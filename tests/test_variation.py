@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -651,7 +652,7 @@ def layout_cases():
     a, b = 0.25, -((0.02 - 0.25**3) ** (1.0 / 3.0))
     skew = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=initial_shock_position(q3, ZERO, 1.0, 0.0, 0.02, a, b), t0=1.0)
     for name, F, cell in (("general-flux", ASYM, asym), ("skew-power-law", q3, skew)):
-        family = ShockCellFamily(flux=F, source=ZERO, t0=1.0, n0=1, N=1, cells=(cell,))
+        family = ShockCellFamily(flux=F, source=ZERO, t0=1.0, n0=1, N=1, columns=np.array([astuple(cell)]).T)
         yield f"{name}-before", family, 0.5
         yield f"{name}-after", family, 1.3
 
