@@ -14,6 +14,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import astuple, dataclass
 from typing import Optional
@@ -28,6 +29,11 @@ from .source import parse_alpha
 from .waves import riemann_shock, speed_bound
 
 SCHEMA = 1
+# Arguments that argparse reads as numbers rather than options.  Its own
+# pattern takes only -\d+ and -\d*\.\d+, which leaves "-1e5" to be read
+# as an option.  Infinities and NaN match too, and _finite_float refuses them.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
 # rows formatted and written at a time by the CSV and profile JSON writers
 CHUNK_ROWS = 1024
 
@@ -452,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=_finite_float, default=0.5)
     sp.add_argument("--center", type=_finite_float, default=0.0)
     sp.add_argument("--N", type=_positive_int, default=4)
-    sp.add_argument("--t0", type=_finite_float, default=1.0)
 
     sp = sub.add_parser("triangular", parents=[common], help="transport divergence diagnostics")
     sp.add_argument("--p", type=_finite_float, required=True)
@@ -484,6 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=_finite_float, required=True)
     sp.add_argument("--M", type=_finite_float, default=1.0)
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -213,14 +213,18 @@ def _flow_map(setup: TriangularSetup, xs: np.ndarray, t_from: float, t_to: float
     return loc, k, branch
 
 
+def _check_flow_times(setup: TriangularSetup, t: float, t_start: float = 0.0) -> None:
+    if not 0.0 <= t_start <= t <= setup.T:
+        raise ConfigError(f"need 0 <= t_start <= t <= T={setup.T}, got t_start={t_start}, t={t}")
+
+
 def flow_positions(setup: TriangularSetup, x0s, t: float, t_start: float = 0.0) -> np.ndarray:
     """X(t) solving dX/dt = c(X, t) with X(t_start) = x0, for an array of x0.
 
     Exact: the branch maps of the module docstring, applied on the branch each
     x0 occupies at t_start.  The map is increasing and continuous in x0.
     """
-    if not 0.0 <= t_start <= t <= setup.T:
-        raise ConfigError(f"need 0 <= t_start <= t <= T={setup.T}, got t_start={t_start}, t={t}")
+    _check_flow_times(setup, t, t_start)
     x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
     return _flow_map(setup, x0s, t_start, t)[0]
 
@@ -293,18 +297,20 @@ def transported_variation_sums(
 ) -> float:
     """sum over n <= N of |v(z_n, t) - v(z_{n+1}, t)|^(1/s_prime).
 
-    The sum does not depend on the flow.  The transported points z_n are
-    computed by the forward flow and then discarded; the values summed are
-    the initial values at the markers y_n (advective evaluation), so the
-    alternating data gives exactly N * 2^(1/s_prime) for any flow.  It
-    measures nothing about the transport until ROADMAP item 6 lands (images
-    carried as offsets from the fan edge, values through the backward map).
+    The sum does not depend on the flow, so the transported points z_n are
+    not computed; the values summed are the initial values at the markers
+    y_n (advective evaluation), so the alternating data gives exactly
+    N * 2^(1/s_prime) for any flow.  t is still refused outside [0, T], as
+    the flow refuses it.  The sum measures nothing about the transport until
+    ROADMAP item 6 lands (images carried as offsets from the fan edge,
+    values through the backward map).
     """
     if not 0.0 < s_prime <= 1.0:
         raise ConfigError(f"order must lie in (0, 1], got {s_prime}")
     if N == 0:
         return 0.0
-    ys, _ = transported_points(setup, t, N + 1)
+    _check_flow_times(setup, t)
+    ys = midpoint_markers(N + 1)
     v0 = alternating_initial_data()
     vals = np.asarray(v0(ys), dtype=float)
     return float(np.sum(np.abs(np.diff(vals)) ** (1.0 / s_prime)))

@@ -67,10 +67,19 @@ best, so the margin argument holds unchanged.  If no predecessor is live
 by offset ``_CHAIN_OFFSETS``, C is the dynamic program and the
 subdivision is the extrema up to the earliest index attaining the value;
 otherwise the pruned dynamic program runs.
+
+The extrema are found once per sample set.  A :class:`SampledFunction` is
+immutable and its arrays are read-only, so what every order reads of it
+(the extrema's indices and values, the min and max of the values after
+each, the neighbour steps, their spread and least nonzero step) is found
+the first time :func:`p_variation` sees the object and kept on it.  A sweep
+over orders pays that pass once; each order computes what it reads with
+the same expression as before, so values and subdivisions do not change.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -88,12 +97,22 @@ from .waves import PiecewiseProfile, speed_bound
 
 @dataclass(frozen=True)
 class SampledFunction:
+    """Samples v(x) of a function at strictly increasing, finite abscissae.
+
+    The object is immutable: ``xs`` and ``vs`` are read-only float views of
+    the arrays passed in (no copy is made, so those arrays must not be
+    written to afterwards).  Its extrema are found on first use by
+    :func:`p_variation` and kept for every later order measured on it.
+    """
+
     xs: np.ndarray
     vs: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        vs = np.asarray(self.vs, dtype=float)
+        xs = np.asarray(self.xs, dtype=float).view()
+        vs = np.asarray(self.vs, dtype=float).view()
+        xs.flags.writeable = False
+        vs.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
         if xs.ndim != 1 or xs.shape != vs.shape:
@@ -105,6 +124,11 @@ class SampledFunction:
 
     def __len__(self) -> int:
         return int(self.xs.size)
+
+    @functools.cached_property
+    def _extrema(self) -> "_Extrema":
+        cand = _candidate_indices(self.vs)
+        return _Extrema(self.vs[cand], tuple(cand.tolist()))
 
 
 @dataclass(frozen=True)
@@ -134,6 +158,35 @@ def _candidate_indices(vs: np.ndarray) -> np.ndarray:
     return starts[keep]
 
 
+class _Extrema:
+    """What every order reads of the extremum values ``v``, found once.
+
+    ``indices`` are the extrema's sample indices, a tuple whose slices share
+    its ints; ``lo``, ``hi`` the min and max of the values after each
+    j < k - 1; ``steps`` the neighbour differences |v[1:] - v[:-1]|;
+    ``spread`` is max v - min v and ``least_step`` the smallest nonzero
+    step, 0.0 for constant data.  Each is the expression the helpers
+    evaluated per order, so sharing it changes no bit.
+    """
+
+    __slots__ = ("v", "indices", "lo", "hi", "steps", "spread", "least_step")
+
+    def __init__(self, v: np.ndarray, indices: Tuple[int, ...] = ()):
+        self.v = v
+        self.indices = indices
+        self.lo = np.minimum.accumulate(v[::-1])[::-1][1:]
+        self.hi = np.maximum.accumulate(v[::-1])[::-1][1:]
+        with np.errstate(over="ignore"):  # an infinite step is out of the normal range
+            self.steps = np.abs(v[1:] - v[:-1])
+        self.spread = float(v.max()) - float(v.min())  # inf, and no warning, on overflow
+        self.least_step = float(self.steps[self.steps > 0.0].min()) if self.spread > 0.0 else 0.0
+
+
+def _as_extrema(v) -> _Extrema:
+    """``v`` itself if it is an :class:`_Extrema`, else that of the values ``v``."""
+    return v if isinstance(v, _Extrema) else _Extrema(v)
+
+
 # The chain check follows predecessors up to this many extrema back.
 _CHAIN_OFFSETS = 16
 
@@ -156,23 +209,23 @@ def p_variation(f: SampledFunction, p: float) -> VariationReport:
     _check_exponent(p)
     if len(f) < 2:
         raise ValueError("need at least 2 samples")
-    cand = _candidate_indices(f.vs)
-    best, prev, _ = _best_predecessors(f.vs[cand], p)
+    ext = f._extrema
+    best, prev, _ = _best_predecessors(ext, p)
     total = float(best[-1])
     if not math.isfinite(total):
         raise NumericsError(f"the {p}-variation is not finite in float64")
     end = int(np.argmax(best == total))  # earliest attaining index
     if prev is None:  # the chain: every extremum follows its neighbour
-        sub = cand[: end + 1].tolist()
+        sub = ext.indices[: end + 1]
     else:
         path = [end]
         while prev[path[-1]] >= 0:
             path.append(int(prev[path[-1]]))
         path.reverse()
-        sub = cand[path].tolist()
+        sub = tuple(ext.indices[i] for i in path)
     if len(sub) == 1:  # constant data: report the trivial 2-point subdivision
-        sub = [int(cand[0]), int(cand[-1])]
-    return VariationReport(p=float(p), value=total, subdivision=tuple(sub))
+        sub = (ext.indices[0], ext.indices[-1])
+    return VariationReport(p=float(p), value=total, subdivision=sub)
 
 
 def _tolerance(p: float) -> float:
@@ -181,44 +234,40 @@ def _tolerance(p: float) -> float:
     return (p + 2.0) * 2.0**-48
 
 
-def _in_normal_range(v: np.ndarray, p: float) -> bool:
-    """Whether every score and nonzero power over the extrema ``v`` is a
-    normal float, the range the margin covers."""
-    spread = float(v.max()) - float(v.min())  # inf, and no warning, on overflow
-    if not spread > 0.0 or math.log2(v.size) + p * math.log2(spread) > 1000.0:
+def _in_normal_range(v, p: float) -> bool:
+    """Whether every score and nonzero power over the extrema ``v`` (values
+    or their :class:`_Extrema`) is a normal float, the range the margin
+    covers."""
+    ext = _as_extrema(v)
+    if not ext.spread > 0.0 or math.log2(ext.v.size) + p * math.log2(ext.spread) > 1000.0:
         return False
-    steps = np.abs(np.diff(v))
-    return p * math.log2(float(steps[steps > 0.0].min())) >= -960.0
+    return p * math.log2(ext.least_step) >= -960.0
 
 
-def _best_predecessors(v: np.ndarray, p: float):
-    """(best, prev, scored) of the dynamic program over the extrema ``v``.
+def _best_predecessors(v, p: float):
+    """(best, prev, scored) of the dynamic program over the extrema ``v``,
+    values or their :class:`_Extrema`.
 
     ``best`` and ``prev`` are arrays, ``prev`` None when every extremum's
     predecessor is its neighbour; ``scored`` counts the (j, i) pairs the
     chain check and the dynamic program scored, all k (k - 1) / 2 when
     nothing is pruned: the work the pruning saves.
     """
-    prune = _in_normal_range(v, p)
+    ext = _as_extrema(v)
+    prune = _in_normal_range(ext, p)
     scored = 0
     if prune:
-        chain, scored = _chain_best(v, p)
+        chain, scored = _chain_best(ext, p)
         if chain is not None:
             return chain, None, scored
-    best, prev, pairs = _dynamic_program(v, p, prune)
+    best, prev, pairs = _dynamic_program(ext, p, prune)
     return best, prev, scored + pairs
 
 
-def _ends_after(v: np.ndarray):
-    """(lo, hi): the min and max of the values after each j < k - 1."""
-    lo = np.minimum.accumulate(v[::-1])[::-1][1:]
-    hi = np.maximum.accumulate(v[::-1])[::-1][1:]
-    return lo, hi
-
-
-def _chain_best(v: np.ndarray, p: float):
-    """Chain check: (best, scored), ``best`` the chain sums when every
-    extremum's predecessor is its neighbour, else None.
+def _chain_best(v, p: float):
+    """Chain check over the extrema ``v``, values or their :class:`_Extrema`:
+    (best, scored), ``best`` the chain sums when every extremum's
+    predecessor is its neighbour, else None.
 
     The pruning rule with the chain sums for best, applied at each
     predecessor offset 2, 3, ... to every extremum at once; a live
@@ -226,11 +275,12 @@ def _chain_best(v: np.ndarray, p: float):
     and so does one still live past ``_CHAIN_OFFSETS``.  ``scored`` counts
     the (j, i) pairs compared.
     """
+    ext = _as_extrema(v)
+    v, lo, hi = ext.v, ext.lo, ext.hi
     k = v.size
-    chain = np.concatenate(([0.0], np.cumsum(np.abs(v[1:] - v[:-1]) ** p)))
+    chain = np.concatenate(([0.0], np.cumsum(ext.steps ** p)))
     tol = _tolerance(p)
     # j's scores at the ends of the values after each j < k - 1
-    lo, hi = _ends_after(v)
     score_lo = chain[:-1] + np.abs(lo - v[:-1]) ** p
     score_hi = chain[:-1] + np.abs(hi - v[:-1]) ** p
     margin = tol * np.maximum(score_lo, score_hi)
@@ -256,8 +306,9 @@ def _chain_best(v: np.ndarray, p: float):
     return None, scored
 
 
-def _dynamic_program(v: np.ndarray, p: float, prune: bool):
-    """(best, prev, scored) of the dynamic program over the extrema ``v``.
+def _dynamic_program(v, p: float, prune: bool):
+    """(best, prev, scored) of the dynamic program over the extrema ``v``,
+    values or their :class:`_Extrema`.
 
     Each extremum j is scored against a live set of predecessors, kept
     compacted in index order, one row per field: index, value, best, links
@@ -269,9 +320,10 @@ def _dynamic_program(v: np.ndarray, p: float, prune: bool):
     program, run for data outside the normal float range.  ``scored``
     counts the pairs scored.
     """
-    k = v.size
-    vals = v.tolist()
-    lo_after, hi_after = (ends.tolist() for ends in _ends_after(v))
+    ext = _as_extrema(v)
+    k = ext.v.size
+    vals = ext.v.tolist()
+    lo_after, hi_after = ext.lo.tolist(), ext.hi.tolist()
     tol = _tolerance(p)
     best = np.zeros(k)
     prev = np.full(k, -1, dtype=np.int64)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -49,6 +50,48 @@ def test_threads_option_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["assp", "--q", "3", "--N", "3", "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_oracle_takes_no_meeting_time(capsys):
+    # oracle builds only power-law families, which have no t0
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--p", "2", "--init", "family", "--N", "2", "--cells", "64", "--t", "0.5", "--t0", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t0 1" in capsys.readouterr().err
+
+
+def float_options():
+    """(argv, action) for every float option of every subcommand, read from
+    the parser itself: argv names the command and its other required options."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in commands.choices.items():
+        required = [a for a in parser._actions if a.required]
+        for action in parser._actions:
+            if action.type is not cli._finite_float:
+                continue
+            argv = [command]
+            for other in required:
+                if other is not action:
+                    value = other.choices[0] if other.choices else "0.5" if other.type is cli._order else "2"
+                    argv += [other.option_strings[0], value]
+            yield pytest.param(argv, action, id=f"{command} {action.option_strings[0]}")
+
+
+@pytest.mark.parametrize("argv, action", float_options())
+@pytest.mark.parametrize("text", ["-1e5", "-.5E-3"])
+def test_negative_floats_in_exponent_form_are_numbers(argv, action, text):
+    options = cli.build_parser().parse_args(argv + [action.option_strings[0], text])
+    value = float(text)
+    assert getattr(options, action.dest) == ([value] if action.nargs == "+" else value)
+
+
+@pytest.mark.parametrize("argv, action", float_options())
+@pytest.mark.parametrize("text", ["-inf", "-NaN"])
+def test_negative_infinity_is_refused_as_a_number(argv, action, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + [action.option_strings[0], text])
+    assert exc.value.code == 2
+    assert f"must be a finite number, got {text!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

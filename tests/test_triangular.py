@@ -309,6 +309,21 @@ class TestDivergenceSums:
         with pytest.raises(ValueError):
             transported_variation_sums(SETUP, 0.5, 1.5, 4)
 
+    def test_sums_take_no_flow(self, monkeypatch):
+        def no_flow(*args):
+            raise AssertionError("the sums do not depend on the flow")
+
+        monkeypatch.setattr(triangular, "_flow_map", no_flow)
+        assert transported_variation_sums(SETUP, 0.5, 1.0, 10) == 20.0
+
+    @pytest.mark.parametrize("t", [-1.0, 2.0])
+    def test_times_outside_the_horizon_are_refused_as_by_the_flow(self, t):
+        message = f"need 0 <= t_start <= t <= T=1.0, got t_start=0.0, t={t}"
+        for call in (lambda: transported_variation_sums(SETUP, t, 1.0, 4), lambda: flow_positions(SETUP, [0.1], t)):
+            with pytest.raises(ConfigError) as exc:
+                call()
+            assert str(exc.value) == message
+
 
 class TestVariationBounds:
     def test_per_pulse_bound_formula(self):

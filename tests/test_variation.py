@@ -341,11 +341,13 @@ def test_extreme_ranges_take_the_full_dynamic_program():
     ids=["difference", "power", "sum"],
 )
 def test_overflow_raises_without_warning(vs):
+    f = sampled(vs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fun in (p_variation_reference, p_variation):
+        # p_variation twice: the second call reads the extrema the first found
+        for fun in (p_variation_reference, p_variation, p_variation):
             with pytest.raises(NumericsError, match="not finite in float64"):
-                fun(sampled(vs), 2.0)
+                fun(f, 2.0)
 
 
 def benchmark_sawtooth(p, T, t, N):
@@ -438,6 +440,64 @@ def test_drifting_walk_falls_back_and_family_profile_takes_the_chain():
         for p in (1.5, 2.0, 3.0):
             assert takes_the_chain(vs, p) == chain
             assert_matches_quadratic(vs, p)
+
+
+# p = 1, a non-integer p and a large p, interleaved and repeated
+SHARED_ORDERS = (1.0, 2.7, 1.0, 12.5, 2.7, 1.0, 12.5)
+
+
+def shared_order_data(name, sawtooth_values):
+    rng = np.random.default_rng(5)
+    if name == "sawtooth":  # the chain
+        return sawtooth_values
+    if name == "family":  # the chain
+        return sample_profile(family_profile(power_law_family(2.0, ZERO, 30), 1.0), fan_points=32).vs
+    if name == "walk":  # the pruned dynamic program
+        return np.cumsum(rng.standard_normal(600) + 0.3)
+    if name == "huge":  # pruned at p = 1, the full program at 2.7, overflow at 12.5
+        return 3e110 * rng.standard_normal(60)
+    if name == "tiny":  # powers that underflow: the full program past p = 1
+        return 1e-200 * rng.standard_normal(60)
+    if name == "constant":
+        return np.full(5, 3.0)
+    return np.array([0.0, 1.5])  # two points
+
+
+@pytest.mark.parametrize("name", ["sawtooth", "family", "walk", "huge", "tiny", "constant", "two points"])
+def test_orders_on_one_sample_set_match_fresh_ones(name, sawtooth_values):
+    # every order after the first reads the extrema the first call found
+    def outcome(f, p):
+        try:
+            rep = p_variation(f, p)
+        except NumericsError as exc:
+            return str(exc)
+        return rep.p, rep.value.hex(), rep.subdivision
+
+    vs = shared_order_data(name, sawtooth_values)
+    shared = sampled(vs)
+    for p in SHARED_ORDERS:
+        assert outcome(shared, p) == outcome(sampled(vs), p)
+
+
+def test_extrema_are_found_once_per_sample_set(monkeypatch):
+    found = []
+    candidate_indices = variation._candidate_indices
+    monkeypatch.setattr(variation, "_candidate_indices", lambda vs: found.append(vs.size) or candidate_indices(vs))
+    f = sampled(np.cumsum(np.random.default_rng(5).standard_normal(600) + 0.3))
+    for p in SHARED_ORDERS:
+        p_variation(f, p)
+    assert found == [600]
+
+
+def test_samples_are_read_only_views():
+    xs, vs = np.arange(4.0), np.array([0.0, 1.0, 0.0, 2.0])
+    f = SampledFunction(xs, vs)
+    for kept, given in ((f.xs, xs), (f.vs, vs)):
+        assert np.shares_memory(kept, given)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 5.0
+    # the arrays passed in are left writable
+    assert xs.flags.writeable and vs.flags.writeable
 
 
 @given(
