@@ -142,23 +142,6 @@ def _write_profile_json(out: Optional[str], xs: np.ndarray, us: np.ndarray) -> N
         fh.write("}\n")
 
 
-def _emit_profile(cfg: RunConfig, sampled) -> None:
-    if cfg.format == "csv":
-        _write_csv(cfg.out, ["x", "u"], [sampled.xs, sampled.vs])
-    else:
-        _write_profile_json(cfg.out, sampled.xs, sampled.vs)
-
-
-def _cmd_packet(cfg: RunConfig) -> int:
-    o = cfg.options
-    source = parse_alpha(o["alpha"])
-    flux = power_law_flux(o["p"], M=o["delta"])
-    packet = make_packet(flux, source, o["center"], o["dx"], o["delta"])
-    profile = cell_profile(packet, flux, source, o["t"])
-    _emit_profile(cfg, variation.sample_profile(profile, fan_points=o["samples"]))
-    return 0
-
-
 def _cmd_riemann(cfg: RunConfig) -> int:
     o = cfg.options
     source = parse_alpha(o["alpha"])
@@ -176,11 +159,25 @@ def _build_family(o: dict):
     return shock_cell_family(flux, source, o["t0"], o["N"])
 
 
-def _cmd_family(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cells(o: dict):
+    """(flux, (7, n) cell columns, exact profile as a function of t) of the packet or family ``o["kind"]``."""
+    if o["kind"] == "packet":
+        source = parse_alpha(o["alpha"])
+        flux = power_law_flux(o["p"], M=o["delta"])
+        packet = make_packet(flux, source, o["center"], o["dx"], o["delta"])
+        return flux, np.array([astuple(packet)]).T, functools.partial(cell_profile, packet, flux, source)
     family = _build_family(o)
-    profile = family_profile(family, o["t"])
-    _emit_profile(cfg, variation.sample_profile(profile, fan_points=o["samples"]))
+    return family.flux, family.columns, functools.partial(family_profile, family)
+
+
+def _cmd_profile(cfg: RunConfig) -> int:
+    o = cfg.options
+    _, _, profile = _cells(o)
+    sampled = variation.sample_profile(profile(o["t"]), fan_points=o["samples"])
+    if cfg.format == "csv":
+        _write_csv(cfg.out, ["x", "u"], [sampled.xs, sampled.vs])
+    else:
+        _write_profile_json(cfg.out, sampled.xs, sampled.vs)
     return 0
 
 
@@ -245,27 +242,17 @@ def _cmd_oracle(cfg: RunConfig) -> int:
             pos, left, right = riemann_shock(flux, source, o["wl"], o["wr"], o["x0"], t)
             return np.where(xs < pos, left, right)
 
-    elif o["init"] == "packet":
-        flux = power_law_flux(o["p"], M=o["delta"])
-        packet = make_packet(flux, source, o["center"], o["dx"], o["delta"])
-        pad = 0.5 * o["dx"]
-        domain = (o["center"] - o["dx"] - pad, o["center"] + o["dx"] + pad)
-        initial = functools.partial(_cells_at_zero, np.array([astuple(packet)]).T)
-
-        def exact(xs, t):
-            return cell_profile(packet, flux, source, t).evaluate(xs)
-
-    else:  # family
-        family = _build_family({**o, "kind": "powerlaw"})
-        flux = family.flux
-        _, A, B, *_ = family.columns
+    else:
+        packet = o["init"] == "packet"
+        flux, columns, profile = _cells({**o, "kind": "packet" if packet else "powerlaw"})
+        _, A, B, *_ = columns
         lo, hi = float(A[0]), float(B[-1])
-        pad = 0.1 * (hi - lo)
+        pad = 0.5 * o["dx"] if packet else 0.1 * (hi - lo)
         domain = (lo - pad, hi + pad)
-        initial = functools.partial(_cells_at_zero, family.columns)
+        initial = functools.partial(_cells_at_zero, columns)
 
         def exact(xs, t):
-            return family_profile(family, t).evaluate(xs)
+            return profile(t).evaluate(xs)
 
     run = godunov.MeshRun(
         domain=domain, cells=o["cells"], cfl=o["cfl"], t_end=o["t"], snapshots=(o["t"],)
@@ -372,9 +359,9 @@ def _cmd_bound(cfg: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "packet": _cmd_packet,
+    "packet": _cmd_profile,
     "riemann": _cmd_riemann,
-    "family": _cmd_family,
+    "family": _cmd_profile,
     "assp": _cmd_assp,
     "variation": _cmd_variation,
     "diverge": _cmd_diverge,
@@ -407,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--samples", type=_sample_count, default=64, help="samples per fan region")
     sp.add_argument("--center", type=_finite_float, default=0.0)
+    sp.set_defaults(kind="packet")  # for _cells; not an option
 
     sp = sub.add_parser("riemann", parents=[common], help="single shock position and states")
     sp.add_argument("--p", type=_finite_float, required=True)

@@ -181,27 +181,21 @@ def _match_negative_state(F, S, t0, level: float, b_floor: float) -> float:
     return -bisect_increasing(lambda m: state_functional(F, S, t0, -m), 0.0, -b_floor, level)
 
 
-def default_state_caps(F: Flux, S: SourceProfile, t0: float):
-    """Anchor states (a0, b0) with G(a0) = G(b0), as large as the flux allows."""
+def _anchors(F: Flux, S: SourceProfile, t0: float):
+    """(a0, b0, widest admissible cell width min(F_plus(a0), F_minus(b0))),
+    a0 and b0 the anchor states with G(a0) = G(b0), as large as the flux allows."""
     cap = F.decay.r if F.decay is not None else F.M
     cap = min(cap, F.M) * 0.999
     b_floor = -cap
-    a_try = cap
+    a0 = cap
     g_floor = state_functional(F, S, t0, b_floor)
     for _ in range(200):
-        if state_functional(F, S, t0, a_try) <= g_floor:
+        if state_functional(F, S, t0, a0) <= g_floor:
             break
-        a_try *= 0.5
+        a0 *= 0.5
     else:
         raise NumericsError("could not anchor the state functional match")
-    a0 = a_try
     b0 = _match_negative_state(F, S, t0, state_functional(F, S, t0, a0), b_floor)
-    return a0, b0
-
-
-def _anchors(F: Flux, S: SourceProfile, t0: float):
-    """(a0, b0, widest admissible cell width) from :func:`default_state_caps`."""
-    a0, b0 = default_state_caps(F, S, t0)
     return a0, b0, min(edge_travel_plus(F, S, t0, a0), edge_travel_minus(F, S, t0, b0))
 
 
@@ -218,8 +212,8 @@ def solve_cell_states(
     single equation F_plus(a) + F_minus(match(a)) = B - A.  Its left side
     increases in a, so it is solved by a bracketed root search on
     [0, a_bar], where a_bar alone covers the width.  Raises ValueError when
-    the width exceeds what the anchor states of :func:`default_state_caps`
-    allow, and NumericsError unless both residuals end below 1e-10.
+    the width exceeds what the anchor states of :func:`_anchors` allow, and
+    NumericsError unless both residuals end below 1e-10.
     """
     if B <= A:
         raise ValueError("need A < B")

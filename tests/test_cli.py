@@ -60,6 +60,14 @@ def test_oracle_takes_no_meeting_time(capsys):
     assert "unrecognized arguments: --t0 1" in capsys.readouterr().err
 
 
+def test_packet_takes_no_kind(capsys):
+    # packet's kind is a parser default for the shared cell builder, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["packet", "--p", "2", "--dx", "0.1", "--delta", "0.5", "--t", "0.5", "--kind", "assp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kind assp" in capsys.readouterr().err
+
+
 def float_options():
     """(argv, action) for every float option of every subcommand, read from
     the parser itself: argv names the command and its other required options."""
@@ -155,13 +163,14 @@ def test_effective_time_overflow_exits_numerical(argv, capsys, tmp_path):
     assert "overflows float64 at p = 2, t = 1, max B = 1000" in err["error"]
 
 
-def test_oracle_builds_its_reference_before_the_solve(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("init", ["packet", "family"])
+def test_oracle_builds_its_reference_before_the_solve(init, capsys, tmp_path, monkeypatch):
     # G_2(1) overflows at alpha = 1000; the solve would step for minutes first
     def solve(*args):
         raise AssertionError("godunov_solve ran before the reference was built")
 
     monkeypatch.setattr(cli.godunov, "godunov_solve", solve)
-    argv = ["oracle", "--p", "2", "--alpha", "constant:1000", "--init", "packet", "--t", "1", "--cells", "4000"]
+    argv = ["oracle", "--p", "2", "--alpha", "constant:1000", "--init", init, "--t", "1", "--cells", "4000"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 3
     assert json.loads(capsys.readouterr().err)["error"].startswith("the effective time G_p(t)")
 
@@ -190,9 +199,10 @@ def test_real_effective_time_overflow_keeps_its_message(capsys, tmp_path):
         ["diverge", "--s", "0.5", "--N", "3"],
         ["riemann", "--wl", "1", "--wr", "0"],
         ["oracle", "--init", "packet", "--cells", "100"],
+        ["oracle", "--init", "family", "--cells", "100"],
         ["oracle", "--init", "riemann", "--wl", "1", "--wr", "0", "--cells", "100"],
     ],
-    ids=["family", "packet", "diverge", "riemann", "oracle-packet", "oracle-riemann"],
+    ids=["family", "packet", "diverge", "riemann", "oracle-packet", "oracle-family", "oracle-riemann"],
 )
 def test_growth_factor_overflow_exits_numerical(argv, capsys, tmp_path):
     # G_1(0.7125) = (e^712.5 - 1) / 1000 fits in float64, but e^(B(t)) = e^712.5 does not

@@ -454,7 +454,7 @@ class TestFamilies:
         # a power-law cell takes a few functional evaluations and a
         # general-flux cell a bounded root search
         counts = Counter()
-        for name in ("default_state_caps", "state_functional"):
+        for name in ("_anchors", "state_functional"):
 
             def counted(*args, _real=getattr(families, name), _name=name):
                 counts[_name] += 1
@@ -462,11 +462,11 @@ class TestFamilies:
 
             monkeypatch.setattr(families, name, counted)
         fam = shock_cell_family(Q3, PW3, 1.0, 20)
-        assert counts["default_state_caps"] == 1
+        assert counts["_anchors"] == 1
         assert counts["state_functional"] <= 10 * len(fam.cells)
         counts.clear()
         shock_cell_family(ASYM, ZERO, 1.0, 13, n_start=13)
-        assert counts["default_state_caps"] == 1
+        assert counts["_anchors"] == 1
         assert counts["state_functional"] <= 500
 
 
