@@ -36,6 +36,13 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infin
 
 # rows formatted and written at a time by the CSV and profile JSON writers
 CHUNK_ROWS = 1024
+# oracle options that describe one init's data, with their defaults; the
+# other inits refuse them
+_ORACLE_INIT_OPTIONS = {
+    "riemann": {"wl": 1.0, "wr": -1.0, "x0": 0.0},
+    "packet": {"dx": 0.1, "delta": 0.5, "center": 0.0},
+    "family": {"N": 4},
+}
 
 
 @dataclass(frozen=True)
@@ -226,8 +233,23 @@ def _cells_at_zero(columns, xs):
     return np.where(i >= 0, out, 0.0)
 
 
+def _oracle_init_options(o: dict) -> dict:
+    """``o`` with the chosen init's unset options at their defaults.
+
+    Raises ConfigError naming the first option given for another init.
+    """
+    o = dict(o)
+    for init, defaults in _ORACLE_INIT_OPTIONS.items():
+        for name, default in defaults.items():
+            if init == o["init"]:
+                o[name] = default if o[name] is None else o[name]
+            elif o[name] is not None:
+                raise ConfigError(f"--{name} is only for --init {init}, not --init {o['init']}")
+    return o
+
+
 def _cmd_oracle(cfg: RunConfig) -> int:
-    o = cfg.options
+    o = _oracle_init_options(cfg.options)
     source = parse_alpha(o["alpha"])
     if o["init"] == "riemann":
         flux = power_law_flux(o["p"], M=max(abs(o["wl"]), abs(o["wr"])))
@@ -439,13 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cells", type=int, required=True)
     sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--cfl", type=_finite_float, default=0.45)
-    sp.add_argument("--wl", type=_finite_float, default=1.0)
-    sp.add_argument("--wr", type=_finite_float, default=-1.0)
-    sp.add_argument("--x0", type=_finite_float, default=0.0)
-    sp.add_argument("--dx", type=_finite_float, default=0.1)
-    sp.add_argument("--delta", type=_finite_float, default=0.5)
-    sp.add_argument("--center", type=_finite_float, default=0.0)
-    sp.add_argument("--N", type=_positive_int, default=4)
+    for init, defaults in _ORACLE_INIT_OPTIONS.items():
+        for name, default in defaults.items():
+            kind = _positive_int if name == "N" else _finite_float
+            sp.add_argument(f"--{name}", type=kind, default=None, help=f"--init {init} only (default {default})")
 
     sp = sub.add_parser("triangular", parents=[common], help="transport divergence diagnostics")
     sp.add_argument("--p", type=_finite_float, required=True)

@@ -149,10 +149,12 @@ class ShockCellFamily(_CellColumns):
 
 
 def state_functional(F: Flux, S: SourceProfile, t0: float, a: float) -> float:
-    """G(a) = integral of [a f'(a e^B) - f(a e^B) e^{-B}] over [0, t0].
+    """G(a) = integral of [a f'(a e^B) - (f(a e^B) - f(0)) e^{-B}] over [0, t0].
 
-    Vanishes at 0, increases for a > 0, decreases for a < 0.  Closed form
-    for power-law fluxes; quadrature per source piece otherwise.
+    Vanishes at 0, increases for a > 0, decreases for a < 0.  Only
+    differences of G enter the cell solve, so f(0) is taken off to make
+    G(0) = 0 for a flux with f(0) != 0 too.  Closed form for power-law
+    fluxes; :func:`source_time_integral` otherwise.
     """
     if abs(a) > F.M * (1.0 + 1e-12):
         raise ValueError(f"state {a} outside the flux working interval")
@@ -162,7 +164,7 @@ def state_functional(F: Flux, S: SourceProfile, t0: float, a: float) -> float:
         q = F.power
         return abs(a) ** (q + 1.0) * q / (q + 1.0) * S.effective_time(q, t0)
     return source_time_integral(
-        S, lambda e: a * F.df(a * e) - F.f(a * e) / e, t0, 1e-14 * max(1.0, abs(a))
+        S, lambda e: a * F.df(a * e) - (F.f(a * e) - F.f_zero) / e, t0, 1e-14 * max(1.0, abs(a))
     )
 
 
@@ -354,7 +356,8 @@ def _cell_layout(F: Flux, S: SourceProfile, columns: np.ndarray, t: float) -> Pi
     dropped and its fans meet at the shock; before t0 the shock is clipped
     to the fan edges.  A power-law flux takes G_p(t) once and each state's
     reach w |w|^(p-1) as a Python float, a general flux one slope time
-    integral per state: the fan edges of :func:`fan_edges`, bit for bit.
+    integral over each array of states: the fan edges of
+    :func:`fan_edges`, bit for bit.
     The shock is :func:`_shock_position`, except in a cell with b = -a under
     a power-law flux: its data are odd about tau and the flux is even, so
     the shock stays at tau.  No cells make a profile that is zero on [0, 1].
@@ -368,8 +371,8 @@ def _cell_layout(F: Flux, S: SourceProfile, columns: np.ndarray, t: float) -> Pi
     p = F.power
     if p is None:
         _check_flux_interval(F, S, columns, t)
-        zeta_minus = A + [slope_time_integral(F, S, w, t) for w in a.tolist()]
-        zeta_plus = B + [slope_time_integral(F, S, w, t) for w in b.tolist()]
+        zeta_minus = A + slope_time_integral(F, S, a, t)
+        zeta_plus = B + slope_time_integral(F, S, b, t)
         moving = range(A.size)
     else:
         e = p - 1.0

@@ -60,6 +60,35 @@ def test_oracle_takes_no_meeting_time(capsys):
     assert "unrecognized arguments: --t0 1" in capsys.readouterr().err
 
 
+FOREIGN_ORACLE_OPTIONS = [
+    (init, option, value)
+    for init in ("riemann", "packet", "family")
+    for option, value, owner in (
+        ("--wl", "1", "riemann"),
+        ("--wr", "-1", "riemann"),
+        ("--x0", "0", "riemann"),
+        ("--dx", "0.1", "packet"),
+        ("--delta", "0.5", "packet"),
+        ("--center", "0", "packet"),
+        ("--N", "4", "family"),
+    )
+    if owner != init
+]
+
+
+@pytest.mark.parametrize("init, option, value", FOREIGN_ORACLE_OPTIONS)
+def test_oracle_refuses_another_inits_option(init, option, value, capsys, tmp_path):
+    # even at its default value, before any solve and without output
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--p", "2", "--init", init, "--cells", "64", "--t", "0.5", "--out", str(out)]
+    assert main(argv + [option, value]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["kind"] == "config"
+    assert error["error"].startswith(f"{option} is only for --init ")
+    assert error["error"].endswith(f"not --init {init}")
+    assert not out.exists()
+
+
 def test_packet_takes_no_kind(capsys):
     # packet's kind is a parser default for the shared cell builder, not an option
     with pytest.raises(SystemExit) as exc:

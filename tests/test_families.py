@@ -13,6 +13,7 @@ from fracbv import (
     edge_travel_minus,
     edge_travel_plus,
     family_profile,
+    fan_edges,
     initial_shock_position,
     parse_alpha,
     power_law_family,
@@ -337,6 +338,39 @@ def test_general_flux_state_leaving_the_flux_interval_is_refused():
             cell_profile(cell, ASYM, source, t)
         with pytest.raises(ConfigError, match="leaves the flux interval"):
             family_profile(shock_cell_family(ASYM, source, 1.0, 13, n_start=12), t)
+
+
+COSH_DECAY = Decay(q=1.0, C=math.cosh(1.0), r=1.0)
+
+
+@pytest.mark.parametrize("alpha", ["zero", "pw:0:-0.3,0.5:0.2"])
+def test_cells_do_not_depend_on_f_at_zero(alpha):
+    # G takes f(0) off, so cosh u builds the cells of cosh u - 1 (without
+    # it, G(b) near 0 fell below every G(a) and the anchor match failed);
+    # u^4/4 + 1 builds those of u^4/4 up to the rounding of the shift
+    source = parse_alpha(alpha)
+    shifted = user_flux(np.cosh, np.sinh, M=1.0, decay=COSH_DECAY)
+    assert state_functional(shifted, source, 1.0, 0.0) == 0.0
+    assert abs(state_functional(shifted, source, 1.0, 1e-9)) < 1e-17
+    want = shock_cell_family(user_flux(lambda u: np.cosh(u) - 1.0, np.sinh, M=1.0, decay=COSH_DECAY), source, 1.0, 8)
+    got = shock_cell_family(shifted, source, 1.0, 8)
+    assert got.columns[0].tolist() == want.columns[0].tolist() == list(range(2, 9))
+    np.testing.assert_allclose(got.columns, want.columns, rtol=0.0, atol=1e-10)
+    plus_one = user_flux(lambda u: ASYM.f(u) + 1.0, ASYM.df, M=ASYM.M, decay=ASYM.decay)
+    got, want = (shock_cell_family(F, source, 1.0, 16, n_start=13).columns for F in (plus_one, ASYM))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", ["zero", "pw:0:-0.3,0.5:0.2"])
+def test_general_flux_layout_takes_the_fan_edges_bit_for_bit(alpha):
+    # one slope time integral over each array of states gives each cell's
+    # fan edges as fan_edges does, cell by cell
+    source = parse_alpha(alpha)
+    family = shock_cell_family(ASYM, source, 1.0, 16, n_start=13)
+    ends = family_profile(family, 0.6).ends
+    edges = np.array([fan_edges(ASYM, source, cell, 0.6) for cell in family.cells])
+    assert ends[1::5].tobytes() == edges[:, 0].tobytes()
+    assert ends[3::5].tobytes() == edges[:, 1].tobytes()
 
 
 class TestMakePacket:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fracbv import (
     NumericsError,
@@ -11,6 +12,7 @@ from fracbv import (
     SourceProfile,
     fan_profile_rootfind,
     fan_values,
+    flux_from_config,
     parse_alpha,
     power_law_flux,
     sample_profile,
@@ -152,6 +154,86 @@ def test_source_time_integral_matches_effective_time(t):
     for p in (1.0, 2.0, 3.5):
         value = source_time_integral(src, lambda e, p=p: e**p, t, 1e-14)
         assert value == pytest.approx(src.effective_time(p, t), rel=1e-12)
+
+
+def test_flat_piece_is_its_span_times_one_value():
+    # alpha = 0 on [0.5, inf): B = 0.2 there, and the piece adds
+    # (t - 0.5) g(e^0.2) to the integral over [0, 0.5], from one evaluation
+    source = parse_alpha("pw:0:0.4,0.5:0")
+    calls = []
+
+    def g(e):
+        calls.append(e.size)
+        return 0.3 + e**2.5
+
+    head = source_time_integral(source, g, 0.5, 1e-14)
+    calls.clear()
+    value = source_time_integral(source, g, 1.7, 1e-14)
+    assert calls[-1] == 1
+    assert value == head + 1.2 * g(np.array([math.exp(0.2)]))[0]
+    assert source_time_integral(ZERO, g, 0.7, 1e-14) == 0.7 * g(np.ones(1))[0]
+
+
+@pytest.mark.parametrize(
+    "alpha", ["pw:0:0,0.5:-1,1.2:0", "pw:0:0.3,0.4:0,1:-0.6", "pw:0:0,0.5:-400,1.2:0"], ids=["flat-ends", "flat-middle", "steep"]
+)
+@pytest.mark.parametrize("t", [0.3, 0.9, 2.5])
+def test_source_time_integral_on_mixed_pieces(alpha, t):
+    # e^(p B) falls by e^-(160 p) or more over the steep piece at t = 0.9:
+    # one panel of either rule cannot integrate it, and the checked rule
+    # halves it
+    source = parse_alpha(alpha)
+    for p in (1.0, 2.0, 3.5):
+        value = source_time_integral(source, lambda e, p=p: e**p, t, 1e-14)
+        assert value == pytest.approx(source.effective_time(p, t), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [3.5, 8.0, 20.0])
+def test_large_integral_is_taken_to_rounding(p):
+    # G_p(3) under alpha = 2 is 1.9e8 to 3.3e50: an absolute tolerance of
+    # 1e-14 lies below its rounding, and the two rules are held to that
+    source = SourceProfile.constant(2.0)
+    value = source_time_integral(source, lambda e: e**p, 3.0, 1e-14)
+    assert value == pytest.approx(source.effective_time(p, 3.0), rel=1e-13, abs=0.0)
+
+
+def quad_slope_time_integral(flux, source, v, t):
+    """The slope time integral by QUADPACK, piece by piece of the source."""
+    cuts = [b for b in source.breakpoints if 0.0 < b < t] + [t]
+    lefts = [0.0] + cuts[:-1]
+    return sum(
+        quad(lambda th: float(flux.df(v * source.growth(th))), a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(lefts, cuts)
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha", ["zero", "pw:0:-0.3,0.5:0.2", "pw:0:0,0.3:-300,0.8:5"], ids=["zero", "two-piece", "steep"]
+)
+def test_array_states_are_per_element_calls_bit_for_bit(alpha):
+    # states from 1e-6 to M take their own panels (the tolerance scales
+    # with max(1, |v|)); each value is the one its state gets alone, in any
+    # batch and in any shape, and agrees with QUADPACK
+    source = parse_alpha(alpha)
+    rng = np.random.default_rng(3)
+    v = rng.uniform(-1.0, 1.0, 24) * ASYM.M * np.repeat([1e-6, 1e-2, 0.3, 1.0], 6)
+    alone = np.array([slope_time_integral(ASYM, source, w, 1.0) for w in v.tolist()])
+    for batch in (v, v[::-1], v.reshape(4, 6), v[:5]):
+        got = slope_time_integral(ASYM, source, batch, 1.0)
+        want = np.array([slope_time_integral(ASYM, source, w, 1.0) for w in batch.ravel().tolist()])
+        assert got.shape == batch.shape
+        assert got.tobytes() == want.reshape(batch.shape).tobytes()
+    for w, x in zip(v[::5].tolist(), alone[::5].tolist()):
+        assert x == pytest.approx(quad_slope_time_integral(ASYM, source, w, 1.0), rel=1e-12, abs=1e-15)
+
+
+def test_step_integrand_is_refused_at_the_depth_limit():
+    # a table flux has a piecewise constant f', so f'(v e^B) jumps wherever
+    # v e^B crosses a table node: no panel around a jump converges
+    F = flux_from_config({"kind": "table", "u": np.linspace(-1.0, 1.0, 21).tolist(), "f": (np.linspace(-1.0, 1.0, 21) ** 2 / 2).tolist()})
+    assert slope_time_integral(F, ZERO, 0.93, 1.0) == float(F.df(0.93))
+    with pytest.raises(NumericsError, match=r"quadrature failed to reach tolerance .* on \[0.0, 1.0\] in 4096 panels"):
+        slope_time_integral(F, SourceProfile.constant(-1.0), 0.93, 1.0)
 
 
 INCREASING = {
