@@ -36,13 +36,6 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infin
 
 # rows formatted and written at a time by the CSV and profile JSON writers
 CHUNK_ROWS = 1024
-# oracle options that describe one init's data, with their defaults; the
-# other inits refuse them
-_ORACLE_INIT_OPTIONS = {
-    "riemann": {"wl": 1.0, "wr": -1.0, "x0": 0.0},
-    "packet": {"dx": 0.1, "delta": 0.5, "center": 0.0},
-    "family": {"N": 4},
-}
 
 
 @dataclass(frozen=True)
@@ -89,6 +82,13 @@ def _int_at_least(minimum: int, what: str):
 
 _positive_int = _int_at_least(1, "a positive integer")
 _sample_count = _int_at_least(2, "an integer >= 2")
+# oracle options that describe one init's data, with their types and
+# defaults; the other inits refuse them
+_ORACLE_INIT_OPTIONS = {
+    "riemann": {"wl": (_finite_float, 1.0), "wr": (_finite_float, -1.0), "x0": (_finite_float, 0.0)},
+    "packet": {"dx": (_finite_float, 0.1), "delta": (_finite_float, 0.5), "center": (_finite_float, 0.0)},
+    "family": {"N": (_positive_int, 4)},
+}
 
 
 def _open_out(out: Optional[str]):
@@ -239,8 +239,8 @@ def _oracle_init_options(o: dict) -> dict:
     Raises ConfigError naming the first option given for another init.
     """
     o = dict(o)
-    for init, defaults in _ORACLE_INIT_OPTIONS.items():
-        for name, default in defaults.items():
+    for init, options in _ORACLE_INIT_OPTIONS.items():
+        for name, (_, default) in options.items():
             if init == o["init"]:
                 o[name] = default if o[name] is None else o[name]
             elif o[name] is not None:
@@ -461,9 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cells", type=int, required=True)
     sp.add_argument("--t", type=_finite_float, required=True)
     sp.add_argument("--cfl", type=_finite_float, default=0.45)
-    for init, defaults in _ORACLE_INIT_OPTIONS.items():
-        for name, default in defaults.items():
-            kind = _positive_int if name == "N" else _finite_float
+    for init, options in _ORACLE_INIT_OPTIONS.items():
+        for name, (kind, default) in options.items():
             sp.add_argument(f"--{name}", type=kind, default=None, help=f"--init {init} only (default {default})")
 
     sp = sub.add_parser("triangular", parents=[common], help="transport divergence diagnostics")

@@ -356,8 +356,7 @@ def _cell_layout(F: Flux, S: SourceProfile, columns: np.ndarray, t: float) -> Pi
     dropped and its fans meet at the shock; before t0 the shock is clipped
     to the fan edges.  A power-law flux takes G_p(t) once and each state's
     reach w |w|^(p-1) as a Python float, a general flux one slope time
-    integral over each array of states: the fan edges of
-    :func:`fan_edges`, bit for bit.
+    integral per state: the fan edges of :func:`fan_edges`, bit for bit.
     The shock is :func:`_shock_position`, except in a cell with b = -a under
     a power-law flux: its data are odd about tau and the flux is even, so
     the shock stays at tau.  No cells make a profile that is zero on [0, 1].
@@ -371,8 +370,8 @@ def _cell_layout(F: Flux, S: SourceProfile, columns: np.ndarray, t: float) -> Pi
     p = F.power
     if p is None:
         _check_flux_interval(F, S, columns, t)
-        zeta_minus = A + slope_time_integral(F, S, a, t)
-        zeta_plus = B + slope_time_integral(F, S, b, t)
+        zeta_minus = A + [slope_time_integral(F, S, w, t) for w in a.tolist()]
+        zeta_plus = B + [slope_time_integral(F, S, w, t) for w in b.tolist()]
         moving = range(A.size)
     else:
         e = p - 1.0

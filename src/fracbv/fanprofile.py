@@ -18,13 +18,12 @@ The module also holds the two numerical primitives the scalar layers share:
 scalar functions, and :func:`source_time_integral`, the one quadrature of a
 function of exp(B(theta)) over [0, t].  It is exact on a source piece where
 alpha = 0, and elsewhere takes a 48-node Gauss-Legendre rule checked
-against the 24-node rule, halving panels where the two disagree.  It
-integrates an array of integrands at once, each to the value it has alone,
-so the slope time integral takes an array of states.
+against the 24-node rule, halving panels where the two disagree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,28 +33,19 @@ from .flux import Flux
 from .source import SourceProfile
 
 
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-node Gauss-Legendre rule on [0, 1].
+@functools.cache
+def _gauss_rules():
+    """The 24- and 48-node Gauss-Legendre rules on [0, 1], built on first use.
 
-    Newton's method on the Legendre polynomial P_n, from Tricomi's
-    estimates of its roots; the weights are 2 / ((1 - x^2) P_n'(x)^2) on
-    [-1, 1].  Golub & Welsch (Math. Comp. 23, 1969) take the same rule from
-    an eigenproblem; this takes arithmetic only, so the rule is the same on
-    every CPU.
+    A panel's 72 nodes are the first rule's then the second's, and the two
+    sums check each other.  Golub & Welsch, Math. Comp. 23 (1969).
     """
-    x = np.array([math.cos(math.pi * (k + 0.75) / (n + 0.5)) for k in range(n)])
-    for _ in range(8):
-        p_prev, p = np.ones(n), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        slope = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / slope
-    return 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * slope * slope)
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = zip(leggauss(24), leggauss(48))
+    return 0.5 * (1.0 + np.concatenate(nodes)), 0.5 * np.concatenate(weights)
 
 
-# the 24- and 48-node rules, taken once: a panel's 72 nodes are the first
-# rule's then the second's, and the two sums check each other
-_NODES, _WEIGHTS = map(np.concatenate, zip(_gauss_legendre(24), _gauss_legendre(48)))
 # halvings of a source piece before its quadrature is refused
 _MAX_HALVINGS = 12
 # disagreement of the two rules that rounding alone can make, relative to
@@ -73,12 +63,11 @@ class _Unbracketed(NumericsError):
     """The target of :func:`bisect_increasing` lies outside its bracket."""
 
 
-def slope_time_integral(flux: Flux, source: SourceProfile, v, t: float):
-    """integral over [0, t] of f'(v exp(B(theta))) dtheta, for a state or an array of states.
+def slope_time_integral(flux: Flux, source: SourceProfile, v: float, t: float) -> float:
+    """integral over [0, t] of f'(v exp(B(theta))) dtheta.
 
-    Exact for power-law fluxes (equals v |v|^(p-1) * effective_time, an
-    array through numpy's power); :func:`slope_time_integral_numeric`
-    otherwise.
+    Exact for power-law fluxes (equals v |v|^(p-1) * effective_time);
+    :func:`slope_time_integral_numeric` otherwise.
     """
     if flux.power is not None:
         p = flux.power
@@ -86,32 +75,25 @@ def slope_time_integral(flux: Flux, source: SourceProfile, v, t: float):
     return slope_time_integral_numeric(flux, source, v, t)
 
 
-def slope_time_integral_numeric(flux: Flux, source: SourceProfile, v, t: float, tol: float = 1e-13):
+def slope_time_integral_numeric(
+    flux: Flux, source: SourceProfile, v: float, t: float, tol: float = 1e-13
+) -> float:
     """Quadrature evaluation of the slope time integral, piece by piece.
 
-    ``v`` is a state or an array of states, each integrated to
-    ``tol * max(1, |v|)``; every value is the one a call with that state
-    alone returns, bit for bit.  Kept separate from
-    :func:`slope_time_integral` so closed forms can be cross-checked
-    against an independent numerical route.
+    Kept separate from :func:`slope_time_integral` so closed forms can be
+    cross-checked against an independent numerical route.
     """
-    v = np.asarray(v, dtype=float)
-    return source_time_integral(
-        source, lambda e: flux.df(np.multiply.outer(v, e)), t, tol * np.maximum(1.0, np.abs(v))
-    )
+    return source_time_integral(source, lambda e: flux.df(v * e), t, tol * max(1.0, abs(v)))
 
 
-def source_time_integral(source: SourceProfile, g, t: float, tol):
+def source_time_integral(source: SourceProfile, g, t: float, tol: float) -> float:
     """integral over [0, t] of g(exp(B(theta))) dtheta, B the cumulative source.
 
-    ``g`` takes an array of values of exp(B) and returns an array whose
-    last axis runs over them; its leading axes, if any, index a batch of
-    integrands, and ``tol`` is one tolerance or one per integrand.  B is
-    linear on each constancy piece of alpha.  On a piece where alpha = 0, B
-    is constant and the piece adds span * g(exp(B)), one evaluation.  On
+    ``g`` takes an array of values of exp(B) and returns their values.  B
+    is linear on each constancy piece of alpha.  On a piece where alpha = 0,
+    B is constant and the piece adds span * g(exp(B)), one evaluation.  On
     any other piece the integrand is analytic, and :func:`_gauss_panels`
-    integrates it to the tolerance.  Each integrand's value depends on its
-    own values alone, not on the rest of its batch.
+    integrates it to ``tol``.
     """
     total = 0.0
     for left, value, right, b_left in source.pieces:
@@ -119,45 +101,38 @@ def source_time_integral(source: SourceProfile, g, t: float, tol):
             break
         span = min(t, right) - left
         if value == 0.0:
-            total = total + span * g(np.array([math.exp(b_left)]))[..., 0]
+            total += span * float(g(np.array([math.exp(b_left)]))[0])
         else:
-            total = total + _gauss_panels(lambda s: g(np.exp(b_left + value * s)), left, span, tol)
+            total += _gauss_panels(lambda s: g(np.exp(b_left + value * s)), left, span, tol)
     return total
 
 
-def _gauss_panels(h, left: float, span: float, tol):
+def _gauss_panels(h, left: float, span: float, tol: float) -> float:
     """integral of h(s) over s in [0, span] by the 48-node rule, checked against the 24-node rule.
 
     A panel is accepted when the two rules agree to its share of ``tol``
-    (width / span of it) or to rounding; otherwise it is halved, each
-    integrand on its own, up to ``_MAX_HALVINGS`` times.  Accepted panels
-    are summed level by level and left to right, so an integrand of a batch
-    sums its own panels in the order it would alone.  Raises NumericsError
-    naming the interval [left, left + span] when a panel still disagrees at
-    the last level.
+    (width / span of it) or to rounding; otherwise it is halved, up to
+    ``_MAX_HALVINGS`` times.  Each level's panels take one call of ``h``.
+    Raises NumericsError naming the interval [left, left + span] when a
+    panel still disagrees at the last level.
     """
-    share = np.asarray(tol, dtype=float)[..., None] / span
+    nodes, weights = _gauss_rules()
     total = 0.0
-    starts = np.zeros(1)  # the panels' left ends, as offsets s
+    starts = np.zeros(1)  # the open panels' left ends, as offsets s
     width = span
-    live = True  # the (integrand, panel) pairs still to integrate
     for _ in range(_MAX_HALVINGS + 1):
-        values = np.asarray(h((starts[:, None] + width * _NODES).ravel()), dtype=float)
-        terms = values.reshape(values.shape[:-1] + (starts.size, _NODES.size)) * _WEIGHTS
-        low, high = terms[..., :24].sum(axis=-1) * width, terms[..., 24:].sum(axis=-1) * width
-        agree = np.abs(low - high) <= share * width + _ROUNDING * np.abs(high)
-        total = total + np.cumsum(np.where(agree & live, high, 0.0), axis=-1)[..., -1]
-        live = live & ~agree
-        if not live.any():
+        values = np.asarray(h((starts[:, None] + width * nodes).ravel()), dtype=float)
+        terms = values.reshape(starts.size, nodes.size) * weights
+        low, high = terms[:, :24].sum(axis=1) * width, terms[:, 24:].sum(axis=1) * width
+        agree = np.abs(low - high) <= tol * width / span + _ROUNDING * np.abs(high)
+        total += float(high[agree].sum())
+        if agree.all():
             return total
-        split = live.reshape(-1, starts.size).any(axis=0)
-        live = np.repeat(live[..., split], 2, axis=-1)
         width *= 0.5
-        starts = np.repeat(starts[split], 2)
+        starts = np.repeat(starts[~agree], 2)
         starts[1::2] += width
     raise NumericsError(
-        f"quadrature failed to reach tolerance {float(np.max(tol))} on [{left}, {left + span}]"
-        f" in {1 << _MAX_HALVINGS} panels"
+        f"quadrature failed to reach tolerance {tol} on [{left}, {left + span}] in {1 << _MAX_HALVINGS} panels"
     )
 
 

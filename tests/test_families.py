@@ -363,8 +363,8 @@ def test_cells_do_not_depend_on_f_at_zero(alpha):
 
 @pytest.mark.parametrize("alpha", ["zero", "pw:0:-0.3,0.5:0.2"])
 def test_general_flux_layout_takes_the_fan_edges_bit_for_bit(alpha):
-    # one slope time integral over each array of states gives each cell's
-    # fan edges as fan_edges does, cell by cell
+    # one slope time integral per state gives each cell's fan edges as
+    # fan_edges does, cell by cell
     source = parse_alpha(alpha)
     family = shock_cell_family(ASYM, source, 1.0, 16, n_start=13)
     ends = family_profile(family, 0.6).ends
