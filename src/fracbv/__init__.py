@@ -17,7 +17,6 @@ from .fanprofile import (
     fan_profile_rootfind,
     fan_values,
     slope_time_integral,
-    slope_time_integral_numeric,
 )
 from .waves import (
     ConstantRegion,
@@ -32,8 +31,6 @@ from .families import (
     ShockCell,
     ShockCellFamily,
     cell_profile,
-    edge_travel_minus,
-    edge_travel_plus,
     family_profile,
     fan_edges,
     initial_shock_position,
@@ -47,10 +44,8 @@ from .variation import (
     SampledFunction,
     VariationReport,
     family_variation_lower_bounds,
-    fractional_variation,
     load_profile_csv,
     p_variation,
-    p_variation_reference,
     sample_profile,
     smoothing_upper_bound,
 )

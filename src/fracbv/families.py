@@ -112,8 +112,10 @@ def make_packet(F: Flux, S: SourceProfile, x_n: float, dx: float, delta: float) 
     """Lone packet: +delta on [x_n - dx, x_n), -delta on [x_n, x_n + dx], as cell 1.
 
     Its fan edges meet at x_n when G_p reaches dx / delta^p.  Raises
-    ValueError for a flux other than a power law, and ConfigError unless
-    delta > 0 and x_n - dx < x_n < x_n + dx, both ends finite.
+    ValueError for a flux other than a power law, ConfigError unless
+    delta > 0 and x_n - dx < x_n < x_n + dx, both ends finite, and
+    NumericsError when delta^p or dx / delta^p under- or overflows (not
+    t_n = inf: under a growing source G_p is unbounded, the true t_n finite).
     """
     if F.power is None:
         raise ValueError("packets require a power-law flux")
@@ -121,7 +123,14 @@ def make_packet(F: Flux, S: SourceProfile, x_n: float, dx: float, delta: float) 
     A, B = x_n - dx, x_n + dx
     if not (delta > 0.0 and -math.inf < A < x_n < B < math.inf):
         raise ConfigError(f"packet needs delta > 0 ({delta}) and a finite support [{A}, {B}] around {x_n}")
-    t_n = S.effective_time_inverse(F.power, dx / delta**F.power)
+    try:
+        level = dx / delta**F.power
+    except (ZeroDivisionError, OverflowError):
+        level = math.nan
+    if not 0.0 < level < math.inf:
+        raise NumericsError(f"packet level dx/delta^p = {dx}/{delta}^{F.power} is not a positive finite float64"
+                            f" at delta = {delta}")
+    t_n = S.effective_time_inverse(F.power, level)
     return ShockCell(index=1, A=A, B=B, a=delta, b=-delta, tau=x_n, t0=t_n)
 
 
@@ -168,16 +177,6 @@ def state_functional(F: Flux, S: SourceProfile, t0: float, a: float) -> float:
     )
 
 
-def edge_travel_plus(F: Flux, S: SourceProfile, t0: float, a: float) -> float:
-    """F_plus(a): distance travelled by the level-a fan edge up to t0 (a >= 0)."""
-    return slope_time_integral(F, S, a, t0)
-
-
-def edge_travel_minus(F: Flux, S: SourceProfile, t0: float, b: float) -> float:
-    """F_minus(b): same for a negative level, with the sign flipped (b <= 0)."""
-    return -slope_time_integral(F, S, b, t0)
-
-
 def _match_negative_state(F, S, t0, level: float, b_floor: float) -> float:
     """The b in [b_floor, 0] with G(b) = level; G decreases on the negatives."""
     return -bisect_increasing(lambda m: state_functional(F, S, t0, -m), 0.0, -b_floor, level)
@@ -185,7 +184,8 @@ def _match_negative_state(F, S, t0, level: float, b_floor: float) -> float:
 
 def _anchors(F: Flux, S: SourceProfile, t0: float):
     """(a0, b0, widest admissible cell width min(F_plus(a0), F_minus(b0))),
-    a0 and b0 the anchor states with G(a0) = G(b0), as large as the flux allows."""
+    a0 and b0 the anchor states with G(a0) = G(b0), as large as the flux
+    allows; F_plus = K_t0' and F_minus = -K_t0' as in :func:`solve_cell_states`."""
     cap = F.decay.r if F.decay is not None else F.M
     cap = min(cap, F.M) * 0.999
     b_floor = -cap
@@ -198,7 +198,7 @@ def _anchors(F: Flux, S: SourceProfile, t0: float):
     else:
         raise NumericsError("could not anchor the state functional match")
     b0 = _match_negative_state(F, S, t0, state_functional(F, S, t0, a0), b_floor)
-    return a0, b0, min(edge_travel_plus(F, S, t0, a0), edge_travel_minus(F, S, t0, b0))
+    return a0, b0, min(slope_time_integral(F, S, a0, t0), -slope_time_integral(F, S, b0, t0))
 
 
 def solve_cell_states(
@@ -206,7 +206,9 @@ def solve_cell_states(
 ) -> Tuple[float, float]:
     """States (a, b) with G(a) = G(b) and edge travels summing to B - A.
 
-    G is :func:`state_functional`.  For a power-law flux G is even and the
+    G is :func:`state_functional` and the edge travels are F_plus(a) =
+    K_t0'(a) and F_minus(b) = -K_t0'(b), K_t0' the
+    :func:`slope_time_integral`.  For a power-law flux G is even and the
     edge travels are a^q G_q(t0) and |b|^q G_q(t0), so the states are
     a = -b = ((B - A) / (2 G_q(t0)))^(1/q) in closed form, G_q the
     effective time.  Otherwise, since G decreases on the negatives, each
@@ -242,14 +244,14 @@ def _solve_states(
         a += a * (x / a_q - 1.0) / q
         b = -a
     else:
-        a_bar = bisect_increasing(lambda a: edge_travel_plus(F, S, t0, a), 0.0, a0, width)
-        b_bar = -bisect_increasing(lambda m: edge_travel_minus(F, S, t0, -m), 0.0, -b0, width)
+        a_bar = bisect_increasing(lambda a: slope_time_integral(F, S, a, t0), 0.0, a0, width)
+        b_bar = -bisect_increasing(lambda m: -slope_time_integral(F, S, -m, t0), 0.0, -b0, width)
 
         def match(a: float) -> float:
             return _match_negative_state(F, S, t0, state_functional(F, S, t0, a), b_bar)
 
         a = bisect_increasing(
-            lambda x: edge_travel_plus(F, S, t0, x) + edge_travel_minus(F, S, t0, match(x)),
+            lambda x: slope_time_integral(F, S, x, t0) - slope_time_integral(F, S, match(x), t0),
             0.0,
             a_bar,
             width,
@@ -257,7 +259,7 @@ def _solve_states(
         b = match(a)
 
     g_gap = abs(state_functional(F, S, t0, a) - state_functional(F, S, t0, b))
-    w_gap = abs(edge_travel_plus(F, S, t0, a) + edge_travel_minus(F, S, t0, b) - width)
+    w_gap = abs(slope_time_integral(F, S, a, t0) - slope_time_integral(F, S, b, t0) - width)
     if g_gap > 1e-10 or w_gap > 1e-10:
         raise NumericsError(
             f"cell state solve did not converge (residuals {g_gap:.2e}, {w_gap:.2e})"
@@ -266,17 +268,18 @@ def _solve_states(
 
 
 def initial_shock_position(
-    F: Flux, S: SourceProfile, t0: float, A: float, B: float, a: float, b: float
+    F: Flux, S: SourceProfile, t0: float, A: float, a: float, b: float
 ) -> float:
-    """Jump position tau making the cell mean-zero: a (tau - A) + b (B - tau) = 0.
+    """Jump position tau = A + K_t0'(a) - drift / (a - b) of a cell [A, B].
 
-    Chosen so the shock from (tau, 0) arrives at the fan-edge meeting point
-    at exactly t0.
+    The shock from (tau, 0) then meets the fan edge A + K_t0'(a) at exactly
+    t0.  For the states of :func:`solve_cell_states` the cell is mean-zero,
+    a (tau - A) + b (B - tau) = 0, so tau needs no B.
     """
     if a == b:
         raise ValueError("degenerate cell: a must differ from b")
     drift = flux_difference_drift(F, S, a, b, t0) / (a - b)
-    return A + edge_travel_plus(F, S, t0, a) - drift
+    return A + slope_time_integral(F, S, a, t0) - drift
 
 
 def shock_cell_family(
@@ -302,7 +305,7 @@ def shock_cell_family(
     columns[:3] = index, center - width, center + width
     for i, (n, A, B) in enumerate(zip(*columns[:3].tolist())):
         a, b = _solve_states(F, S, t0, B - A, anchors)
-        tau = initial_shock_position(F, S, t0, A, B, a, b)
+        tau = initial_shock_position(F, S, t0, A, a, b)
         if a - b < c0 ** (-1.0 / q) * (B - A) ** (1.0 / q) * (1.0 - 1e-9):
             raise NumericsError(f"degeneracy lower bound violated at cell {int(n)}")
         columns[3:6, i] = a, b, tau

@@ -67,23 +67,12 @@ def slope_time_integral(flux: Flux, source: SourceProfile, v: float, t: float) -
     """integral over [0, t] of f'(v exp(B(theta))) dtheta.
 
     Exact for power-law fluxes (equals v |v|^(p-1) * effective_time);
-    :func:`slope_time_integral_numeric` otherwise.
+    :func:`source_time_integral` to 1e-13 max(1, |v|) otherwise.
     """
     if flux.power is not None:
         p = flux.power
         return v * abs(v) ** (p - 1.0) * source.effective_time(p, t)
-    return slope_time_integral_numeric(flux, source, v, t)
-
-
-def slope_time_integral_numeric(
-    flux: Flux, source: SourceProfile, v: float, t: float, tol: float = 1e-13
-) -> float:
-    """Quadrature evaluation of the slope time integral, piece by piece.
-
-    Kept separate from :func:`slope_time_integral` so closed forms can be
-    cross-checked against an independent numerical route.
-    """
-    return source_time_integral(source, lambda e: flux.df(v * e), t, tol * max(1.0, abs(v)))
+    return source_time_integral(source, lambda e: flux.df(v * e), t, 1e-13 * max(1.0, abs(v)))
 
 
 def source_time_integral(source: SourceProfile, g, t: float, tol: float) -> float:
@@ -202,16 +191,14 @@ def fan_values(flux: Flux, source: SourceProfile, offsets, t: float) -> np.ndarr
 
     V is strictly increasing in z with V(0, t) = 0.  Power-law fluxes take
     the closed form as one array power; other fluxes take
-    :func:`fan_profile_rootfind` point by point, with the flux limit taken
-    once.  Raises ValueError unless t > 0, and NumericsError when a value
-    escapes the flux limit M exp(-min B).
+    :func:`fan_profile_rootfind` point by point.  Raises ValueError unless
+    t > 0, and NumericsError when a value escapes the flux limit M exp(-min B).
     """
     if t <= 0.0:
         raise ValueError(f"fan profile needs t > 0, got {t}")
     offsets = np.asarray(offsets, dtype=float)
     if flux.power is None:
-        limit = _flux_limit(flux, source, t)
-        return np.array([fan_profile_rootfind(flux, source, z, t, limit) for z in offsets.tolist()])
+        return np.array([fan_profile_rootfind(flux, source, z, t) for z in offsets.tolist()])
     p = flux.power
     values = np.sign(offsets) * np.abs(offsets) ** (1.0 / p) * source.effective_time(p, t) ** (-1.0 / p)
     if values.size:
@@ -227,23 +214,18 @@ def fan_values(flux: Flux, source: SourceProfile, offsets, t: float) -> np.ndarr
     return values
 
 
-def fan_profile_rootfind(
-    flux: Flux, source: SourceProfile, x: float, t: float, limit: float | None = None
-) -> float:
+def fan_profile_rootfind(flux: Flux, source: SourceProfile, x: float, t: float) -> float:
     """Bracketed root search for the fan profile (any convex flux).
 
     The bracket is the flux limit M exp(-min B), so an offset the fan
     cannot reach fails the bracket check, after its two evaluations, with
-    the "escapes the flux interval" error.  ``limit`` is that flux limit at
-    t when the caller has it already, as :func:`fan_values` does; by
-    default it is computed here.
+    the "escapes the flux interval" error.
     """
     if t <= 0.0:
         raise ValueError(f"fan profile needs t > 0, got {t}")
     if x == 0.0:
         return 0.0
-    if limit is None:
-        limit = _flux_limit(flux, source, t)
+    limit = _flux_limit(flux, source, t)
     try:
         return bisect_increasing(
             lambda w: slope_time_integral(flux, source, w, t), -limit, limit, x, _ROOT_TOL

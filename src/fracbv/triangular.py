@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +303,8 @@ def transported_variation_sums(
     N * 2^(1/s_prime) for any flow.  t is still refused outside [0, T], as
     the flow refuses it.  The sum measures nothing about the transport until
     ROADMAP item 6 lands (images carried as offsets from the fan edge,
-    values through the backward map).
+    values through the backward map).  Raises NumericsError when the sum
+    overflows float64.
     """
     if not 0.0 < s_prime <= 1.0:
         raise ConfigError(f"order must lie in (0, 1], got {s_prime}")
@@ -313,7 +314,11 @@ def transported_variation_sums(
     ys = midpoint_markers(N + 1)
     v0 = alternating_initial_data()
     vals = np.asarray(v0(ys), dtype=float)
-    return float(np.sum(np.abs(np.diff(vals)) ** (1.0 / s_prime)))
+    with np.errstate(over="ignore"):  # refused below
+        total = float(np.sum(np.abs(np.diff(vals)) ** (1.0 / s_prime)))
+    if not math.isfinite(total):
+        raise NumericsError(f"the transported variation sum of order {s_prime} overflows float64")
+    return total
 
 
 def u_variation_lower_bounds(setup: TriangularSetup, eps: float) -> np.ndarray:

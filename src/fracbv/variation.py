@@ -182,18 +182,8 @@ class _Extrema:
         self.least_step = float(self.steps[self.steps > 0.0].min()) if self.spread > 0.0 else 0.0
 
 
-def _as_extrema(v) -> _Extrema:
-    """``v`` itself if it is an :class:`_Extrema`, else that of the values ``v``."""
-    return v if isinstance(v, _Extrema) else _Extrema(v)
-
-
 # The chain check follows predecessors up to this many extrema back.
 _CHAIN_OFFSETS = 16
-
-
-def _check_exponent(p: float) -> None:
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError(f"variation exponent must be finite and satisfy p >= 1, got {p}")
 
 
 def p_variation(f: SampledFunction, p: float) -> VariationReport:
@@ -206,7 +196,8 @@ def p_variation(f: SampledFunction, p: float) -> VariationReport:
     fewer points, then earliest indices.  Raises ValueError unless p is
     finite and >= 1, and NumericsError when the value overflows float64.
     """
-    _check_exponent(p)
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"variation exponent must be finite and satisfy p >= 1, got {p}")
     if len(f) < 2:
         raise ValueError("need at least 2 samples")
     ext = f._extrema
@@ -234,26 +225,22 @@ def _tolerance(p: float) -> float:
     return (p + 2.0) * 2.0**-48
 
 
-def _in_normal_range(v, p: float) -> bool:
-    """Whether every score and nonzero power over the extrema ``v`` (values
-    or their :class:`_Extrema`) is a normal float, the range the margin
-    covers."""
-    ext = _as_extrema(v)
+def _in_normal_range(ext: _Extrema, p: float) -> bool:
+    """Whether every score and nonzero power over the extrema ``ext`` is a
+    normal float, the range the margin covers."""
     if not ext.spread > 0.0 or math.log2(ext.v.size) + p * math.log2(ext.spread) > 1000.0:
         return False
     return p * math.log2(ext.least_step) >= -960.0
 
 
-def _best_predecessors(v, p: float):
-    """(best, prev, scored) of the dynamic program over the extrema ``v``,
-    values or their :class:`_Extrema`.
+def _best_predecessors(ext: _Extrema, p: float):
+    """(best, prev, scored) of the dynamic program over the extrema ``ext``.
 
     ``best`` and ``prev`` are arrays, ``prev`` None when every extremum's
     predecessor is its neighbour; ``scored`` counts the (j, i) pairs the
     chain check and the dynamic program scored, all k (k - 1) / 2 when
     nothing is pruned: the work the pruning saves.
     """
-    ext = _as_extrema(v)
     prune = _in_normal_range(ext, p)
     scored = 0
     if prune:
@@ -264,10 +251,9 @@ def _best_predecessors(v, p: float):
     return best, prev, scored + pairs
 
 
-def _chain_best(v, p: float):
-    """Chain check over the extrema ``v``, values or their :class:`_Extrema`:
-    (best, scored), ``best`` the chain sums when every extremum's
-    predecessor is its neighbour, else None.
+def _chain_best(ext: _Extrema, p: float):
+    """Chain check over the extrema ``ext``: (best, scored), ``best`` the chain
+    sums when every extremum's predecessor is its neighbour, else None.
 
     The pruning rule with the chain sums for best, applied at each
     predecessor offset 2, 3, ... to every extremum at once; a live
@@ -275,7 +261,6 @@ def _chain_best(v, p: float):
     and so does one still live past ``_CHAIN_OFFSETS``.  ``scored`` counts
     the (j, i) pairs compared.
     """
-    ext = _as_extrema(v)
     v, lo, hi = ext.v, ext.lo, ext.hi
     k = v.size
     chain = np.concatenate(([0.0], np.cumsum(ext.steps ** p)))
@@ -306,9 +291,8 @@ def _chain_best(v, p: float):
     return None, scored
 
 
-def _dynamic_program(v, p: float, prune: bool):
-    """(best, prev, scored) of the dynamic program over the extrema ``v``,
-    values or their :class:`_Extrema`.
+def _dynamic_program(ext: _Extrema, p: float, prune: bool):
+    """(best, prev, scored) of the dynamic program over the extrema ``ext``.
 
     Each extremum j is scored against a live set of predecessors, kept
     compacted in index order, one row per field: index, value, best, links
@@ -320,7 +304,6 @@ def _dynamic_program(v, p: float, prune: bool):
     program, run for data outside the normal float range.  ``scored``
     counts the pairs scored.
     """
-    ext = _as_extrema(v)
     k = ext.v.size
     vals = ext.v.tolist()
     lo_after, hi_after = ext.lo.tolist(), ext.hi.tolist()
@@ -374,35 +357,6 @@ def _dynamic_program(v, p: float, prune: bool):
             links[n] = chain
             n += 1
     return best, prev, scored
-
-
-def p_variation_reference(f: SampledFunction, p: float) -> float:
-    """Plain quadratic DP over all sample indices; slow but obviously correct.
-
-    Independent of the extrema restriction; used to cross-check
-    :func:`p_variation`.  Raises ValueError unless p is finite and >= 1,
-    and NumericsError when the value overflows float64.
-    """
-    _check_exponent(p)
-    v = f.vs
-    best = np.zeros(v.size)
-    with np.errstate(over="ignore"):  # reported below
-        for j in range(1, v.size):
-            best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
-    if not math.isfinite(best[-1]):
-        raise NumericsError(f"the {p}-variation is not finite in float64")
-    return float(best[-1])
-
-
-def _check_order(s: float) -> None:
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {s}")
-
-
-def fractional_variation(f: SampledFunction, s: float) -> float:
-    """Variation of fractional order s in (0, 1]: p-variation with p = 1/s."""
-    _check_order(s)
-    return p_variation(f, 1.0 / s).value
 
 
 def sample_profile(profile: PiecewiseProfile, fan_points: int = 64) -> SampledFunction:
@@ -497,7 +451,9 @@ def _finite(quantity: str, max_b: float, compute) -> float:
     try:
         with np.errstate(over="ignore"):  # a numpy overflow gives inf, refused below
             value = compute()
-    except (OverflowError, NumericsError):  # effective_time's overflow is a NumericsError
+    # effective_time's overflow is a NumericsError, and a divisor that
+    # underflows to 0 (c0 = 2^(1-p) at large p) an overflowing quotient
+    except (OverflowError, ZeroDivisionError, NumericsError):
         value = math.inf
     if not math.isfinite(value):
         raise NumericsError(
@@ -517,7 +473,8 @@ def family_variation_lower_bounds(family, t: float, s: float, N: int):
     """
     if t <= 0.0:
         raise ConfigError(f"need t > 0, got {t}")
-    _check_order(s)
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"order must lie in (0, 1], got {s}")
     rows: List[Tuple[int, float, float]] = []
     cum = 0.0
     if isinstance(family, PowerLawFamily):

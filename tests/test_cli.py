@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import types
 import warnings
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracbv import cli
 from fracbv.cli import RunConfig, dispatch, main
@@ -160,6 +163,41 @@ def test_non_finite_result_is_not_written_as_json(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["kind"] == "numerical"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["packet", "--p", "2", "--dx", "0.1", "--delta", "1e-200", "--t", "1"],
+        ["packet", "--p", "2000", "--dx", "0.1", "--delta", "0.5", "--t", "1"],
+        ["packet", "--p", "2", "--dx", "0.1", "--delta", "1e300", "--t", "1"],
+        ["oracle", "--p", "2", "--init", "packet", "--cells", "64", "--t", "0.1", "--delta", "1e-200"],
+    ],
+    ids=["underflow", "underflow-at-large-p", "overflow", "oracle"],
+)
+def test_packet_level_past_float64_exits_numerical(argv, capsys, tmp_path):
+    # delta^p under- or overflows; this ended in a ZeroDivisionError traceback
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "numerical"
+    delta = float(argv[argv.index("--delta") + 1])
+    assert err["error"].startswith("packet level dx/delta^p = 0.1/")
+    assert err["error"].endswith(f"is not a positive finite float64 at delta = {delta}")
+    assert not out.exists()
+
+
+def test_bound_with_a_vanishing_degeneracy_constant_exits_numerical(capsys):
+    # c0 = 2^(1 - p) underflows to 0 at p = 1100: the bound's divisor vanishes
+    code = main(["bound", "--p", "1100", "--t", "1", "--a", "0", "--b", "1", "--T", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)
+    assert err["kind"] == "numerical"
+    assert err["error"] == "the bound overflows float64 at max B = 0, so the bound is not representable"
 
 
 def test_bound_overflow_exits_numerical(capsys):
@@ -554,3 +592,49 @@ def test_kk_grid_is_written_in_slices(tmp_path):
         tracemalloc.stop()
     assert path.read_bytes() == want
     assert peak < 2**20
+
+
+# floats at and past the ends of float64's range, and ordinary ones:
+# positions signed, sizes positive
+POSITIVE = st.sampled_from([1e-300, 1e-200, 0.5, 2.0, 1e300])
+SIGNED = st.one_of(POSITIVE, POSITIVE.map(lambda x: -x))
+POWERS = st.sampled_from([0.5, 1.0, 2.0, 1100.0, 2000.0, 1e300])
+TIMES = st.sampled_from([1e-300, 1e-200, 0.5, 2.0])
+ORDERS = st.sampled_from([1e-300, 0.5, 1.0])
+ALPHAS = st.sampled_from(["zero", "constant:1", "constant:-1"])
+COUNTS = st.integers(1, 4)
+KINDS = st.sampled_from(["powerlaw", "assp"])
+
+
+def options(**values):
+    return [text for name, value in values.items() for text in (f"--{name}", str(value))]
+
+
+def command(name, **strategies):
+    """argv strategy for ``fracbv name`` with each option drawn from its strategy."""
+    return st.fixed_dictionaries(strategies).map(lambda values: [name, *options(**values)])
+
+
+EXTREME_ARGVS = st.one_of(
+    command("packet", p=POWERS, dx=POSITIVE, delta=POSITIVE, t=TIMES, center=SIGNED, alpha=ALPHAS, samples=st.just(2)),
+    command("family", kind=KINDS, p=POWERS, N=COUNTS, t=TIMES, t0=TIMES, alpha=ALPHAS, samples=st.just(2)),
+    command("assp", q=POWERS, N=COUNTS, t0=TIMES, alpha=ALPHAS),
+    command("diverge", kind=KINDS, p=POWERS, s=ORDERS, N=COUNTS, t=TIMES, t0=TIMES, alpha=ALPHAS),
+    command("riemann", p=POWERS, wl=SIGNED, wr=SIGNED, x0=SIGNED, t=TIMES, alpha=ALPHAS),
+    command("bound", p=POWERS, t=TIMES, a=SIGNED, b=SIGNED, T=POSITIVE, M=POSITIVE, alpha=ALPHAS),
+    command("triangular", p=POWERS, T=POSITIVE, t=TIMES, N=COUNTS, sprime=ORDERS),
+)
+
+
+@given(argv=EXTREME_ARGVS)
+@example(argv=["packet", *options(p=2, dx=0.1, delta=1e-200, t=1)])
+@example(argv=["bound", *options(p=1100, t=1, a=0, b=1, T=1)])
+@settings(max_examples=300, deadline=None)
+def test_no_command_ends_in_a_traceback_on_extreme_floats(argv):
+    # exit 0, 2 or 3, or argparse's SystemExit(2); any other exception is a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            code = main([*argv, "--out", os.path.join(tmp, "out")])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)

@@ -10,8 +10,6 @@ import pytest
 from fracbv import (
     SourceProfile,
     cell_profile,
-    edge_travel_minus,
-    edge_travel_plus,
     family_profile,
     fan_edges,
     initial_shock_position,
@@ -19,6 +17,7 @@ from fracbv import (
     power_law_family,
     power_law_flux,
     shock_cell_family,
+    slope_time_integral,
     solve_cell_states,
     state_functional,
     user_flux,
@@ -116,8 +115,8 @@ class TestSolveCellStates:
             a, b = solve_cell_states(Q3, src, 1.0, 0.0, 0.02)
             g_gap = abs(state_functional(Q3, src, 1.0, a) - state_functional(Q3, src, 1.0, b))
             w_gap = abs(
-                edge_travel_plus(Q3, src, 1.0, a)
-                + edge_travel_minus(Q3, src, 1.0, b)
+                slope_time_integral(Q3, src, a, 1.0)
+                - slope_time_integral(Q3, src, b, 1.0)
                 - 0.02
             )
             assert g_gap < 1e-10
@@ -141,8 +140,8 @@ class TestSolveCellStates:
             state_functional(ASYM, ZERO, 1.0, a) - state_functional(ASYM, ZERO, 1.0, b)
         )
         w_gap = abs(
-            edge_travel_plus(ASYM, ZERO, 1.0, a)
-            + edge_travel_minus(ASYM, ZERO, 1.0, b)
+            slope_time_integral(ASYM, ZERO, a, 1.0)
+            - slope_time_integral(ASYM, ZERO, b, 1.0)
             - 0.02
         )
         assert g_gap < 1e-10 and w_gap < 1e-10
@@ -151,27 +150,27 @@ class TestSolveCellStates:
 class TestShockPosition:
     def test_midpoint_for_symmetric_flux(self):
         a, b = solve_cell_states(Q3, ZERO, 1.0, 0.0, 0.02)
-        tau = initial_shock_position(Q3, ZERO, 1.0, 0.0, 0.02, a, b)
+        tau = initial_shock_position(Q3, ZERO, 1.0, 0.0, a, b)
         assert tau == pytest.approx(0.01, abs=1e-10)
 
     def test_mean_zero_identity(self):
         for F, src in ((Q3, ZERO), (Q3, SourceProfile.constant(-0.5)), (ASYM, ZERO)):
             a, b = solve_cell_states(F, src, 1.0, 0.0, 0.02)
-            tau = initial_shock_position(F, src, 1.0, 0.0, 0.02, a, b)
+            tau = initial_shock_position(F, src, 1.0, 0.0, a, b)
             assert abs(a * (tau - 0.0) + b * (0.02 - tau)) < 1e-10
 
     def test_shock_arrives_at_edge_meeting_point(self):
         a, b = solve_cell_states(Q3, ZERO, 1.0, 0.0, 0.02)
-        tau = initial_shock_position(Q3, ZERO, 1.0, 0.0, 0.02, a, b)
+        tau = initial_shock_position(Q3, ZERO, 1.0, 0.0, a, b)
         from fracbv import flux_difference_drift
 
         arrival = tau + flux_difference_drift(Q3, ZERO, a, b, 1.0) / (a - b)
-        meeting = 0.0 + edge_travel_plus(Q3, ZERO, 1.0, a)
+        meeting = 0.0 + slope_time_integral(Q3, ZERO, a, 1.0)
         assert arrival == pytest.approx(meeting, abs=1e-10)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            initial_shock_position(Q3, ZERO, 1.0, 0.0, 0.02, 0.0, 0.0)
+            initial_shock_position(Q3, ZERO, 1.0, 0.0, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +314,7 @@ def test_post_meeting_cost_does_not_grow_with_time(monkeypatch):
     rootfind = fanprofile.fan_profile_rootfind
 
     def counted(*args, **kwargs):
-        calls[args[3]] += 1  # (flux, source, x, t, limit)
+        calls[args[3]] += 1  # (flux, source, x, t)
         return rootfind(*args, **kwargs)
 
     monkeypatch.setattr(fanprofile, "fan_profile_rootfind", counted)
@@ -402,6 +401,20 @@ class TestMakePacket:
         packet = families.make_packet(self.F, ZERO, 1e16, 2.0, 0.5)
         assert packet.A < packet.tau == 1e16 < packet.B
 
+    @pytest.mark.parametrize("alpha", ["zero", "constant:1"])
+    @pytest.mark.parametrize(
+        "p, delta",
+        [(2.0, 1e-200), (2000.0, 0.5), (2.0, 1e-155), (2.0, 1e300)],
+        ids=["underflow", "underflow-at-large-p", "subnormal", "overflow"],
+    )
+    def test_level_past_float64_is_refused(self, p, delta, alpha):
+        # delta^p is 0, subnormal or inf, so dx / delta^p is not a positive
+        # float; under a growing source the true t_n is finite, so it is not inf
+        F = power_law_flux(p, M=delta)
+        message = f"packet level dx/delta^p = 0.1/{delta}^{p} is not a positive finite float64 at delta = {delta}"
+        with pytest.raises(NumericsError, match=re.escape(message)):
+            families.make_packet(F, parse_alpha(alpha), 0.0, 0.1, delta)
+
 
 class TestCellMeetingTime:
     """Each cell's inner fan edges meet at the family's t0, stored on the cell."""
@@ -416,8 +429,8 @@ class TestCellMeetingTime:
         assert sourced_family.cells
         for c in sourced_family.cells:
             assert c.t0 == sourced_family.t0
-            left_edge = c.A + edge_travel_plus(Q3, self.SRC, c.t0, c.a)
-            right_edge = c.B - edge_travel_minus(Q3, self.SRC, c.t0, c.b)
+            left_edge = c.A + slope_time_integral(Q3, self.SRC, c.a, c.t0)
+            right_edge = c.B + slope_time_integral(Q3, self.SRC, c.b, c.t0)
             assert abs(left_edge - right_edge) <= 1e-10
 
     def test_structure_switches_at_t0(self, sourced_family):
@@ -588,7 +601,7 @@ def reference_shock_cells(F, S, t0, N):
     for n, center, width in reference_supports(n0, N):
         A, B = center - width, center + width
         a, b = families._solve_states(F, S, t0, B - A, anchors)
-        tau = initial_shock_position(F, S, t0, A, B, a, b)
+        tau = initial_shock_position(F, S, t0, A, a, b)
         cells.append(ShockCell(index=n, A=A, B=B, a=a, b=b, tau=tau, t0=t0))
     return cells
 

@@ -8,12 +8,11 @@ from fracbv import (
     alternating_initial_data,
     continuity_defect,
     flow_positions,
-    fractional_variation,
     transported_variation_sums,
     u_values,
     u_variation_lower_bounds,
 )
-from fracbv import ConfigError, SampledFunction
+from fracbv import ConfigError, NumericsError, SampledFunction, p_variation
 from fracbv import triangular
 from fracbv.triangular import midpoint_markers, transported_points, transported_values
 
@@ -309,6 +308,11 @@ class TestDivergenceSums:
         with pytest.raises(ValueError):
             transported_variation_sums(SETUP, 0.5, 1.5, 4)
 
+    def test_overflow_is_refused_without_warning(self):
+        # 2^(1/s') overflows at s' = 1e-300: a named error, not a RuntimeWarning
+        with pytest.raises(NumericsError, match="sum of order 1e-300 overflows float64"):
+            transported_variation_sums(SETUP, 0.5, 1e-300, 4)
+
     def test_sums_take_no_flow(self, monkeypatch):
         def no_flow(*args):
             raise AssertionError("the sums do not depend on the flow")
@@ -346,7 +350,7 @@ class TestVariationBounds:
             np.concatenate([locs, np.linspace(SETUP.edges[i], SETUP.edges[i] + 2 * w, 41)])
         )
         vals = u_values(SETUP, xs, t)
-        return fractional_variation(SampledFunction(xs, vals), order)
+        return p_variation(SampledFunction(xs, vals), 1.0 / order).value
 
     def test_measured_variation_attains_bound(self):
         # the bound is for order s + eps; at s + eps = 1 the four swings are

@@ -16,11 +16,9 @@ from fracbv import (
     SourceProfile,
     family_profile,
     family_variation_lower_bounds,
-    fractional_variation,
     load_profile_csv,
     make_packet,
     p_variation,
-    p_variation_reference,
     parse_alpha,
     power_law_family,
     power_law_flux,
@@ -50,6 +48,25 @@ ZERO = SourceProfile.zero()
 def sampled(vs):
     vs = np.asarray(vs, dtype=float)
     return SampledFunction(np.arange(len(vs), dtype=float), vs)
+
+
+def p_variation_reference(f: SampledFunction, p: float) -> float:
+    """Plain quadratic DP over all sample indices; slow but obviously correct.
+
+    Independent of the extrema restriction; used to cross-check
+    :func:`p_variation`.  Raises ValueError unless p is finite and >= 1,
+    and NumericsError when the value overflows float64.
+    """
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"variation exponent must be finite and satisfy p >= 1, got {p}")
+    v = f.vs
+    best = np.zeros(v.size)
+    with np.errstate(over="ignore"):  # reported below
+        for j in range(1, v.size):
+            best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
+    if not math.isfinite(best[-1]):
+        raise NumericsError(f"the {p}-variation is not finite in float64")
+    return float(best[-1])
 
 
 def exhaustive_p_variation(vs, p):
@@ -332,7 +349,7 @@ def test_extreme_ranges_take_the_full_dynamic_program():
         vs = scale * rng.standard_normal(60)
         assert_matches_quadratic(vs, p)
         k = variation._candidate_indices(vs).size
-        assert variation._best_predecessors(vs[variation._candidate_indices(vs)], p)[2] == k * (k - 1) // 2
+        assert variation._best_predecessors(extrema(vs), p)[2] == k * (k - 1) // 2
 
 
 @pytest.mark.parametrize(
@@ -383,13 +400,18 @@ def test_sawtooth_scores_few_predecessors(sawtooth_values, order):
     # pruned, each extremum meets at most two live predecessors
     v = sawtooth_values[variation._candidate_indices(sawtooth_values)]
     assert v.size > 8000
-    _, _, scored = variation._best_predecessors(v, 1.0 / order)
+    _, _, scored = variation._best_predecessors(variation._Extrema(v), 1.0 / order)
     assert scored <= 2 * v.size
 
 
-def takes_the_chain(vs, p):
+def extrema(vs):
+    """The :class:`variation._Extrema` of the values ``vs``, as p_variation finds them."""
     vs = np.asarray(vs, dtype=float)
-    return variation._best_predecessors(vs[variation._candidate_indices(vs)], p)[1] is None
+    return variation._Extrema(vs[variation._candidate_indices(vs)])
+
+
+def takes_the_chain(vs, p):
+    return variation._best_predecessors(extrema(vs), p)[1] is None
 
 
 @pytest.mark.parametrize("order", SAWTOOTH_ORDERS)
@@ -418,7 +440,7 @@ def test_exact_tie_with_the_chain_goes_to_the_shorter_subdivision():
     # 4 + 1 + 4 = 3^2: the chain ties the jump from the first extremum to
     # the last, and the tie goes to fewer points, so the check declines
     vs = [-3.0, -1.0, -2.0, 0.0]
-    assert variation._chain_best(np.array(vs), 2.0)[0] is None
+    assert variation._chain_best(variation._Extrema(np.array(vs)), 2.0)[0] is None
     rep = p_variation(sampled(vs), 2.0)
     assert (rep.value, rep.subdivision) == (9.0, (0, 3))
     assert_matches_quadratic(vs, 2.0)
@@ -527,20 +549,22 @@ def test_refinement_monotonicity(vs, extra, pos, p):
 
 
 class TestFractionalVariation:
+    """The variation of fractional order s is the p-variation at p = 1/s."""
+
     def test_single_jump(self):
         for h, s in ((2.0, 0.5), (0.3, 0.25), (1.0, 1.0)):
             f = SampledFunction(np.array([0.0, 1.0]), np.array([0.0, h]))
-            assert fractional_variation(f, s) == pytest.approx(h ** (1.0 / s), rel=1e-14)
+            assert p_variation(f, 1.0 / s).value == pytest.approx(h ** (1.0 / s), rel=1e-14)
 
     def test_hat_classical(self):
-        assert fractional_variation(sampled([0, 1, 0]), 1.0) == 2.0
+        assert p_variation(sampled([0, 1, 0]), 1.0).value == 2.0
 
     def test_zigzag_half(self):
-        assert fractional_variation(sampled([0, 1, 0, 1]), 0.5) == 3.0
+        assert p_variation(sampled([0, 1, 0, 1]), 1.0 / 0.5).value == 3.0
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            fractional_variation(sampled([0, 1]), 1.5)
+            p_variation(sampled([0, 1]), 1.0 / 1.5)
 
 
 class TestSampling:
@@ -608,7 +632,7 @@ def sampling_profiles():
     yield "assp-before", family_profile(cells, 0.6)
     yield "assp-after", family_profile(cells, 1.7)
     a, b = solve_cell_states(ASYM, ZERO, 1.0, 0.0, 0.02)
-    tau = initial_shock_position(ASYM, ZERO, 1.0, 0.0, 0.02, a, b)
+    tau = initial_shock_position(ASYM, ZERO, 1.0, 0.0, a, b)
     cell = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=tau, t0=1.0)
     yield "general-flux-before", cell_profile(cell, ASYM, ZERO, 0.5)
     yield "general-flux-after", cell_profile(cell, ASYM, ZERO, 1.3)
@@ -708,9 +732,9 @@ def layout_cases():
     # lone cells whose shock moves: a general flux, and a power law with
     # |a| != |b| (edge travels a^3 + |b|^3 = B - A at t0 = 1)
     a, b = solve_cell_states(ASYM, ZERO, 1.0, 0.0, 0.02)
-    asym = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=initial_shock_position(ASYM, ZERO, 1.0, 0.0, 0.02, a, b), t0=1.0)
+    asym = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=initial_shock_position(ASYM, ZERO, 1.0, 0.0, a, b), t0=1.0)
     a, b = 0.25, -((0.02 - 0.25**3) ** (1.0 / 3.0))
-    skew = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=initial_shock_position(q3, ZERO, 1.0, 0.0, 0.02, a, b), t0=1.0)
+    skew = ShockCell(index=1, A=0.0, B=0.02, a=a, b=b, tau=initial_shock_position(q3, ZERO, 1.0, 0.0, a, b), t0=1.0)
     for name, F, cell in (("general-flux", ASYM, asym), ("skew-power-law", q3, skew)):
         family = ShockCellFamily(flux=F, source=ZERO, t0=1.0, n0=1, N=1, columns=np.array([astuple(cell)]).T)
         yield f"{name}-before", family, 0.5
@@ -842,7 +866,7 @@ class TestUpperBound:
 
         for t in (0.5, 1.0, 2.0):
             prof = family_profile(fam, t)
-            measured = fractional_variation(sample_profile(prof, fan_points=32), 0.5)
+            measured = p_variation(sample_profile(prof, fan_points=32), 1.0 / 0.5).value
             lo, hi = prof.span
             bound = smoothing_upper_bound(fam.flux, ZERO, t, lo, hi, 2.0)
             assert measured <= bound
